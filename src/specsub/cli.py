@@ -148,7 +148,7 @@ def _cmd_analyze(config: RunConfig, fix) -> str:
 
 def _group_rows(config: RunConfig, alg: MetricLieAlgebra, name: str):
     crep = classify(alg, config.tolerances)
-    rep = group_spectra.group_spectrum_report(alg, config.tolerances)
+    rep = group_spectra.group_spectrum_report(alg, config.tolerances, report=crep)
     return crep, rep, [[name, crep.unimodular, crep.amenable, rep.lambda0,
                         rep.cheeger, rep.method.value]]
 

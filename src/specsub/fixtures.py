@@ -209,9 +209,12 @@ def _tokens(text: str):
 
 def _parse_float(tok, lineno):
     try:
-        return float(tok)
+        v = float(tok)
     except ValueError:
         raise FixtureParseError(f"expected a number, got {tok!r}", lineno) from None
+    if not math.isfinite(v):
+        raise FixtureParseError(f"expected a finite number, got {tok!r}", lineno)
+    return v
 
 
 def _parse_int(tok, lineno):
@@ -302,11 +305,8 @@ def _parse_warp(rows) -> WarpedProductSpec:
         kind = toks[0]
         if pending_samples is not None:
             # bare numbers after 'warp samples'
-            try:
-                pending_samples.extend(float(t) for t in toks)
-                continue
-            except ValueError:
-                raise FixtureParseError("expected sample values", lineno) from None
+            pending_samples.extend(_parse_float(t, lineno) for t in toks)
+            continue
         if kind == "base":
             if base is not None:
                 raise FixtureParseError("duplicate base directive", lineno)
@@ -341,11 +341,7 @@ def _parse_warp(rows) -> WarpedProductSpec:
                 raise FixtureParseError("warp needs a kind", lineno)
             wkind = toks[1]
             if wkind == "samples":
-                pending_samples = []
-                try:
-                    pending_samples.extend(float(t) for t in toks[2:])
-                except ValueError:
-                    raise FixtureParseError("expected sample values", lineno) from None
+                pending_samples = [_parse_float(t, lineno) for t in toks[2:]]
             elif wkind in ("const", "exp", "sinshift"):
                 if len(toks) != 3:
                     raise FixtureParseError(f"warp {wkind} needs one parameter", lineno)

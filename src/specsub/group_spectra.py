@@ -94,9 +94,10 @@ def lambda0_amenable(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
     return GroupSpectrumReport(norm2 / 4.0, cheeger, maximizer, Method.AMENABLE_FORMULA)
 
 
-def group_spectrum_report(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> GroupSpectrumReport:
+def group_spectrum_report(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
+                          report: Optional[ClassificationReport] = None) -> GroupSpectrumReport:
     """Exact report when amenable, otherwise Cheeger-based lower bounds."""
-    rep = classify(alg, tols)
+    rep = report if report is not None else classify(alg, tols)
     if rep.amenable:
         return lambda0_amenable(alg, tols, report=rep)
     low = cheeger_lower_bound(alg)

@@ -57,11 +57,6 @@ class MetricLieAlgebra:
 
     # -- basic linear algebra -------------------------------------------------
 
-    def basis_vector(self, i: int) -> np.ndarray:
-        e = np.zeros(self.dim)
-        e[i] = 1.0
-        return e
-
     def bracket(self, x, y) -> np.ndarray:
         x = _asvec(x, self.dim)
         y = _asvec(y, self.dim)
@@ -88,9 +83,9 @@ class MetricLieAlgebra:
         return bool(np.max(np.abs(self.trace_covector().components), initial=0.0) < tol)
 
     def killing_form(self) -> np.ndarray:
-        # ads[i] = ad(e_i); B[i, j] = tr(ad e_i ad e_j)
-        ads = np.einsum("ijk->ikj", self.structure)
-        return np.einsum("iab,jba->ij", ads, ads)
+        # B[i, j] = tr(ad e_i ad e_j) = sum_{a,b} c[i,b,a] c[j,a,b]
+        c = self.structure
+        return np.tensordot(c, c, axes=([1, 2], [2, 1]))
 
     def koszul_connection(self, x, y) -> np.ndarray:
         """Levi-Civita connection of the left-invariant metric on constant fields.
@@ -195,20 +190,21 @@ class Ideal:
         rest = v - self.parent.project_onto(self.onb, v)
         return self.parent.norm(rest)
 
+    def _max_residual_off(self, rows: np.ndarray) -> float:
+        """Largest metric norm of the out-of-span part over a batch of rows."""
+        g = self.parent.metric
+        rest = rows - (rows @ g.T @ self.onb.T) @ self.onb
+        norm2 = np.einsum("ai,ai->a", rest @ g.T, rest)
+        return float(np.sqrt(np.max(np.maximum(norm2, 0.0), initial=0.0)))
+
     def subalgebra_residual(self) -> float:
-        r = 0.0
-        for a in self.onb:
-            for b in self.onb:
-                r = max(r, self.residual_off(self.parent.bracket(a, b)))
-        return r
+        prods = _bracket_products(self.parent.structure, self.onb, self.onb)
+        return self._max_residual_off(prods.reshape(-1, self.parent.dim))
 
     def ideal_residual(self) -> float:
-        r = 0.0
-        for i in range(self.parent.dim):
-            e = self.parent.basis_vector(i)
-            for b in self.onb:
-                r = max(r, self.residual_off(self.parent.bracket(e, b)))
-        return r
+        # prods[b, i, :] = [e_i, onb[b]]
+        prods = np.tensordot(self.onb, self.parent.structure, axes=(1, 1))
+        return self._max_residual_off(prods.reshape(-1, self.parent.dim))
 
     def is_subalgebra(self, tol: float = DEFAULT.ideal_tol) -> bool:
         return self.subalgebra_residual() < tol
@@ -221,9 +217,8 @@ class Ideal:
         n = self.parent.dim
         if self.dim == 0:
             return self.parent.gram_orthonormalize(np.eye(n))
-        rest = np.eye(n) - np.array(
-            [self.parent.project_onto(self.onb, np.eye(n)[i]) for i in range(n)]
-        )
+        # row i is e_i minus its projection onto the span
+        rest = np.eye(n) - (self.onb @ self.parent.metric).T @ self.onb
         comp = self.parent.gram_orthonormalize(rest, rank_tol=1e-10)
         if comp.shape[0] != n - self.dim:
             raise RuntimeError("complement rank detection failed")
@@ -255,11 +250,19 @@ class ClassificationReport:
 def validate(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ValidationReport:
     """Check antisymmetry, the Jacobi identity and metric positivity."""
     c = alg.structure
+    n = alg.dim
     anti = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))), initial=0.0))
-    # jac[i,j,l,k] = sum_m c[i,j,m] c[m,l,k] + cyclic
-    cyc = np.einsum("ijm,mlk->ijlk", c, c)
-    jac = cyc + np.transpose(cyc, (1, 2, 0, 3)) + np.transpose(cyc, (2, 0, 1, 3))
-    jacobi = float(np.max(np.abs(jac), initial=0.0))
+    # jac[i,j,l,k] = cyc[i,j,l,k] + cyc[l,i,j,k] + cyc[j,l,i,k] with
+    # cyc[i,j,l,k] = sum_m c[i,j,m] c[m,l,k].  One output component k at a
+    # time keeps all three cyclic terms in the same O(n^3) slice; the maximum
+    # over slices is taken by numpy so that a NaN propagates into the residual.
+    flat = c.reshape(n * n, n)
+    slice_max = np.zeros(n)
+    for k in range(n):
+        cyc = (flat @ c[:, :, k]).reshape(n, n, n)
+        jac = cyc + np.transpose(cyc, (1, 2, 0)) + np.transpose(cyc, (2, 0, 1))
+        slice_max[k] = np.max(np.abs(jac))
+    jacobi = float(np.max(slice_max, initial=0.0))
     gsym = float(np.max(np.abs(alg.metric - alg.metric.T), initial=0.0))
     try:
         min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (alg.metric + alg.metric.T))))
@@ -282,13 +285,21 @@ def zero_ideal(alg: MetricLieAlgebra) -> Ideal:
     return Ideal(alg, np.zeros((0, alg.dim)))
 
 
+def _bracket_products(c: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """prods[a, b, :] = [rows_a[a], rows_b[b]] as two BLAS contractions."""
+    left = np.tensordot(rows_a, c, axes=(1, 0))                        # [a, j, k]
+    return np.tensordot(rows_b, left, axes=(1, 1)).transpose(1, 0, 2)  # [a, b, k]
+
+
 def _bracket_span(alg: MetricLieAlgebra, rows_a: np.ndarray, rows_b: np.ndarray,
                   rank_tol: float, marginal: Optional[list] = None) -> np.ndarray:
     if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
         return np.zeros((0, alg.dim))
-    prods = np.einsum("ai,bj,ijk->abk", rows_a, rows_b, alg.structure)
-    prods = prods.reshape(-1, alg.dim)
-    u, s, vt = np.linalg.svd(prods, full_matrices=False)
+    prods = _bracket_products(alg.structure, rows_a, rows_b).reshape(-1, alg.dim)
+    # the tall product matrix only enters through its R factor; this skips
+    # forming the left singular vectors
+    r = np.linalg.qr(prods, mode="r")
+    s, vt = np.linalg.svd(r, full_matrices=False)[1:]
     if marginal is not None and _marginal_svals(s, rank_tol):
         marginal.append(True)
     if s.size == 0 or s[0] <= rank_tol:
@@ -359,8 +370,7 @@ def quotient_algebra(alg: MetricLieAlgebra, n_ideal: Ideal,
     P = Q @ alg.metric
     if q == 0:
         return MetricLieAlgebra(0, np.zeros((0, 0, 0)), np.zeros((0, 0))), P
-    br = np.einsum("ai,bj,ijk->abk", Q, Q, alg.structure)
-    cq = np.einsum("abk,ck->abc", br @ alg.metric, Q)
+    cq = _bracket_products(alg.structure, Q, Q) @ alg.metric @ Q.T
     return MetricLieAlgebra(q, cq, np.eye(q)), P
 
 
@@ -373,8 +383,7 @@ def restrict_to_span(alg: MetricLieAlgebra, sub: Ideal,
     k = E.shape[0]
     if k == 0:
         return MetricLieAlgebra(0, np.zeros((0, 0, 0)), np.zeros((0, 0)))
-    br = np.einsum("ai,bj,ijk->abk", E, E, alg.structure)
-    cs = np.einsum("abk,ck->abc", br @ alg.metric, E)
+    cs = _bracket_products(alg.structure, E, E) @ alg.metric @ E.T
     return MetricLieAlgebra(k, cs, np.eye(k))
 
 
@@ -394,10 +403,10 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
     derived_dims = _series_dims(
         alg, lambda s: derived_subalgebra(alg, s, tols, marks), tols)
     solvable = derived_dims[-1] == 0
+    whole = full_ideal(alg).onb
     lower_dims = _series_dims(
         alg,
-        lambda s: Ideal(alg, _bracket_span(alg, full_ideal(alg).onb, s.onb,
-                                           tols.rank_tol, marks)),
+        lambda s: Ideal(alg, _bracket_span(alg, whole, s.onb, tols.rank_tol, marks)),
         tols,
     )
     nilpotent = lower_dims[-1] == 0

@@ -61,6 +61,17 @@ def test_validate_broken_jacobi():
     assert not rep.ok
 
 
+def test_validate_rejects_nan_entries():
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2] = np.nan, np.nan
+    rep = validate(MetricLieAlgebra(3, c, np.eye(3)))
+    assert not rep.ok
+    assert np.isnan(rep.jacobi_residual)
+    g = np.eye(3)
+    g[1, 1] = np.nan
+    assert not validate(MetricLieAlgebra(3, heisenberg3().structure, g)).ok
+
+
 # -- bracket / ad / traces ------------------------------------------------------
 
 def test_bracket_heisenberg():
