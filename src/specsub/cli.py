@@ -13,7 +13,8 @@ header in every CSV):
   tail-ess       fixture,grid_n,cutoff,lambda0,residual
 
 Exit codes: 0 success, 1 validation or parse failure, 2 solver
-non-convergence, 3 closed-form formula inapplicable.
+non-convergence or, for verify-warped, a violated inequality or a two-route
+mismatch (the report says which), 3 closed-form formula inapplicable.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_SOLVER = 2
 EXIT_INAPPLICABLE = 3
+
+MAX_GRID = 2 ** 20
 
 COMMANDS = ("analyze", "lambda0", "cheeger", "quotient", "verify-warped", "tail-ess")
 
@@ -229,8 +232,10 @@ def _cmd_quotient(config: RunConfig, fix) -> str:
 
 def _check_grid(config: RunConfig):
     n = config.grid_n
-    if n < 16 or (n & (n - 1)) != 0:
-        raise FixtureParseError("--grid must be a power of two, at least 16")
+    if n < 16 or n > MAX_GRID or (n & (n - 1)) != 0:
+        raise FixtureParseError(f"--grid must be a power of two from 16 to {MAX_GRID}")
+    if config.m_max < 0:
+        raise FixtureParseError("--modes must be nonnegative")
 
 
 def _cmd_verify_warped(config: RunConfig, fix) -> str:
@@ -238,9 +243,7 @@ def _cmd_verify_warped(config: RunConfig, fix) -> str:
     _check_grid(config)
     name = _fixture_name(config, fix)
     cfg = config.solver()
-    ineq = warped_spectra.verify_warped_inequality(
-        spec, config.grid_n, config.tolerances, cfg, config.m_max)
-    eq = warped_spectra.verify_closed_fiber_equality(
+    ineq, eq = warped_spectra.verify_warped(
         spec, config.grid_n, config.tolerances, cfg, config.m_max)
     rows = []
     for m, (lam, res) in enumerate(zip(ineq.lambda0_modes, ineq.residuals)):
@@ -331,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
                "Fixture names are resolved against $%s, then as file\n"
                "paths, then against the built-in catalog.\n"
                "Exit codes: 0 ok, 1 validation/parse failure, 2 solver "
-               "non-convergence, 3 formula inapplicable." % (CSV_VERSION, FIXTURE_DIR_ENV))
+               "non-convergence or a\nviolated inequality or two-route mismatch "
+               "in verify-warped, 3 formula inapplicable." % (CSV_VERSION, FIXTURE_DIR_ENV))
     sub = p.add_subparsers(dest="command", required=True)
     specs = {
         "analyze": "validate and classify a Lie algebra fixture",
@@ -352,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--seed", type=int, default=0)
         if name in ("verify-warped", "tail-ess"):
             q.add_argument("--grid", type=int, default=256,
-                           help="grid size (power of two, >= 16)")
+                           help="grid size (power of two, 16 to 2^20)")
             q.add_argument("--modes", type=int, default=8,
-                           help="largest fiber mode to scan")
+                           help="largest fiber mode to scan (>= 0)")
         if name == "quotient":
             q.add_argument("--ideal", default=None,
                            help="comma-separated 1-based basis indices spanning "

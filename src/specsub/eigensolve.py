@@ -1,10 +1,10 @@
 """Lowest eigenvalue of weighted self-adjoint grid operators.
 
 The weighted problem A v = lambda v with w-self-adjoint A is symmetrized to
-M = D A D^{-1}, D = diag(sqrt(w)), and solved either by shifted inverse
-iteration (shift = Gershgorin lower bound - 1, sparse LU) or by Lanczos with
-full reorthogonalization.  The converged Rayleigh quotient is re-evaluated in
-extended precision so that closed-form comparisons hold at the 1e-12 level.
+M = D A D^{-1}, D = diag(sqrt(w)), and solved by shifted inverse iteration
+(shift = Gershgorin lower bound - 1, sparse LU).  The converged Rayleigh
+quotient is re-evaluated in extended precision so that closed-form
+comparisons hold at the 1e-12 level.
 A dense eigh cross-check is run automatically for small grids.
 """
 
@@ -25,7 +25,6 @@ class SolverConfig:
     tol: float = 1e-10            # residual target |Mv - lambda v| / |v|
     max_iters: int = 60000
     seed: int = 0
-    method: str = "inverse_iteration"   # or "lanczos"
     dense_check: bool = True
     dense_limit: int = 512
     dense_tol: float = 1e-9
@@ -106,52 +105,6 @@ def _inverse_iteration(M: sp.csr_matrix, cfg: SolverConfig):
     return v, tol_eff, False
 
 
-def _lanczos(M: sp.csr_matrix, cfg: SolverConfig):
-    n = M.shape[0]
-    scale = float(np.max(np.asarray(abs(M).sum(axis=1)))) if n else 0.0
-    tol_eff = max(cfg.tol, 40 * np.finfo(float).eps * (1.0 + scale))
-    rng = np.random.default_rng(cfg.seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    kmax = min(n, max(40, min(600, n)))
-    Q = np.zeros((n, kmax))
-    alphas = np.zeros(kmax)
-    betas = np.zeros(kmax)
-    best = q
-    Q[:, 0] = q
-    r = M @ q
-    alphas[0] = q @ r
-    r = r - alphas[0] * q
-    for k in range(1, kmax + 1):
-        # check the smallest Ritz pair so far
-        T = np.diag(alphas[:k]) + np.diag(betas[1:k], 1) + np.diag(betas[1:k], -1)
-        evals, evecs = np.linalg.eigh(T)
-        y = Q[:, :k] @ evecs[:, 0]
-        y /= np.linalg.norm(y)
-        lam = float(y @ (M @ y))
-        res = float(np.linalg.norm(M @ y - lam * y))
-        best = y
-        if res <= tol_eff:
-            return best, tol_eff, True
-        if k == kmax or k == n:
-            break
-        beta = np.linalg.norm(r)
-        if beta == 0.0:
-            q_new = rng.standard_normal(n)
-        else:
-            q_new = r / beta
-        # full reorthogonalization, twice for safety
-        for _ in range(2):
-            q_new = q_new - Q[:, :k] @ (Q[:, :k].T @ q_new)
-        q_new /= np.linalg.norm(q_new)
-        betas[k] = beta
-        Q[:, k] = q_new
-        r = M @ q_new - beta * Q[:, k - 1]
-        alphas[k] = q_new @ r
-        r = r - alphas[k] * q_new
-    return best, tol_eff, False
-
-
 def dense_lowest(matrix: sp.spmatrix, weights: np.ndarray, grid_n: Optional[int] = None,
                  mode: Optional[int] = None) -> SpectrumEstimate:
     """Reference dense solve of the weighted eigenproblem."""
@@ -177,10 +130,7 @@ def lowest_eigenvalue(matrix: sp.spmatrix, weights: np.ndarray,
     if n == 0:
         raise ValueError("empty operator")
     M = symmetrized(matrix, weights)
-    if cfg.method == "lanczos":
-        v, tol_eff, ok = _lanczos(M, cfg)
-    else:
-        v, tol_eff, ok = _inverse_iteration(M, cfg)
+    v, tol_eff, ok = _inverse_iteration(M, cfg)
     est = _estimate(M, v, weights, gn, mode)
     if not ok and est.residual > tol_eff:
         raise SolverConvergenceError(

@@ -13,7 +13,9 @@ Half-node fluxes use geometric means sqrt(psi_i psi_{i+1}).  With that choice
 diag(sqrt(psi)) conjugates the discrete L_0 exactly into the discrete S, so
 the two routes to the bottom of the spectrum agree at the matrix level, S is
 exactly non-negative, and the discrete pushdown inequality holds with no
-discretization slack (reverse triangle inequality on fiber columns).
+discretization slack (reverse triangle inequality on fiber columns).  All of
+this needs every operator to use the same boundary closure, so the closure
+lives in one place, ``Grid``.
 """
 
 from __future__ import annotations
@@ -105,10 +107,48 @@ class WarpedProductSpec:
 
 @dataclass(frozen=True)
 class Grid:
+    """Base nodes carrying unknowns, and the boundary closure around them.
+
+    The closure is decided here and nowhere else.  ``pad`` lays a node array
+    out so that every edge of the discretization is (k, k+1) of the padded
+    array, and ``fold`` sums per-edge terms back onto the nodes; the
+    operators below are written once in terms of the two.
+    """
+
     x: np.ndarray        # nodes carrying unknowns
     h: float
     periodic: bool
     boundary: Optional[Boundary] = None
+    ends: tuple = ()     # coordinates (a, b) of the two Dirichlet ghosts
+
+    def with_ends(self, f, lo=0.0, hi=0.0):
+        """f with lo and hi at the two ghosts of a Dirichlet interval, else f."""
+        if self.boundary != Boundary.DIRICHLET:
+            return f
+        ghost = (1,) + f.shape[1:]
+        return np.concatenate((np.full(ghost, lo), f, np.full(ghost, hi)))
+
+    def pad(self, f, lo=0.0, hi=0.0):
+        """f (nodes along the first axis) with the closure's ghost values.
+
+        Every edge is (k, k+1) of the result: a circle appends the
+        wrap-around copy of the first node, a Dirichlet interval puts lo and
+        hi at its ends (0 for grid functions), a Neumann interval adds
+        nothing (no flux crosses its ends).
+        """
+        f = self.with_ends(f, lo, hi)
+        return np.concatenate((f, f[:1])) if self.periodic else f
+
+    def fold(self, to_left, to_right):
+        """Per-edge values summed onto the nodes; the adjoint of ``pad``.
+
+        Edge (k, k+1) gives to_left[k] to its left end and to_right[k] to its
+        right end.  A Dirichlet ghost drops what it receives; the wrap-around
+        copy passes it on to the first node.
+        """
+        per_pad = np.concatenate((to_left, [0.0])) + np.concatenate(([0.0], to_right))
+        owner = self.pad(np.arange(self.x.size), -1, -1) + 1     # 0: a ghost
+        return np.bincount(owner, per_pad, minlength=self.x.size + 1)[1:]
 
 
 def base_grid(spec: WarpedProductSpec, grid_n: int) -> Grid:
@@ -120,17 +160,16 @@ def base_grid(spec: WarpedProductSpec, grid_n: int) -> Grid:
     a, b, bc = spec.base.a, spec.base.b, spec.base.boundary
     if bc == Boundary.DIRICHLET:
         h = (b - a) / (grid_n + 1)
-        return Grid(a + h * np.arange(1, grid_n + 1), h, False, bc)
+        return Grid(a + h * np.arange(1, grid_n + 1), h, False, bc, (a, b))
     h = (b - a) / grid_n
     return Grid(a + h * (np.arange(grid_n) + 0.5), h, False, bc)
 
 
-def warp_values(spec: WarpedProductSpec, grid: Grid) -> np.ndarray:
-    """psi at the grid nodes plus, for Dirichlet intervals, at both endpoints.
+def _warp(spec: WarpedProductSpec, grid: Grid):
+    """psi at the nodes and at the Dirichlet ghosts, checked finite and positive.
 
-    Returns an array of length n (circle, Neumann) or n + 2 (Dirichlet, with
-    psi(a) first and psi(b) last).  Sampled warps must match the grid size;
-    missing endpoint values are filled by quadratic extrapolation.
+    Sampled warps must match the grid size; their ghost values are
+    quadratic extrapolations one step past either end.
     """
     n = grid.x.size
     w = spec.warp
@@ -138,24 +177,33 @@ def warp_values(spec: WarpedProductSpec, grid: Grid) -> np.ndarray:
         if w.samples.size != n:
             raise ValueError(
                 f"sampled warp has {w.samples.size} values but the grid has {n} nodes")
-        vals = np.array(w.samples, dtype=float)
+        psi = np.array(w.samples, dtype=float)
+        ends = (_extrapolate(psi[:3], -1.0), _extrapolate(psi[-3:][::-1], -1.0))
     else:
-        vals = np.asarray(w(grid.x), dtype=float)
-    if grid.periodic or grid.boundary == Boundary.NEUMANN:
-        out = vals
-    else:
-        a, b = spec.base.a, spec.base.b
-        if w.kind == "samples":
-            pa = _extrapolate(vals[:3], -1.0)
-            pb = _extrapolate(vals[-3:][::-1], -1.0)
-        else:
-            pa = float(w(np.array(a)))
-            pb = float(w(np.array(b)))
-        out = np.concatenate(([pa], vals, [pb]))
-    if np.any(out <= 0.0):
-        bad = int(np.argmax(out <= 0.0))
-        raise ValueError(f"warp must be positive everywhere (node {bad})")
-    return out
+        psi = np.asarray(w(grid.x), dtype=float)
+        ends = tuple(float(w(np.array(e))) for e in grid.ends)
+    full = grid.with_ends(psi, *ends)
+    bad = ~(np.isfinite(full) & (full > 0.0))
+    if bad.any():
+        raise ValueError(f"warp must be finite and positive (node {int(np.argmax(bad))})")
+    return psi, ends
+
+
+def warp_values(spec: WarpedProductSpec, grid: Grid) -> np.ndarray:
+    """psi at the grid nodes plus, for Dirichlet intervals, at both endpoints.
+
+    Returns an array of length n (circle, Neumann) or n + 2 (Dirichlet, with
+    psi(a) first and psi(b) last).
+    """
+    psi, ends = _warp(spec, grid)
+    return grid.with_ends(psi, *ends)
+
+
+def _sample(spec: WarpedProductSpec, grid_n: int):
+    """The base grid, psi at its nodes and psi laid out by ``Grid.pad``."""
+    grid = base_grid(spec, grid_n)
+    psi, ends = _warp(spec, grid)
+    return grid, psi, grid.pad(psi, *ends)
 
 
 def _extrapolate(three, t):
@@ -205,108 +253,76 @@ class DiscreteOperator:
         return DiscreteOperator(sub, self.weights[idx], label or self.label, g)
 
 
-def _operator_from_form(K: sp.spmatrix, weights: np.ndarray, label: str,
-                        grid: Grid) -> DiscreteOperator:
-    """Build A = W^{-1} K from a symmetric form matrix K; w-self-adjoint by design."""
-    A = (sp.diags(1.0 / weights) @ K).tocsr()
+def _laplacian_form(grid: Grid, conduct: np.ndarray):
+    """h sum_e conduct[e] (f_r - f_l)^2 / h^2 over the edges of ``Grid.pad``,
+    as its diagonal and its per-edge off-diagonal values."""
+    h2 = grid.h * grid.h
+    return (grid.fold(conduct, conduct) / h2) * grid.h, (-conduct / h2) * grid.h
+
+
+def _operator(grid: Grid, form, potential: np.ndarray, weights: np.ndarray,
+              label: str) -> DiscreteOperator:
+    """A = W^{-1} K for K = form + diag(potential * weights), as sorted CSR.
+
+    K is symmetric, so A is self-adjoint in the weighted inner product.  An
+    edge to a Dirichlet ghost (node -1, where f = 0) adds to the diagonal only.
+    """
+    diag, off = form
+    n = grid.x.size
+    node = grid.pad(np.arange(n), -1, -1)
+    inner = (node[:-1] >= 0) & (node[1:] >= 0)
+    left, right, off = node[:-1][inner], node[1:][inner], off[inner]
+    rows = np.concatenate((np.arange(n), left, right))
+    cols = np.concatenate((np.arange(n), right, left))
+    vals = (1.0 / weights)[rows] * np.concatenate((diag + potential * weights, off, off))
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    A = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
     return DiscreteOperator(A, weights, label, grid)
 
 
-def _laplacian_form(grid: Grid, conduct: np.ndarray) -> sp.csr_matrix:
-    """Symmetric form matrix of a flux Laplacian with edge conductances.
+def _potential(grid: Grid, phi: np.ndarray, phi_pad: np.ndarray) -> np.ndarray:
+    """V = (second difference of phi) / phi with the grid's closure.
 
-    conduct[e] multiplies (f_j - f_i)^2 / h^2 for edge e; on a circle there
-    are n wrap-around edges, on a Dirichlet interval n + 1 edges (boundary
-    values clamped to 0), on a Neumann interval n - 1 interior edges.
+    The second difference is the sum over a node's neighbours minus its
+    degree times phi, so a Neumann end sees its one neighbour only, matching
+    the zero-flux divergence form exactly.
     """
-    n = grid.x.size
-    h2 = grid.h * grid.h
-    diag = np.zeros(n)
-    if grid.periodic:
-        off = conduct / h2                      # edge i: (i, i+1 mod n)
-        diag = (conduct + np.roll(conduct, 1)) / h2
-        i = np.arange(n)
-        j = (i + 1) % n
-        rows = np.concatenate([i, i, j])
-        cols = np.concatenate([i, j, i])
-        vals = np.concatenate([diag, -off, -off])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    if grid.boundary == Boundary.DIRICHLET:
-        # conduct has n + 1 entries: edges (a,1), (1,2), ..., (n,b)
-        inner = conduct[1:-1]
-        diag += conduct[:-1] / h2
-        diag += conduct[1:] / h2
-        return sp.diags_array(
-            [-inner / h2, diag, -inner / h2], offsets=[-1, 0, 1]).tocsr()
-    # Neumann: n - 1 interior edges, zero flux at the ends
-    inner = conduct
-    diag[:-1] += inner / h2
-    diag[1:] += inner / h2
-    return sp.diags_array(
-        [-inner / h2, diag, -inner / h2], offsets=[-1, 0, 1]).tocsr()
+    nbr = grid.fold(phi_pad[1:], phi_pad[:-1])
+    ones = np.ones(phi_pad.size - 1)
+    deg = grid.fold(ones, ones)
+    return (nbr - deg * phi) / (phi * (grid.h * grid.h))
 
 
-def _potential_from_phi(grid: Grid, phi: np.ndarray) -> np.ndarray:
-    """V = (centered second difference of phi) / phi with the grid's closure.
-
-    phi includes endpoint values for Dirichlet intervals; Neumann ends use
-    reflected ghosts, matching the zero-flux divergence form exactly.
-    """
-    h2 = grid.h * grid.h
-    if grid.periodic:
-        return (np.roll(phi, -1) + np.roll(phi, 1) - 2.0 * phi) / (phi * h2)
-    if grid.boundary == Boundary.DIRICHLET:
-        inner = phi[1:-1]
-        return (phi[2:] + phi[:-2] - 2.0 * inner) / (inner * h2)
-    V = np.empty_like(phi)
-    V[1:-1] = (phi[2:] + phi[:-2] - 2.0 * phi[1:-1]) / (phi[1:-1] * h2)
-    V[0] = (phi[1] - phi[0]) / (phi[0] * h2)
-    V[-1] = (phi[-2] - phi[-1]) / (phi[-1] * h2)
-    return V
-
-
-def _edge_geomean(grid: Grid, vals: np.ndarray) -> np.ndarray:
-    """Geometric means of vals over grid edges (layout as in _laplacian_form)."""
-    if grid.periodic:
-        return np.sqrt(vals * np.roll(vals, -1))
-    if grid.boundary == Boundary.DIRICHLET:
-        return np.sqrt(vals[:-1] * vals[1:])     # vals includes endpoints
-    return np.sqrt(vals[:-1] * vals[1:])
+def _schrodinger(spec: WarpedProductSpec, grid: Grid, psi: np.ndarray,
+                 psi_pad: np.ndarray) -> DiscreteOperator:
+    k_half = spec.fiber_dim / 2.0
+    V = _potential(grid, psi ** k_half, psi_pad ** k_half)
+    form = _laplacian_form(grid, np.ones(psi_pad.size - 1))
+    return _operator(grid, form, V, np.full(grid.x.size, grid.h), "S")
 
 
 def build_schrodinger(spec: WarpedProductSpec, grid_n: int) -> DiscreteOperator:
     """S = -f'' + V f with V = (psi^{k/2})''/psi^{k/2}, uniform weights."""
-    grid = base_grid(spec, grid_n)
-    psi = warp_values(spec, grid)
-    phi = psi ** (spec.fiber_dim / 2.0)
-    V = _potential_from_phi(grid, phi)
-    n = grid.x.size
-    if grid.periodic:
-        cond = np.ones(n)
-    elif grid.boundary == Boundary.DIRICHLET:
-        cond = np.ones(n + 1)
-    else:
-        cond = np.ones(n - 1)
-    w = np.full(n, grid.h)
-    K = _laplacian_form(grid, cond) * grid.h + sp.diags(V * w)
-    return _operator_from_form(K, w, "S", grid)
+    return _schrodinger(spec, *_sample(spec, grid_n))
+
+
+def _mode_operators(spec: WarpedProductSpec, grid_n: int, modes):
+    """L_m for each m in modes.  The L_0 form is built once: L_m only adds
+    m^2/psi^2 on the diagonal."""
+    if spec.fiber_dim != 1:
+        raise ValueError("mode operators are only defined for a circle fiber (k = 1)")
+    grid, psi, psi_pad = _sample(spec, grid_n)
+    form = _laplacian_form(grid, np.sqrt(psi_pad[:-1] * psi_pad[1:]))
+    for m in modes:
+        yield _operator(grid, form, (m * m) / (psi * psi), psi * grid.h, f"L_{m}")
 
 
 def build_warped_mode(spec: WarpedProductSpec, m: int, grid_n: int) -> DiscreteOperator:
     """Fourier-mode operator L_m f = -(psi f')'/psi + m^2/psi^2 f (fiber S^1)."""
-    if spec.fiber_dim != 1:
-        raise ValueError("mode operators are only defined for a circle fiber (k = 1)")
     if m < 0:
         raise ValueError("mode index must be nonnegative")
-    grid = base_grid(spec, grid_n)
-    psi_full = warp_values(spec, grid)
-    psi = psi_full if (grid.periodic or grid.boundary == Boundary.NEUMANN) \
-        else psi_full[1:-1]
-    cond = _edge_geomean(grid, psi_full)
-    w = psi * grid.h
-    pot = (m * m) / (psi * psi)
-    K = _laplacian_form(grid, cond) * grid.h + sp.diags(pot * w)
-    return _operator_from_form(K, w, f"L_{m}", grid)
+    return next(_mode_operators(spec, grid_n, (m,)))
 
 
 # -- verification reports -----------------------------------------------------
@@ -355,36 +371,47 @@ def solve_lowest(op: DiscreteOperator, cfg: SolverConfig = DEFAULT_SOLVER,
 
 def mode_scan(spec: WarpedProductSpec, grid_n: int, m_max: int = 8,
               cfg: SolverConfig = DEFAULT_SOLVER):
-    ests = []
-    for m in range(m_max + 1):
-        op = build_warped_mode(spec, m, grid_n)
-        ests.append(lowest_eigenvalue(op.matrix, op.weights, cfg,
-                                      grid_n=grid_n, mode=m))
-    return ests
+    """Lowest eigenvalues of L_0, ..., L_{m_max}, one SpectrumEstimate each."""
+    if m_max < 0:
+        raise ValueError("the largest mode must be nonnegative")
+    ops = _mode_operators(spec, grid_n, range(m_max + 1))
+    return [solve_lowest(op, cfg, mode=m) for m, op in enumerate(ops)]
+
+
+def verify_warped(spec: WarpedProductSpec, grid_n: int,
+                  tols: Tolerances = DEFAULT,
+                  cfg: SolverConfig = DEFAULT_SOLVER,
+                  m_max: int = 8):
+    """(InequalityReport, EqualityReport) from one mode scan and one S solve.
+
+    Inequality: total-space bottom (min over modes) >= base Schrodinger
+    bottom + fiber term.  Equality: the two routes to the bottom of the
+    spectrum, the m = 0 mode operator (weighted by psi) and S (the
+    multiplication map by sqrt(psi) identifies the two problems), agree,
+    and the mode scan attains its minimum at m = 0.
+    """
+    ests = mode_scan(spec, grid_n, m_max, cfg)
+    lams = tuple(e.lambda0 for e in ests)
+    grid, psi, psi_pad = _sample(spec, grid_n)
+    s_est = solve_lowest(_schrodinger(spec, grid, psi, psi_pad), cfg)
+    residuals = tuple(e.residual for e in ests) + (s_est.residual,)
+    total = min(lams)
+    rhs = s_est.lambda0 + spec.fiber_lambda0 * float(np.min(1.0 / psi_pad ** 2))
+    ineq = InequalityReport(spec.name, grid_n, lams, total, s_est.lambda0, rhs,
+                            total - rhs, residuals, total - rhs >= -tols.ineq_tol)
+    diff = abs(lams[0] - s_est.lambda0)
+    slack = 10.0 * max(ests[0].residual, s_est.residual, 1e-15)
+    eq = EqualityReport(spec.name, grid_n, lams, total, s_est.lambda0, residuals,
+                        diff, diff <= tols.unitary_tol and total >= lams[0] - slack)
+    return ineq, eq
 
 
 def verify_closed_fiber_equality(spec: WarpedProductSpec, grid_n: int,
                                  tols: Tolerances = DEFAULT,
                                  cfg: SolverConfig = DEFAULT_SOLVER,
                                  m_max: int = 8) -> EqualityReport:
-    """Two routes to the bottom of the warped-product spectrum must agree.
-
-    Route one: the m = 0 mode operator (weighted by psi).  Route two: the
-    Schrodinger operator S on the base; the multiplication map by sqrt(psi)
-    identifies the two problems.  Also checks that the mode scan attains its
-    minimum at m = 0.
-    """
-    ests = mode_scan(spec, grid_n, m_max, cfg)
-    lams = tuple(e.lambda0 for e in ests)
-    s_op = build_schrodinger(spec, grid_n)
-    s_est = lowest_eigenvalue(s_op.matrix, s_op.weights, cfg, grid_n=grid_n)
-    total = min(lams)
-    diff = abs(lams[0] - s_est.lambda0)
-    slack = 10.0 * max(ests[0].residual, s_est.residual, 1e-15)
-    passed = diff <= tols.unitary_tol and total >= lams[0] - slack
-    return EqualityReport(spec.name, grid_n, lams, total, s_est.lambda0,
-                          tuple(e.residual for e in ests) + (s_est.residual,),
-                          diff, passed)
+    """Two routes to the bottom of the warped-product spectrum must agree."""
+    return verify_warped(spec, grid_n, tols, cfg, m_max)[1]
 
 
 def verify_warped_inequality(spec: WarpedProductSpec, grid_n: int,
@@ -392,18 +419,7 @@ def verify_warped_inequality(spec: WarpedProductSpec, grid_n: int,
                              cfg: SolverConfig = DEFAULT_SOLVER,
                              m_max: int = 8) -> InequalityReport:
     """Total-space bottom >= base Schrodinger bottom + fiber term, on the grid."""
-    ests = mode_scan(spec, grid_n, m_max, cfg)
-    lams = tuple(e.lambda0 for e in ests)
-    lhs = min(lams)
-    grid = base_grid(spec, grid_n)
-    psi = warp_values(spec, grid)
-    s_op = build_schrodinger(spec, grid_n)
-    s_est = lowest_eigenvalue(s_op.matrix, s_op.weights, cfg, grid_n=grid_n)
-    rhs = s_est.lambda0 + spec.fiber_lambda0 * float(np.min(1.0 / psi ** 2))
-    slack = lhs - rhs
-    return InequalityReport(spec.name, grid_n, lams, lhs, s_est.lambda0, rhs,
-                            slack, tuple(e.residual for e in ests) + (s_est.residual,),
-                            slack >= -tols.ineq_tol)
+    return verify_warped(spec, grid_n, tols, cfg, m_max)[0]
 
 
 def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
@@ -441,33 +457,22 @@ def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int,
                         cfg: SolverConfig = DEFAULT_SOLVER) -> float:
     """Lower bound (sqrt(lambda0(base)) - C/2)^2 for lambda0(S).
 
-    Requires k |psi'/psi| <= C at every grid node (psi' by centered
-    differences) and C <= 2 sqrt(lambda0 of the plain base Laplacian).
+    Requires k |psi'/psi| <= C at every grid node (psi' as the mean slope
+    of the node's edges: a centered difference, one-sided at a Neumann end)
+    and C <= 2 sqrt(lambda0 of the plain base Laplacian).
     """
-    grid = base_grid(spec, grid_n)
-    psi_full = warp_values(spec, grid)
-    if grid.periodic:
-        deriv = (np.roll(psi_full, -1) - np.roll(psi_full, 1)) / (2 * grid.h)
-        psi = psi_full
-        x = grid.x
-    elif grid.boundary == Boundary.DIRICHLET:
-        deriv = (psi_full[2:] - psi_full[:-2]) / (2 * grid.h)
-        psi = psi_full[1:-1]
-        x = grid.x
-    else:
-        deriv = np.gradient(psi_full, grid.h)
-        psi = psi_full
-        x = grid.x
+    grid, psi, psi_pad = _sample(spec, grid_n)
+    slope = (psi_pad[1:] - psi_pad[:-1]) / grid.h
+    ones = np.ones_like(slope)
+    deriv = grid.fold(slope, slope) / grid.fold(ones, ones)
     drift = spec.fiber_dim * np.abs(deriv / psi)
     worst = int(np.argmax(drift))
     if drift[worst] > C + tols.ineq_tol:
         raise ValueError(
-            f"|H| bound violated at node {worst} (x = {x[worst]:.6g}): "
+            f"|H| bound violated at node {worst} (x = {grid.x[worst]:.6g}): "
             f"{drift[worst]:.6g} > {C:.6g}")
     flat = replace(spec, warp=WarpProfile("const", (1.0,)))
-    base_op = build_schrodinger(flat, grid_n)
-    est = lowest_eigenvalue(base_op.matrix, base_op.weights, cfg, grid_n=grid_n)
-    lam_base = max(est.lambda0, 0.0)
+    lam_base = max(solve_lowest(build_schrodinger(flat, grid_n), cfg).lambda0, 0.0)
     if C > 2.0 * np.sqrt(lam_base) + tols.ineq_tol:
         raise ValueError(
             f"need C <= 2 sqrt(lambda0(base)) = {2*np.sqrt(lam_base):.6g}, got {C:.6g}")
@@ -476,51 +481,28 @@ def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int,
 
 # -- pushdown of 2D grid functions --------------------------------------------
 
-def fiber_grid(n_theta: int):
-    h_theta = 2.0 * np.pi / n_theta
-    return np.arange(n_theta) * h_theta, h_theta
+def _pushdown(psi: np.ndarray, f2d: np.ndarray) -> np.ndarray:
+    if f2d.shape[0] != psi.size:
+        raise ValueError("first axis of f2d must match the base grid")
+    h_theta = 2.0 * np.pi / f2d.shape[1]
+    return np.sqrt(np.sum(f2d * f2d, axis=1) * psi * h_theta)
 
 
 def pushdown(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> np.ndarray:
     """h(x_i) = sqrt of the fiber integral of f^2 with the warped fiber measure."""
-    grid = base_grid(spec, grid_n)
-    psi_full = warp_values(spec, grid)
-    psi = psi_full if grid.periodic or grid.boundary == Boundary.NEUMANN \
-        else psi_full[1:-1]
-    f2d = np.asarray(f2d, dtype=float)
-    if f2d.shape[0] != grid.x.size:
-        raise ValueError("first axis of f2d must match the base grid")
-    n_theta = f2d.shape[1]
-    _, h_theta = fiber_grid(n_theta)
-    return np.sqrt(np.sum(f2d * f2d, axis=1) * psi * h_theta)
+    _, psi, _ = _sample(spec, grid_n)
+    return _pushdown(psi, np.asarray(f2d, dtype=float))
 
 
-def rayleigh_2d(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
-    """Discrete Rayleigh quotient of the warped metric on base x S^1."""
-    grid = base_grid(spec, grid_n)
-    psi_full = warp_values(spec, grid)
-    if grid.periodic or grid.boundary == Boundary.NEUMANN:
-        psi = psi_full
-    else:
-        psi = psi_full[1:-1]
-    f2d = np.asarray(f2d, dtype=float)
-    n, n_theta = f2d.shape
-    _, h_theta = fiber_grid(n_theta)
+def _rayleigh_2d(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
+                 f2d: np.ndarray) -> float:
+    h_theta = 2.0 * np.pi / f2d.shape[1]
     h = grid.h
-    cond = _edge_geomean(grid, psi_full)
-
-    # base-direction differences with the same edge layout as the operators
-    if grid.periodic:
-        dx = (np.roll(f2d, -1, axis=0) - f2d)
-        num_x = np.sum(cond[:, None] * dx * dx) / (h * h)
-    elif grid.boundary == Boundary.DIRICHLET:
-        dx_in = f2d[1:] - f2d[:-1]
-        num_x = (np.sum(cond[1:-1, None] * dx_in * dx_in)
-                 + np.sum(cond[0] * f2d[0] * f2d[0])
-                 + np.sum(cond[-1] * f2d[-1] * f2d[-1])) / (h * h)
-    else:
-        dx_in = f2d[1:] - f2d[:-1]
-        num_x = np.sum(cond[:, None] * dx_in * dx_in) / (h * h)
+    # base-direction differences on the same edges as the operators
+    cond = np.sqrt(psi_pad[:-1] * psi_pad[1:])
+    f_pad = grid.pad(f2d)
+    dx = f_pad[1:] - f_pad[:-1]
+    num_x = np.sum(cond[:, None] * dx * dx) / (h * h)
     dth = np.roll(f2d, -1, axis=1) - f2d
     num_th = np.sum((dth * dth) / (psi[:, None])) / (h_theta * h_theta)
     num = (num_x + num_th) * h * h_theta
@@ -528,18 +510,21 @@ def rayleigh_2d(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
     return num / den
 
 
+def rayleigh_2d(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
+    """Discrete Rayleigh quotient of the warped metric on base x S^1."""
+    return _rayleigh_2d(*_sample(spec, grid_n), np.asarray(f2d, dtype=float))
+
+
 def pushdown_slack(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
     """R(f) - R_S(pushdown f) - fiber_lambda0 * weighted average of psi^{-2}.
 
     Nonnegative up to round-off for a circle fiber by construction.
     """
-    grid = base_grid(spec, grid_n)
-    psi_full = warp_values(spec, grid)
-    psi = psi_full if grid.periodic or grid.boundary == Boundary.NEUMANN \
-        else psi_full[1:-1]
-    h = pushdown(spec, f2d, grid_n)
-    s_op = build_schrodinger(spec, grid_n)
-    r2 = rayleigh_2d(spec, f2d, grid_n)
+    grid, psi, psi_pad = _sample(spec, grid_n)
+    f2d = np.asarray(f2d, dtype=float)
+    h = _pushdown(psi, f2d)
+    s_op = _schrodinger(spec, grid, psi, psi_pad)
+    r2 = _rayleigh_2d(grid, psi, psi_pad, f2d)
     rs = s_op.rayleigh(h)
     wh2 = s_op.weights * h * h
     fiber_term = spec.fiber_lambda0 * float(np.sum(wh2 / psi ** 2) / np.sum(wh2))

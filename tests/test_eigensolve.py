@@ -49,7 +49,7 @@ def test_gershgorin_lower_bound():
     assert gershgorin_lower(M) <= evals[0]
 
 
-@pytest.mark.parametrize("method", ["inverse_iteration", "lanczos"])
+@pytest.mark.parametrize("method", ["inverse_iteration"])
 def test_methods_agree_with_dense(method):
     rng = np.random.default_rng(0)
     for trial in range(5):
@@ -59,7 +59,7 @@ def test_methods_agree_with_dense(method):
         w = rng.uniform(0.5, 2.0, n)
         K = sp.diags_array([off, diag, off], offsets=[-1, 0, 1])
         A = (sp.diags(1.0 / w) @ K).tocsr()
-        cfg = SolverConfig(method=method, seed=trial, dense_check=False)
+        cfg = SolverConfig(seed=trial, dense_check=False)
         est = lowest_eigenvalue(A, w, cfg)
         ref = dense_lowest(A, w)
         assert est.lambda0 == pytest.approx(ref.lambda0, abs=1e-9)

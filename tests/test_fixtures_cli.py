@@ -225,6 +225,12 @@ def test_run_rejects_bad_grid():
     assert res.exit_code == EXIT_VALIDATION
     res = run(RunConfig("verify-warped", "const", grid_n=8))
     assert res.exit_code == EXIT_VALIDATION
+    res = run(RunConfig("verify-warped", "const", grid_n=2 ** 30))
+    assert res.exit_code == EXIT_VALIDATION
+    assert "--grid must be a power of two from 16 to 1048576" in res.text
+    res = run(RunConfig("verify-warped", "const", grid_n=64, m_max=-1))
+    assert res.exit_code == EXIT_VALIDATION
+    assert "--modes must be nonnegative" in res.text
 
 
 def test_run_quotient_with_ideal():
@@ -333,6 +339,19 @@ def test_run_classifies_once(monkeypatch, command):
     assert len(calls) == 1
 
 
+def test_run_verify_warped_scans_modes_once(monkeypatch):
+    calls = []
+    real = specsub.warped_spectra.mode_scan
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(specsub.warped_spectra, "mode_scan", counting)
+    assert run(RunConfig("verify-warped", "sinshift", grid_n=64)).exit_code == EXIT_OK
+    assert len(calls) == 1
+
+
 # -- non-finite numbers in fixture files ---------------------------------------
 
 @pytest.mark.parametrize("text, line", [
@@ -364,6 +383,15 @@ def test_run_rejects_non_finite_warp_values(tmp_path, text, line):
     res = run(RunConfig("verify-warped", str(f), grid_n=32))
     assert res.exit_code == EXIT_VALIDATION
     assert f"line {line}: expected a finite number" in res.text
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-warped", "sinshift", "--c", "nan", "--grid", "64"],
+    ["verify-warped", "const", "--c", "inf", "--grid", "64"],
+], ids=["sinshift-nan", "const-inf"])
+def test_main_rejects_non_finite_warp_parameter(capsys, argv):
+    assert main(argv) == EXIT_VALIDATION
+    assert "warp must be finite and positive (node 0)" in capsys.readouterr().err
 
 
 # -- known solver defect ----------------------------------------------------------

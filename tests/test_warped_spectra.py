@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import specsub.warped_spectra
 from specsub.eigensolve import SolverConfig, symmetrized
 from specsub.fixtures import warp_const, warp_exp, warp_sinshift
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase,
@@ -145,6 +146,32 @@ def test_mode_monotonicity():
         assert np.all(d2 - d0 >= 0.0)
 
 
+@pytest.mark.parametrize("base", [CircleBase(3.0),
+                                  IntervalBase(-1.0, 2.0, Boundary.DIRICHLET),
+                                  IntervalBase(-1.0, 2.0, Boundary.NEUMANN)],
+                         ids=["circle", "dirichlet", "neumann"])
+def test_mode_form_matches_edge_sum(base):
+    # f.K f of L_0 against the closure's edges written out by hand, with
+    # conductances sqrt(psi_l psi_r) and Dirichlet ghosts holding f = 0
+    n = 37
+    rng = np.random.default_rng(5)
+    spec = WarpedProductSpec(base, WarpProfile("samples", (), samples=rng.uniform(0.5, 2.0, n)))
+    psi = warp_values(spec, base_grid(spec, n))
+    f = rng.standard_normal(n)
+    if isinstance(base, CircleBase):
+        edges = [(psi[i], psi[(i + 1) % n], f[i], f[(i + 1) % n]) for i in range(n)]
+    elif base.boundary == Boundary.DIRICHLET:
+        g = np.concatenate(([0.0], f, [0.0]))
+        edges = [(psi[i], psi[i + 1], g[i], g[i + 1]) for i in range(n + 1)]
+    else:
+        edges = [(psi[i], psi[i + 1], f[i], f[i + 1]) for i in range(n - 1)]
+    op = build_warped_mode(spec, 0, n)
+    h = op.grid.h
+    oracle = sum(np.sqrt(pl * pr) * (fr - fl) ** 2 for pl, pr, fl, fr in edges) / h
+    assert op.quadratic_form(f) == pytest.approx(oracle, rel=1e-12)
+    assert op.symmetry_residual() < 1e-14
+
+
 def test_const_mode_one_exact():
     op = build_warped_mode(warp_const(1.0), 1, 64)
     est = solve_lowest(op)
@@ -232,12 +259,26 @@ def test_pushdown_preserves_norm():
 
 def test_pushdown_slack_nonnegative_random():
     rng = np.random.default_rng(2)
-    for spec in (warp_sinshift(1.0), warp_const(2.0), exp_interval(0.4, 8.0)):
+    for spec in (warp_sinshift(1.0), warp_const(2.0), exp_interval(0.4, 8.0),
+                 exp_interval(0.4, 8.0, Boundary.NEUMANN)):
         worst = np.inf
         for _ in range(200):
             f2d = rng.standard_normal((48, 24))
             worst = min(worst, pushdown_slack(spec, f2d, 48))
         assert worst >= -1e-8
+
+
+def test_pushdown_slack_samples_once(monkeypatch):
+    calls = []
+    real = specsub.warped_spectra.base_grid
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(specsub.warped_spectra, "base_grid", counting)
+    pushdown_slack(exp_interval(0.4, 8.0), np.ones((32, 8)), 32)
+    assert len(calls) == 1
 
 
 def test_pushdown_slack_tight_at_ground_state():
@@ -377,3 +418,19 @@ def test_drift_bound_violations_report_node():
         drift_bound_lambda0(spec, 0.5, 128)   # |psi'/psi| = 1 > 0.5
     with pytest.raises(ValueError, match="sqrt"):
         drift_bound_lambda0(exp_interval(0.05, 10.0), 0.9, 128)
+
+
+def test_drift_bound_neumann():
+    # a flat Neumann base has lambda0 = 0, so only C = 0 is admissible
+    flat = WarpedProductSpec(IntervalBase(0.0, 1.0, Boundary.NEUMANN),
+                             WarpProfile("const", (1.0,)), name="flat")
+    lam = solve_lowest(build_schrodinger(flat, 64), FAST).lambda0
+    assert drift_bound_lambda0(flat, 0.0, 64) == pytest.approx(lam, abs=1e-10)
+    assert abs(lam) < 1e-10
+    # psi = e^t: the one-sided slope at the Neumann end x = h/2 is the largest,
+    # (e^h - 1)/h ~ 1.04 against sinh(h)/h ~ 1.001 inside
+    spec = exp_interval(1.0, 10.0, Boundary.NEUMANN)
+    with pytest.raises(ValueError, match=r"node 0 \(x = 0.0390625\)"):
+        drift_bound_lambda0(spec, 1.01, 128)
+    with pytest.raises(ValueError, match="sqrt"):
+        drift_bound_lambda0(spec, 1.05, 128)
