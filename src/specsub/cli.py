@@ -8,13 +8,16 @@ header in every CSV):
   cheeger        fixture,unimodular,amenable,lambda0,cheeger,method
   quotient       fixture,ideal_dim,H_norm2,tr_ad_H,lambda0_N,lambda0_quotient,lower_bound,equality_expected,partial
   verify-warped  fixture,grid_n,mode,lambda0,residual,slack   (mode -1 is the
-                 Schrodinger operator row; slack is lambda0 of the row minus
-                 the inequality right-hand side)
+                 Schrodinger operator row; slack is lambda0 of a mode row
+                 minus the inequality right-hand side, and on the S row the
+                 minimum over modes minus the right-hand side)
   tail-ess       fixture,grid_n,cutoff,lambda0,residual
 
-Exit codes: 0 success, 1 validation or parse failure, 2 solver
-non-convergence or, for verify-warped, a violated inequality or a two-route
-mismatch (the report says which), 3 closed-form formula inapplicable.
+Exit codes: 0 success, 1 validation or parse failure, 2 a solver result
+that fails certification or, for verify-warped, a violated inequality or a
+two-route mismatch (the report says which), 3 closed-form formula
+inapplicable.
+--seed is accepted and ignored: no computation is random.
 """
 
 from __future__ import annotations
@@ -55,14 +58,13 @@ class RunConfig:
     tolerances: Tolerances = DEFAULT
     output: Optional[str] = None
     fmt: str = "text"
-    seed: int = 0
     c_param: Optional[float] = None
     ideal: Optional[tuple] = None       # 1-based basis indices spanning the ideal
     m_max: int = 8
     cutoffs: Optional[tuple] = None
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(tol=self.tolerances.solver_tol, seed=self.seed)
+        return SolverConfig(tol=self.tolerances.solver_tol)
 
 
 @dataclass
@@ -333,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
                "  tail-ess       fixture,grid_n,cutoff,lambda0,residual\n"
                "Fixture names are resolved against $%s, then as file\n"
                "paths, then against the built-in catalog.\n"
-               "Exit codes: 0 ok, 1 validation/parse failure, 2 solver "
-               "non-convergence or a\nviolated inequality or two-route mismatch "
+               "Exit codes: 0 ok, 1 validation/parse failure, 2 uncertified "
+               "solver result or a\nviolated inequality or two-route mismatch "
                "in verify-warped, 3 formula inapplicable." % (CSV_VERSION, FIXTURE_DIR_ENV))
     sub = p.add_subparsers(dest="command", required=True)
     specs = {
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--format", choices=("text", "csv"), default="text")
         q.add_argument("--out", default=None, help="write the report here")
         q.add_argument("--tol-preset", choices=sorted(PRESETS), default="default")
-        q.add_argument("--seed", type=int, default=0)
+        q.add_argument("--seed", type=int, help="accepted and ignored")
         if name in ("verify-warped", "tail-ess"):
             q.add_argument("--grid", type=int, default=256,
                            help="grid size (power of two, 16 to 2^20)")
@@ -383,7 +385,6 @@ def config_from_args(args) -> RunConfig:
         tolerances=PRESETS[args.tol_preset],
         output=args.out,
         fmt=args.format,
-        seed=args.seed,
         c_param=args.c_param,
         ideal=ideal,
         m_max=getattr(args, "modes", 8),

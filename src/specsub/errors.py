@@ -24,9 +24,9 @@ class FormulaInapplicableError(SpecsubError):
 
 
 class SolverConvergenceError(SpecsubError):
-    """Iterative eigensolver failed to meet its residual target.
+    """An eigensolver result failed certification or the dense cross-check.
 
-    The best iterate found so far is attached as ``best``.
+    The rejected result is attached as ``best``.
     """
 
     def __init__(self, message, best=None):

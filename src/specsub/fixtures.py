@@ -61,8 +61,8 @@ def affine2(c: float = 1.0) -> MetricLieAlgebra:
     curvature normalization; the trace-functional formula and the standard
     hyperbolic value both give c/4, which is what this library reports.
     """
-    if not c > 0:
-        raise ValueError("affine2 needs c > 0")
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"affine2 needs a finite c > 0 (--c), got {c!r}")
     return _algebra(2, [(0, 1, 1, 1.0)], metric=np.diag([1.0 / c, c]),
                     labels=("X", "Y"))
 
@@ -121,8 +121,8 @@ def warp_sinshift(amp: float = 1.0) -> WarpedProductSpec:
 def warp_exp(a: float = 0.5, b: Optional[float] = None,
              boundary: Boundary = Boundary.DIRICHLET) -> WarpedProductSpec:
     """psi = e^{a t} on a truncated ray [0, b]; default b = 60/a."""
-    if a <= 0:
-        raise ValueError("exp warp needs a > 0")
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"exp warp needs a finite rate a > 0 (--c), got {a!r}")
     if b is None:
         b = 60.0 / a
     return WarpedProductSpec(IntervalBase(0.0, b, boundary),

@@ -1,7 +1,7 @@
 """Single record collecting every numerical tolerance used by the package.
 
 Keeping them in one immutable value makes reports reproducible: a report is
-fully determined by (fixture, grid, tolerances, seed).
+fully determined by (fixture, grid, tolerances).
 """
 
 from __future__ import annotations

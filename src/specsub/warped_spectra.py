@@ -180,8 +180,10 @@ def _warp(spec: WarpedProductSpec, grid: Grid):
         psi = np.array(w.samples, dtype=float)
         ends = (_extrapolate(psi[:3], -1.0), _extrapolate(psi[-3:][::-1], -1.0))
     else:
-        psi = np.asarray(w(grid.x), dtype=float)
-        ends = tuple(float(w(np.array(e))) for e in grid.ends)
+        # an overflow gives inf, which the check below rejects with the node
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = np.asarray(w(grid.x), dtype=float)
+            ends = tuple(float(w(np.array(e))) for e in grid.ends)
     full = grid.with_ends(psi, *ends)
     bad = ~(np.isfinite(full) & (full > 0.0))
     if bad.any():

@@ -260,7 +260,7 @@ def test_run_tail_ess_csv():
 
 
 def test_run_determinism_byte_identical():
-    cfg = dict(grid_n=128, fmt="csv", seed=7)
+    cfg = dict(grid_n=128, fmt="csv")
     a = run(RunConfig("verify-warped", "sinshift", c_param=1.0, **cfg))
     b = run(RunConfig("verify-warped", "sinshift", c_param=1.0, **cfg))
     assert a.exit_code == b.exit_code == EXIT_OK
@@ -394,17 +394,42 @@ def test_main_rejects_non_finite_warp_parameter(capsys, argv):
     assert "warp must be finite and positive (node 0)" in capsys.readouterr().err
 
 
-# -- known solver defect ----------------------------------------------------------
+@pytest.mark.parametrize("argv, message", [
+    (["lambda0", "affine2", "--c", "inf"], "affine2 needs a finite c > 0 (--c), got inf"),
+    (["verify-warped", "exp", "--c", "nan", "--grid", "64"],
+     "exp warp needs a finite rate a > 0 (--c), got nan"),
+], ids=["affine2-inf", "exp-nan"])
+def test_main_rejects_non_finite_catalog_parameter(capsys, argv, message):
+    assert main(argv) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="inverse iteration settles on a non-lowest eigenvalue of the exp "
-           "warp at grid 256 (0.033561 against the dense 0.032448) and the "
-           "dense cross-check rejects it; ROADMAP item B replaces the solver")
-@pytest.mark.parametrize("c", [0.358, 0.25])
+
+def test_run_overflowing_warp_is_rejected_without_a_warning(tmp_path):
+    # e^{100 t} overflows past t = 7.1; the sampler names the first such node
+    f = tmp_path / "overflow.warp"
+    f.write_text("base interval 0.0 10.0 dirichlet\nwarp exp 100\n")
+    res = run(RunConfig("verify-warped", str(f), grid_n=64))
+    assert res.exit_code == EXIT_VALIDATION
+    assert "warp must be finite and positive (node 47)" in res.text
+
+
+# -- the exp warp near the continuum --------------------------------------------
+
+@pytest.mark.parametrize("c", [0.358, 0.25, 0.4])
 def test_run_verify_warped_exp_small_grid(c):
+    # the bottom of L_4 sits 1e-3 below the next eigenvalue; the solver must
+    # not settle on that one (the dense cross-check at grid 256 would say so)
     res = run(RunConfig("verify-warped", "exp", c_param=c, grid_n=256))
     assert res.exit_code == EXIT_OK, res.text
+
+
+def test_main_seed_is_accepted_and_ignored(capsys):
+    outs = []
+    for seed in ("0", "7"):
+        assert main(["verify-warped", "sinshift", "--grid", "64", "--format", "csv",
+                     "--seed", seed]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 def test_python_dash_m_runs_the_cli():
