@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgtsv, dstebz, dstein
 
 from .errors import SolverConvergenceError
+
+# scipy is imported inside the functions that use it, so that the algebra
+# commands, which build and solve no grid operator, never load it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 REFINE_STEPS = 2    # inverse-iteration steps after the bracket
 ULPS = 64           # bracket width, shift gap, certification slack: eps * ||M|| units
@@ -51,6 +53,7 @@ class SpectrumEstimate:
 
 
 def symmetrized(matrix: sp.spmatrix, weights: np.ndarray) -> sp.csr_matrix:
+    import scipy.sparse as sp
     d = np.sqrt(weights)
     M = sp.diags(d) @ matrix @ sp.diags(1.0 / d)
     M = (M + M.T) * 0.5
@@ -77,6 +80,7 @@ def _estimate(M, v, weights, grid_n, mode):
 
 def _bracket(M: sp.csr_matrix, resolution: float):
     """[lo, hi] holding lambda0 of M, and a start vector for inverse iteration."""
+    from scipy.linalg.lapack import dgtsv, dstebz, dstein
     n = M.shape[0]
     if not np.isfinite(M.data).all():
         raise ValueError("operator has non-finite entries")
@@ -136,6 +140,8 @@ def lowest_eigenvalue(matrix: sp.spmatrix, weights: np.ndarray,
     iterate attached) when the result fails certification or the automatic
     dense cross-check disagrees.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     weights = np.asarray(weights, dtype=float)
     n = matrix.shape[0]
     gn = grid_n if grid_n is not None else n

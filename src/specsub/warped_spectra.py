@@ -22,14 +22,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .eigensolve import (DEFAULT_SOLVER, SolverConfig, SpectrumEstimate,
                          lowest_eigenvalue)
 from .tolerances import Tolerances, DEFAULT
+
+# scipy is imported inside the functions that use it, so that the algebra
+# commands, which build and solve no grid operator, never load it
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class Boundary(str, enum.Enum):
@@ -184,10 +188,13 @@ def _warp(spec: WarpedProductSpec, grid: Grid):
         with np.errstate(over="ignore", invalid="ignore"):
             psi = np.asarray(w(grid.x), dtype=float)
             ends = tuple(float(w(np.array(e))) for e in grid.ends)
-    full = grid.with_ends(psi, *ends)
-    bad = ~(np.isfinite(full) & (full > 0.0))
+    bad = ~(np.isfinite(psi) & (psi > 0.0))
     if bad.any():
         raise ValueError(f"warp must be finite and positive (node {int(np.argmax(bad))})")
+    if grid.ends:
+        for where, value in zip(("left end", "right end"), ends):
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"warp must be finite and positive ({where})")
     return psi, ends
 
 
@@ -230,6 +237,7 @@ class DiscreteOperator:
 
     def symmetry_residual(self) -> float:
         """Max entry of A^T W - W A, relative to the scale of the form W A."""
+        import scipy.sparse as sp
         W = sp.diags(self.weights)
         form = W @ self.matrix
         R = (self.matrix.T @ W - form).tocoo()
@@ -269,6 +277,7 @@ def _operator(grid: Grid, form, potential: np.ndarray, weights: np.ndarray,
     K is symmetric, so A is self-adjoint in the weighted inner product.  An
     edge to a Dirichlet ghost (node -1, where f = 0) adds to the diagonal only.
     """
+    import scipy.sparse as sp
     diag, off = form
     n = grid.x.size
     node = grid.pad(np.arange(n), -1, -1)

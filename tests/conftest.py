@@ -13,12 +13,14 @@ def make_algebra(n, brackets, metric=None, labels=None):
     return MetricLieAlgebra(n, c, g, basis_labels=labels)
 
 
+def change_basis(alg, q):
+    """alg in the basis f_a = sum_i q[i, a] e_i of an orthogonal q, the metric
+    carried along."""
+    c = np.einsum("ia,jb,kc,ijk->abc", q, q, q, alg.structure)
+    return MetricLieAlgebra(alg.dim, c, q.T @ alg.metric @ q)
+
+
 def rotate_algebra(alg, rng):
     """Same algebra expressed in a random rotated basis."""
-    n = alg.dim
-    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    c_new = np.zeros((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            c_new[a, b] = np.linalg.solve(q, alg.bracket(q[:, a], q[:, b]))
-    return MetricLieAlgebra(n, c_new, q.T @ alg.metric @ q)
+    q, _ = np.linalg.qr(rng.standard_normal((alg.dim, alg.dim)))
+    return change_basis(alg, q)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -410,7 +411,24 @@ def test_run_overflowing_warp_is_rejected_without_a_warning(tmp_path):
     f.write_text("base interval 0.0 10.0 dirichlet\nwarp exp 100\n")
     res = run(RunConfig("verify-warped", str(f), grid_n=64))
     assert res.exit_code == EXIT_VALIDATION
-    assert "warp must be finite and positive (node 47)" in res.text
+    assert "warp must be finite and positive (node 46)" in res.text
+
+
+@pytest.mark.parametrize("base, warp, where", [
+    # e^{100 x} overflows past x = 7.098: Dirichlet nodes sit at 10 (k + 1) / 65,
+    # Neumann nodes at 10 (k + 1/2) / 64, circle nodes at 10 k / 64
+    ("interval 0.0 10.0 dirichlet", "exp 100", "node 46"),
+    ("interval 0.0 10.0 neumann", "exp 100", "node 45"),
+    ("circle 10.0", "exp 100", "node 46"),
+    # the quadratic extrapolation 3 y0 - 3 y1 + y2 to a ghost is negative
+    ("interval 0.0 1.0 dirichlet", "samples 0.1" + " 1.0" * 63, "left end"),
+    ("interval 0.0 1.0 dirichlet", "samples" + " 1.0" * 63 + " 0.1", "right end"),
+], ids=["dirichlet", "neumann", "circle", "left-end", "right-end"])
+def test_main_names_the_first_bad_warp_node(tmp_path, capsys, base, warp, where):
+    f = tmp_path / "bad.warp"
+    f.write_text(f"base {base}\nwarp {warp}\n")
+    assert main(["verify-warped", str(f), "--grid", "64"]) == EXIT_VALIDATION
+    assert f"warp must be finite and positive ({where})\n" in capsys.readouterr().err
 
 
 # -- the exp warp near the continuum --------------------------------------------
@@ -432,10 +450,36 @@ def test_main_seed_is_accepted_and_ignored(capsys):
     assert outs[0] == outs[1]
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*args, **env):
+    """stdout of a fresh interpreter that imports specsub from this source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(specsub.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "specsub", "--help"], env=env,
-                          capture_output=True, timeout=60)
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_python_dash_m_runs_the_cli():
+    _python("-m", "specsub", "--help")
+
+
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_algebra_commands_load_no_scipy(tmp_path):
+    # the Lie path needs numpy only; scipy is for the warped solver
+    (tmp_path / "tiny.lie").write_text("dim 2\nbracket 1 2 2 1\n")
+    argvs = [["analyze", "heisenberg3"], ["lambda0", "affine2", "--c", "4"],
+             ["cheeger", "so3"], ["quotient", "paper_example3"],
+             ["analyze", "tiny", "--format", "csv"], ["lambda0", "sl2"]]
+    probe = ("import json, sys\nfrom specsub.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             f"print(json.dumps([codes, {_LOADED_SCIPY}]))")
+    out = _python("-c", probe, json.dumps(argvs), SPECSUB_FIXTURE_DIR=str(tmp_path))
+    assert json.loads(out.splitlines()[-1]) == [[EXIT_OK] * 5 + [EXIT_INAPPLICABLE], []]
+
+
+def test_bare_import_loads_no_scipy():
+    assert _python("-c", f"import sys, specsub\nprint({_LOADED_SCIPY})") == "[]\n"
