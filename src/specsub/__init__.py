@@ -11,8 +11,8 @@ from .group_spectra import (GroupSpectrumReport, Method, QuotientBoundReport,
                             cheeger_lower_bound, group_spectrum_report,
                             lambda0_amenable, quotient_bound,
                             radical_commutator_lambda0)
-from .eigensolve import (SolverConfig, SpectrumEstimate, dense_lowest,
-                         lowest_eigenvalue)
+from .eigensolve import (SolverConfig, SpectrumEstimate, SymmetricForm,
+                         dense_lowest, lowest_eigenvalue)
 from .warped_spectra import (Boundary, CircleBase, DiscreteOperator,
                              EqualityReport, InequalityReport, IntervalBase,
                              TailReport, WarpProfile, WarpedProductSpec,

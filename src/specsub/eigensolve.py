@@ -1,23 +1,25 @@
 """Lowest eigenvalue of weighted self-adjoint grid operators.
 
-The weighted problem A v = lambda v with w-self-adjoint A is symmetrized to
-M = D A D^{-1}, D = diag(sqrt(w)): a tridiagonal matrix plus, on a circle,
-the corner o = M[0, n-1].  Bracket: LAPACK bisection on the open chain
-T = M - |o| u u^T, u = e_0 + sign(o) e_{n-1}, gives mu0 <= lambda0 <= mu1
-(rank-one interlacing); lambda0 = mu0 on an interval, and on a circle
-bisection on the sign of 1 + |o| u^T (T - s)^{-1} u, positive exactly when
-lambda0 < s, pins it.  Refine: sparse-LU inverse iteration just below the
-bracket, then the Rayleigh quotient in extended precision, so that
-closed-form comparisons hold at the 1e-12 level.  Certify: the result must
-lie in the bracket and meet the residual target.  Nothing is random.
-A dense eigh cross-check is run automatically for small grids.
+A w-self-adjoint A is held as M = W^{1/2} A W^{-1/2}: tridiagonal plus, on a
+circle, the corner o = M[0, n-1].  Bracket: LAPACK bisection on the open chain
+T- = M - |o| u u^T, u = e_0 + sign(o) e_{n-1}, gives mu0 <= lambda0 <= mu1;
+on an interval lambda0 = mu0.  T+ = M + |o| w w^T, w = e_0 - sign(o) e_{n-1},
+has no corner and dominates M, so M - s is positive definite exactly when
+dpttrf factors T+ - s and g(s) = 1 - |o| w^T (T+ - s)^{-1} w > 0; on a circle
+one-pole rational steps (Bunch, Nielsen and Sorensen 1978) on g, safeguarded
+by bisection, pin lambda0.  Refine: inverse iteration just below the bracket
+(dpttrs and Sherman-Morrison), then the Rayleigh quotient in extended
+precision, so that closed-form comparisons hold at the 1e-12 level.
+Certify: M - shift is positive definite, the result lies in the bracket and
+meets the residual target.  Nothing is random.  Small grids are also checked
+against the dense eigenvalues.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,8 +27,6 @@ from .errors import SolverConvergenceError
 
 # scipy is imported inside the functions that use it, so that the algebra
 # commands, which build and solve no grid operator, never load it
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 REFINE_STEPS = 2    # inverse-iteration steps after the bracket
 ULPS = 64           # bracket width, shift gap, certification slack: eps * ||M|| units
@@ -52,126 +52,205 @@ class SpectrumEstimate:
     mode: Optional[int] = None
 
 
-def symmetrized(matrix: sp.spmatrix, weights: np.ndarray) -> sp.csr_matrix:
-    import scipy.sparse as sp
-    d = np.sqrt(weights)
-    M = sp.diags(d) @ matrix @ sp.diags(1.0 / d)
-    M = (M + M.T) * 0.5
-    return M.tocsr()
+def _dot(x, y) -> float:
+    """x . y summed by numpy, not BLAS: OpenBLAS threads a level-1 call of more
+    than 10000 entries, and on a busy host waking its threads costs ms."""
+    return float(np.sum(x * y))
 
 
-def _rayleigh_extended(M: sp.csr_matrix, v: np.ndarray) -> float:
-    """Rayleigh quotient accumulated in long double precision."""
-    vl = v.astype(np.longdouble)
-    coo = M.tocoo()
-    Mv = np.zeros_like(vl)
-    np.add.at(Mv, coo.row, coo.data.astype(np.longdouble) * vl[coo.col])
-    return float((vl @ Mv) / (vl @ vl))
+def _apply(d, e, corner, v):
+    """M v, each row summed from left to right, in the dtype of the inputs."""
+    y = d * v
+    y[1:] += e * v[:-1]
+    y[:-1] += e * v[1:]
+    if corner:
+        y[0] += corner * v[-1]
+        y[-1] += corner * v[0]
+    return y
 
 
-def _estimate(M, v, weights, grid_n, mode):
-    v = v / np.linalg.norm(v)
-    lam = _rayleigh_extended(M, v)
-    res = float(np.linalg.norm(M @ v - lam * v))
-    eigvec = v / np.sqrt(weights)
-    nrm = np.sqrt(float(eigvec @ (weights * eigvec)))
-    return SpectrumEstimate(lam, eigvec / nrm, res, grid_n, mode)
+@dataclass(frozen=True, eq=False)
+class SymmetricForm:
+    """M = W^{1/2} A W^{-1/2} of an operator A self-adjoint in the inner
+    product weighted by ``weights``: the diagonal, the n - 1 off-diagonal
+    entries and a circle's corner M[0, n-1] = M[n-1, 0] (0 otherwise; on a
+    circle of one or two nodes the wrap edge is a diagonal or off-diagonal
+    entry).  A v = lambda v exactly when M W^{1/2} v = lambda W^{1/2} v."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    corner: float
+    weights: np.ndarray
+
+    def __post_init__(self):
+        for name in ("diag", "off", "weights"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "corner", float(self.corner))
+        n = self.diag.size
+        if not (n and self.off.shape == (n - 1,) and self.weights.shape == (n,)
+                and (n > 2 or not self.corner)):
+            raise ValueError(f"operator is not tridiagonal plus a circle's corner: {n} "
+                             f"diagonal, {self.off.size} off-diagonal entries, "
+                             f"{self.weights.size} weights, corner {self.corner!r}")
+        if not np.isfinite(np.r_[self.diag, self.off, self.corner]).all():
+            raise ValueError("operator has non-finite entries")
+        if not (np.isfinite(self.weights) & (self.weights > 0.0)).all():
+            raise ValueError("weights must be finite and positive")
+
+    @property
+    def n(self) -> int:
+        return self.diag.size
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return _apply(self.diag, self.off, self.corner, np.asarray(v, dtype=float))
+
+    def dense(self) -> np.ndarray:
+        M = np.diag(self.diag) + np.diag(self.off, 1) + np.diag(self.off, -1)
+        if self.corner:
+            M[0, -1] = M[-1, 0] = self.corner
+        return M
 
 
-def _bracket(M: sp.csr_matrix, resolution: float):
-    """[lo, hi] holding lambda0 of M, and a start vector for inverse iteration."""
-    from scipy.linalg.lapack import dgtsv, dstebz, dstein
-    n = M.shape[0]
-    if not np.isfinite(M.data).all():
-        raise ValueError("operator has non-finite entries")
-    d, off = M.diagonal(), M.diagonal(1)
-    corner = float(M[0, n - 1]) if n > 2 else 0.0     # n <= 2: the wrap edge is off
-    if M.count_nonzero() != (np.count_nonzero(d) + 2 * np.count_nonzero(off)
-                             + 2 * (corner != 0.0)):
-        raise ValueError("operator is not tridiagonal plus a circle's corner entries")
-    if n == 1:
-        return float(d[0]), float(d[0]), np.ones(1)
-    rho = abs(corner)
-    d[[0, -1]] -= rho
-    # LAPACK bisection for T's mu0 <= mu1, and mu0's eigenvector alone (asked
-    # for together, close pairs are reorthogonalized at many times the cost)
-    _, mu, block, split, _ = dstebz(d, off, 2, 0.0, 0.0, 1, 2, 0.0, "E")
-    v0 = dstein(d, off, mu[:1], block, split)[0][:, 0]
+def _scaled(form: SymmetricForm):
+    """(unit * M, unit, ||M||) for the max row sum ||M|| and the power of two
+    unit (exact) that brings it into [1/2, 1), so that no shift gap, solve or
+    residual can under- or overflow."""
+    rows = np.abs(form.diag)
+    rows[1:] += np.abs(form.off)
+    rows[:-1] += np.abs(form.off)
+    rows[[0, -1]] += abs(form.corner)
+    scale = float(np.max(rows))
+    unit = math.ldexp(1.0, -math.frexp(scale)[1])
+    return SymmetricForm(form.diag * unit, form.off * unit, form.corner * unit,
+                         form.weights), unit, scale
+
+
+def _estimate(Mu: SymmetricForm, unit: float, v, grid_n, mode) -> SpectrumEstimate:
+    """The eigenvector v / W^{1/2} in the weighted unit norm, with the long
+    double Rayleigh quotient and the residual of the unit vector it stands
+    for, both taken on Mu = unit * M and scaled back."""
+    root = np.sqrt(Mu.weights)
+    eigvec = v / (math.sqrt(_dot(v, v)) * root)
+    v = root * eigvec
+    v /= math.sqrt(_dot(v, v))
+    ld = np.longdouble
+    vl = v.astype(ld)
+    lam = float(vl @ _apply(Mu.diag.astype(ld), Mu.off.astype(ld), ld(Mu.corner), vl)
+                / (vl @ vl))
+    r = Mu.matvec(v) - lam * v
+    return SpectrumEstimate(lam / unit, eigvec, math.sqrt(_dot(r, r)) / unit, grid_n, mode)
+
+
+def _factor(Mu: SymmetricForm, s: float):
+    """dpttrf's factors of T+ - s, z = (T+ - s)^{-1} w and g(s), or None when
+    T+ - s is not positive definite.  M - s is positive definite exactly when
+    the result is not None and g(s) > 0."""
+    from scipy.linalg.lapack import dpttrf, dpttrs
+    rho, sign = abs(Mu.corner), np.sign(Mu.corner)
+    upper = Mu.diag - s
+    upper[[0, -1]] += rho
+    fd, fe, info = dpttrf(upper, Mu.off)
+    if info:
+        return None
+    w = np.zeros(Mu.n)
+    w[0], w[-1] = 1.0, -sign
+    z = dpttrs(fd, fe, w)[0]
+    return fd, fe, z, 1.0 - rho * (z[0] - sign * z[-1])
+
+
+def _solve(Mu: SymmetricForm, factors, b):
+    """(M - s)^{-1} b from ``_factor(Mu, s)``, by Sherman-Morrison."""
+    from scipy.linalg.lapack import dpttrs
+    fd, fe, z, g = factors
+    y = dpttrs(fd, fe, b)[0]
+    return y + z * (abs(Mu.corner) * (y[0] - np.sign(Mu.corner) * y[-1]) / g)
+
+
+def _bracket(Mu: SymmetricForm, resolution: float):
+    """[lo, hi] holding lambda0 of Mu, and a start vector."""
+    from scipy.linalg.lapack import dstebz, dstein
+    rho = abs(Mu.corner)
+    lower = Mu.diag.copy()
+    lower[[0, -1]] -= rho                 # T-
+    # LAPACK bisection for T-'s mu0 (and mu1 on a circle), then mu0's
+    # eigenvector alone (asked for together, close pairs are
+    # reorthogonalized at many times the cost)
+    _, mu, block, split, _ = dstebz(lower, Mu.off, 2, 0.0, 0.0, 1, 2 if rho else 1, 0.0, "E")
+    v0 = dstein(lower, Mu.off, mu[:1], block, split)[0][:, 0]
+    if not rho:
+        return float(mu[0]), float(mu[0]), v0
     lo, hi = float(mu[0]), float(mu[1])
-    if rho == 0.0:
-        return lo, lo, v0
-    u = np.zeros(n)
-    u[0], u[-1] = 1.0, np.sign(corner)
+    s, below = lo, None
     while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        x, info = dgtsv(off, d - mid, off, u)[3:]
-        if info:
-            break
-        if 1.0 + rho * (x[0] + u[-1] * x[-1]) > 0.0:
-            hi = mid
+        f = _factor(Mu, s)
+        if f is not None and f[3] > 0.0:
+            lo, below = s, f
         else:
-            lo = mid
-    # lambda0's eigenvector is (T - lambda0)^{-1} u, or v0 or v1 when u is
-    # (nearly) orthogonal to it: start from the lowest Ritz vector of the three
-    v1 = dstein(d, off, mu[1:2], np.roll(block, -1), split)[0][:, 0]
-    x = dgtsv(off, d - (lo - resolution), off, u)[3]
-    Q = np.linalg.qr(np.column_stack((v0, v1, x)))[0]
-    return lo, hi, Q @ np.linalg.eigh(Q.T @ (M @ Q))[1][:, 0]
+            hi = s
+        step = 0.5 * (lo + hi)
+        if f is not None:
+            # root of the one-pole model beta / (p - s) of w^T (T+ - s)^{-1} w
+            newton = s + (1.0 - f[3]) / rho * f[3] / _dot(f[2], f[2])
+            step = newton if lo < newton < hi else step
+        # keep half the resolution from both ends, so that the last step
+        # from above closes the bracket from below
+        s = min(max(step, lo + 0.5 * resolution), hi - 0.5 * resolution)
+    # lambda0's eigenvector is picked out by (M - lo)^{-1} from e_0 or e_{n-1},
+    # or lives away from the wrap edge, as T-'s v0 or v1: start from the
+    # lowest Ritz vector of all of them
+    basis = [v0, dstein(lower, Mu.off, mu[1:2], np.roll(block, -1), split)[0][:, 0]]
+    if below is not None:
+        ends = np.zeros((2, Mu.n))
+        ends[0, 0] = ends[1, -1] = 1.0
+        basis += [_solve(Mu, below, b) for b in ends]
+    Q = np.linalg.qr(np.column_stack(basis))[0]
+    MQ = np.column_stack([Mu.matvec(q) for q in Q.T])
+    return lo, hi, Q @ np.linalg.eigh(Q.T @ MQ)[1][:, 0]
 
 
-def dense_lowest(matrix: sp.spmatrix, weights: np.ndarray, grid_n: Optional[int] = None,
+def dense_lowest(form: SymmetricForm, grid_n: Optional[int] = None,
                  mode: Optional[int] = None) -> SpectrumEstimate:
-    """Reference dense solve of the weighted eigenproblem."""
-    M = symmetrized(matrix, weights)
-    dense = M.toarray()
-    evals, evecs = np.linalg.eigh(dense)
-    v = evecs[:, 0]
-    return _estimate(M, v, weights, grid_n if grid_n is not None else M.shape[0], mode)
+    """Reference dense solve, eigenvalue and eigenvector."""
+    Mu, unit, _ = _scaled(form)
+    v = np.linalg.eigh(Mu.dense())[1][:, 0]
+    return _estimate(Mu, unit, v, form.n if grid_n is None else grid_n, mode)
 
 
-def lowest_eigenvalue(matrix: sp.spmatrix, weights: np.ndarray,
-                      cfg: SolverConfig = DEFAULT_SOLVER,
+def lowest_eigenvalue(form: SymmetricForm, cfg: SolverConfig = DEFAULT_SOLVER,
                       grid_n: Optional[int] = None,
                       mode: Optional[int] = None) -> SpectrumEstimate:
-    """Smallest eigenvalue of the w-self-adjoint operator ``matrix``.
+    """Smallest eigenvalue of the weighted operator with symmetric form ``form``.
 
-    ``matrix`` must be tridiagonal plus, on a circle, the two corner entries
-    (ValueError otherwise).  Raises SolverConvergenceError (with the best
-    iterate attached) when the result fails certification or the automatic
-    dense cross-check disagrees.
+    Raises SolverConvergenceError (with the best iterate attached) when the
+    result fails certification or the automatic dense cross-check disagrees.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    weights = np.asarray(weights, dtype=float)
-    n = matrix.shape[0]
-    gn = grid_n if grid_n is not None else n
-    if n == 0:
-        raise ValueError("empty operator")
-    M = symmetrized(matrix, weights)
-    scale = float(np.max(np.asarray(abs(M).sum(axis=1))))
+    gn = form.n if grid_n is None else grid_n
+    Mu, unit, scale = _scaled(form)
+    if form.n == 1:                     # M is its own eigenvalue
+        return _estimate(Mu, unit, np.ones(1), gn, mode)
     tol_eff = max(cfg.tol, 40 * np.finfo(float).eps * (1.0 + scale))
-    # bracket and refine M scaled to norm ~1 by a power of two (exactly), so
-    # that neither the shift gap nor a solve can under- or overflow
-    unit = math.ldexp(1.0, -math.frexp(scale)[1])
-    Mu = M * unit
     slack = ULPS * np.finfo(float).eps * scale * unit
     lo, hi, v = _bracket(Mu, slack)
     shift = lo - (slack or 1.0)         # slack is 0 only for M = 0
-    lu = spla.splu((Mu - shift * sp.identity(n, format="csr")).tocsc())
-    for _ in range(REFINE_STEPS):
-        v = lu.solve(v)
-        v /= np.linalg.norm(v)
-    est = _estimate(M, v, weights, gn, mode)
+    factors = _factor(Mu, shift)
+    definite = factors is not None and factors[3] > 0.0
+    for _ in range(REFINE_STEPS if definite else 0):
+        v = _solve(Mu, factors, v)
+        v /= math.sqrt(_dot(v, v))
+    est = _estimate(Mu, unit, v, gn, mode)
     lo, hi, slack = lo / unit, hi / unit, slack / unit
-    if not (est.residual <= tol_eff and lo - slack <= est.lambda0 <= hi + slack):
+    if not (definite and est.residual <= tol_eff and lo - slack <= est.lambda0 <= hi + slack):
         raise SolverConvergenceError(
             f"result {est.lambda0!r} is not certified as the lowest eigenvalue: "
             f"bracket [{lo!r}, {hi!r}], residual {est.residual:.3e} "
-            f"(target {tol_eff:.3e})", best=est)
-    if cfg.dense_check and n <= cfg.dense_limit:
-        ref = dense_lowest(matrix, weights, grid_n=gn, mode=mode)
-        if abs(ref.lambda0 - est.lambda0) > cfg.dense_tol:
+            f"(target {tol_eff:.3e}), M - {shift / unit!r} positive definite: "
+            f"{definite}", best=est)
+    if cfg.dense_check and form.n <= cfg.dense_limit:
+        # values only: LAPACK syevd, independent of the bisection and known
+        # to a few eps * ||M||
+        ref = float(np.linalg.eigvalsh(Mu.dense())[0]) / unit
+        if abs(ref - est.lambda0) > max(cfg.dense_tol, slack):
             raise SolverConvergenceError(
                 f"iterative value {est.lambda0!r} disagrees with dense "
-                f"reference {ref.lambda0!r}", best=est)
+                f"reference {ref!r}", best=est)
     return est

@@ -21,19 +21,15 @@ lives in one place, ``Grid``.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .eigensolve import (DEFAULT_SOLVER, SolverConfig, SpectrumEstimate,
-                         lowest_eigenvalue)
+                         SymmetricForm, lowest_eigenvalue)
 from .tolerances import Tolerances, DEFAULT
-
-# scipy is imported inside the functions that use it, so that the algebra
-# commands, which build and solve no grid operator, never load it
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class Boundary(str, enum.Enum):
@@ -125,6 +121,12 @@ class Grid:
     boundary: Optional[Boundary] = None
     ends: tuple = ()     # coordinates (a, b) of the two Dirichlet ghosts
 
+    def __post_init__(self):
+        # every operator divides by h^2
+        if not (0.0 < self.h * self.h < math.inf and 1.0 / (self.h * self.h) < math.inf):
+            raise ValueError(f"grid spacing {self.h!r} is out of range: "
+                             "h^2 and 1/h^2 must be finite")
+
     def with_ends(self, f, lo=0.0, hi=0.0):
         """f with lo and hi at the two ghosts of a Dirichlet interval, else f."""
         if self.boundary != Boundary.DIRICHLET:
@@ -153,6 +155,14 @@ class Grid:
         per_pad = np.concatenate((to_left, [0.0])) + np.concatenate(([0.0], to_right))
         owner = self.pad(np.arange(self.x.size), -1, -1) + 1     # 0: a ghost
         return np.bincount(owner, per_pad, minlength=self.x.size + 1)[1:]
+
+    def chain(self, per_edge):
+        """Per-edge values split into the off-diagonal of the open chain
+        (edges (k, k+1) between two nodes) and the circle's wrap edge
+        (n-1, 0), 0 elsewhere.  Edges to a Dirichlet ghost are dropped."""
+        node = self.pad(np.arange(self.x.size), -1, -1)
+        inner = (node[:-1] >= 0) & (node[1:] > node[:-1])
+        return per_edge[inner], (float(per_edge[-1]) if self.periodic else 0.0)
 
 
 def base_grid(spec: WarpedProductSpec, grid_n: int) -> Grid:
@@ -222,31 +232,19 @@ def _extrapolate(three, t):
     return y0 + t * (y1 - y0) + 0.5 * t * (t - 1.0) * (y2 - 2.0 * y1 + y0)
 
 
-@dataclass(frozen=True)
-class DiscreteOperator:
-    """Grid operator self-adjoint with respect to the weighted inner product."""
+@dataclass(frozen=True, eq=False)
+class DiscreteOperator(SymmetricForm):
+    """Grid operator A, self-adjoint in the inner product weighted by
+    ``weights``, held as its symmetric form M = W^{1/2} A W^{-1/2} (three
+    diagonals and a circle's corner, see eigensolve.SymmetricForm): the
+    quadratic form f.W A f is g.M g for g = W^{1/2} f."""
 
-    matrix: sp.csr_matrix
-    weights: np.ndarray
     label: str
     grid: Grid
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def symmetry_residual(self) -> float:
-        """Max entry of A^T W - W A, relative to the scale of the form W A."""
-        import scipy.sparse as sp
-        W = sp.diags(self.weights)
-        form = W @ self.matrix
-        R = (self.matrix.T @ W - form).tocoo()
-        scale = max(float(np.max(np.abs(form.tocoo().data), initial=0.0)), 1.0)
-        return float(np.max(np.abs(R.data), initial=0.0)) / scale
-
     def quadratic_form(self, f: np.ndarray) -> float:
-        f = np.asarray(f, dtype=float)
-        return float(f @ (self.weights * (self.matrix @ f)))
+        g = np.sqrt(self.weights) * np.asarray(f, dtype=float)
+        return float(g @ self.matvec(g))
 
     def norm2(self, f: np.ndarray) -> float:
         f = np.asarray(f, dtype=float)
@@ -256,40 +254,28 @@ class DiscreteOperator:
         return self.quadratic_form(f) / self.norm2(f)
 
     def restricted(self, mask: np.ndarray, label: Optional[str] = None) -> "DiscreteOperator":
-        """Principal submatrix on the masked nodes (Dirichlet restriction)."""
+        """Principal submatrix on the masked nodes, which must be consecutive:
+        the Dirichlet restriction to a sub-interval (a circle's wrap edge is cut)."""
         idx = np.flatnonzero(mask)
-        sub = self.matrix[idx][:, idx].tocsr()
-        g = Grid(self.grid.x[idx], self.grid.h, False, Boundary.DIRICHLET)
-        return DiscreteOperator(sub, self.weights[idx], label or self.label, g)
+        if idx.size == 0 or idx[-1] - idx[0] != idx.size - 1:
+            raise ValueError("a restriction needs a non-empty run of consecutive nodes")
+        lo, hi = int(idx[0]), int(idx[-1]) + 1
+        g = Grid(self.grid.x[lo:hi], self.grid.h, False, Boundary.DIRICHLET)
+        return DiscreteOperator(self.diag[lo:hi], self.off[lo:hi - 1], 0.0,
+                                self.weights[lo:hi], label or self.label, g)
 
 
-def _laplacian_form(grid: Grid, conduct: np.ndarray):
-    """h sum_e conduct[e] (f_r - f_l)^2 / h^2 over the edges of ``Grid.pad``,
-    as its diagonal and its per-edge off-diagonal values."""
-    h2 = grid.h * grid.h
-    return (grid.fold(conduct, conduct) / h2) * grid.h, (-conduct / h2) * grid.h
-
-
-def _operator(grid: Grid, form, potential: np.ndarray, weights: np.ndarray,
+def _operator(grid: Grid, conduct: np.ndarray, potential, psi: np.ndarray,
               label: str) -> DiscreteOperator:
-    """A = W^{-1} K for K = form + diag(potential * weights), as sorted CSR.
-
-    K is symmetric, so A is self-adjoint in the weighted inner product.  An
-    edge to a Dirichlet ghost (node -1, where f = 0) adds to the diagonal only.
-    """
-    import scipy.sparse as sp
-    diag, off = form
-    n = grid.x.size
-    node = grid.pad(np.arange(n), -1, -1)
-    inner = (node[:-1] >= 0) & (node[1:] >= 0)
-    left, right, off = node[:-1][inner], node[1:][inner], off[inner]
-    rows = np.concatenate((np.arange(n), left, right))
-    cols = np.concatenate((np.arange(n), right, left))
-    vals = (1.0 / weights)[rows] * np.concatenate((diag + potential * weights, off, off))
-    order = np.lexsort((cols, rows))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    A = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
-    return DiscreteOperator(A, weights, label, grid)
+    """A f = -(conduct f')'/psi + potential f, with the conductances on the
+    edges of ``Grid.pad`` (an edge to a Dirichlet ghost, where f = 0, adds to
+    the diagonal only), held as the symmetric form W^{-1/2} K W^{-1/2} of its
+    weights W = psi h, in which A = W^{-1} K with K symmetric."""
+    h2 = grid.h * grid.h
+    psi_pad = grid.pad(psi, 1.0, 1.0)
+    off, corner = grid.chain(-(conduct / np.sqrt(psi_pad[:-1] * psi_pad[1:])) / h2)
+    return DiscreteOperator(grid.fold(conduct, conduct) / psi / h2 + potential, off,
+                            corner, psi * grid.h, label, grid)
 
 
 def _potential(grid: Grid, phi: np.ndarray, phi_pad: np.ndarray) -> np.ndarray:
@@ -309,8 +295,7 @@ def _schrodinger(spec: WarpedProductSpec, grid: Grid, psi: np.ndarray,
                  psi_pad: np.ndarray) -> DiscreteOperator:
     k_half = spec.fiber_dim / 2.0
     V = _potential(grid, psi ** k_half, psi_pad ** k_half)
-    form = _laplacian_form(grid, np.ones(psi_pad.size - 1))
-    return _operator(grid, form, V, np.full(grid.x.size, grid.h), "S")
+    return _operator(grid, np.ones(psi_pad.size - 1), V, np.ones(grid.x.size), "S")
 
 
 def build_schrodinger(spec: WarpedProductSpec, grid_n: int) -> DiscreteOperator:
@@ -319,14 +304,14 @@ def build_schrodinger(spec: WarpedProductSpec, grid_n: int) -> DiscreteOperator:
 
 
 def _mode_operators(spec: WarpedProductSpec, grid_n: int, modes):
-    """L_m for each m in modes.  The L_0 form is built once: L_m only adds
-    m^2/psi^2 on the diagonal."""
+    """L_m for each m in modes.  L_0 is built once: L_m only adds m^2/psi^2
+    on the diagonal."""
     if spec.fiber_dim != 1:
         raise ValueError("mode operators are only defined for a circle fiber (k = 1)")
     grid, psi, psi_pad = _sample(spec, grid_n)
-    form = _laplacian_form(grid, np.sqrt(psi_pad[:-1] * psi_pad[1:]))
+    op = _operator(grid, np.sqrt(psi_pad[:-1] * psi_pad[1:]), 0.0, psi, "L_0")
     for m in modes:
-        yield _operator(grid, form, (m * m) / (psi * psi), psi * grid.h, f"L_{m}")
+        yield replace(op, diag=op.diag + (m * m) / (psi * psi), label=f"L_{m}")
 
 
 def build_warped_mode(spec: WarpedProductSpec, m: int, grid_n: int) -> DiscreteOperator:
@@ -376,8 +361,7 @@ class TailReport:
 def solve_lowest(op: DiscreteOperator, cfg: SolverConfig = DEFAULT_SOLVER,
                  mode: Optional[int] = None) -> SpectrumEstimate:
     """Lowest eigenvalue of a DiscreteOperator (see eigensolve for the contract)."""
-    return lowest_eigenvalue(op.matrix, op.weights, cfg,
-                             grid_n=op.n, mode=mode)
+    return lowest_eigenvalue(op, cfg, grid_n=op.n, mode=mode)
 
 
 def mode_scan(spec: WarpedProductSpec, grid_n: int, m_max: int = 8,
@@ -455,7 +439,7 @@ def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
         if np.count_nonzero(mask) < 4:
             raise ValueError(f"cutoff {c} leaves too few grid nodes")
         sub = op.restricted(mask, label=f"S|x>{c:g}")
-        est = lowest_eigenvalue(sub.matrix, sub.weights, cfg, grid_n=grid_n)
+        est = lowest_eigenvalue(sub, cfg, grid_n=grid_n)
         values.append(est.lambda0)
         residuals.append(est.residual)
     mono = all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
@@ -496,7 +480,7 @@ def _pushdown(psi: np.ndarray, f2d: np.ndarray) -> np.ndarray:
     if f2d.shape[0] != psi.size:
         raise ValueError("first axis of f2d must match the base grid")
     h_theta = 2.0 * np.pi / f2d.shape[1]
-    return np.sqrt(np.sum(f2d * f2d, axis=1) * psi * h_theta)
+    return np.sqrt(np.einsum("ij,ij->i", f2d, f2d) * psi * h_theta)
 
 
 def pushdown(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> np.ndarray:
@@ -513,11 +497,12 @@ def _rayleigh_2d(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
     cond = np.sqrt(psi_pad[:-1] * psi_pad[1:])
     f_pad = grid.pad(f2d)
     dx = f_pad[1:] - f_pad[:-1]
-    num_x = np.sum(cond[:, None] * dx * dx) / (h * h)
+    # one pass per sum, without n x m temporaries for the products
+    num_x = np.einsum("e,ej,ej->", cond, dx, dx) / (h * h)
     dth = np.roll(f2d, -1, axis=1) - f2d
-    num_th = np.sum((dth * dth) / (psi[:, None])) / (h_theta * h_theta)
+    num_th = np.einsum("i,ij,ij->", 1.0 / psi, dth, dth) / (h_theta * h_theta)
     num = (num_x + num_th) * h * h_theta
-    den = float(np.sum(psi[:, None] * f2d * f2d) * h * h_theta)
+    den = float(np.einsum("i,ij,ij->", psi, f2d, f2d) * h * h_theta)
     return num / den
 
 

@@ -203,10 +203,9 @@ def test_criterion_8_hyperbolic_cross_check():
         spec = WarpedProductSpec(IntervalBase(0.0, 40.0 / s, Boundary.DIRICHLET),
                                  WarpProfile("exp", (s,)), name="hyperbolic")
         op = build_schrodinger(spec, 4096)
-        est = lowest_eigenvalue(op.matrix, op.weights, FAST, grid_n=4096)
+        est = lowest_eigenvalue(op, FAST, grid_n=4096)
         flat = WarpedProductSpec(spec.base, WarpProfile("const", (1.0,)))
-        box = lowest_eigenvalue(build_schrodinger(flat, 4096).matrix,
-                                np.full(4096, op.grid.h), FAST, grid_n=4096)
+        box = lowest_eigenvalue(build_schrodinger(flat, 4096), FAST, grid_n=4096)
         rel = abs(est.lambda0 - c / 4.0) / (c / 4.0)
         corrected_rel = abs((est.lambda0 - box.lambda0) - c / 4.0) / (c / 4.0)
         worst = max(worst, rel)
@@ -229,8 +228,8 @@ def test_criterion_9_solver_oracle():
             ops = [build_schrodinger(spec, n)] + \
                   [build_warped_mode(spec, m, n) for m in (0, 1, 4)]
             for op in ops:
-                it = lowest_eigenvalue(op.matrix, op.weights, cfg, grid_n=n)
-                ref = dense_lowest(op.matrix, op.weights, grid_n=n)
+                it = lowest_eigenvalue(op, cfg, grid_n=n)
+                ref = dense_lowest(op, grid_n=n)
                 worst = max(worst, abs(it.lambda0 - ref.lambda0))
                 checked += 1
     # Dirichlet Toeplitz closed form
@@ -239,7 +238,7 @@ def test_criterion_9_solver_oracle():
                              WarpProfile("const", (1.0,)), name="flat")
     for n in (16, 64, 256, 512):
         op = build_schrodinger(flat, n)
-        est = lowest_eigenvalue(op.matrix, op.weights, cfg, grid_n=n)
+        est = lowest_eigenvalue(op, cfg, grid_n=n)
         h = op.grid.h
         closed = 4.0 * np.sin(np.pi * h / 2.0) ** 2 / h ** 2
         toeplitz_worst = max(toeplitz_worst, abs(est.lambda0 - closed))

@@ -1,21 +1,31 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.linalg
 
 from specsub import eigensolve
-from specsub.eigensolve import (SolverConfig, dense_lowest, lowest_eigenvalue,
-                                symmetrized)
+from specsub.eigensolve import (SolverConfig, SymmetricForm, dense_lowest,
+                                lowest_eigenvalue)
 from specsub.errors import SolverConvergenceError
 from specsub.fixtures import warp_const
 from specsub.warped_spectra import build_schrodinger
 
 
+def weighted_form(diag, off, corner, w):
+    """The symmetric form of A = W^{-1} K for K = (diag, off, corner)."""
+    root = np.sqrt(w)
+    return SymmetricForm(diag / w, off / (root[:-1] * root[1:]),
+                         corner / (root[0] * root[-1]), w)
+
+
 def dirichlet_laplacian(n, length=1.0):
     h = length / (n + 1)
-    main = np.full(n, 2.0 / h**2)
-    off = np.full(n - 1, -1.0 / h**2)
-    A = sp.diags_array([off, main, off], offsets=[-1, 0, 1]).tocsr()
-    return A, np.full(n, h), h
+    form = SymmetricForm(np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2), 0.0,
+                         np.full(n, h))
+    return form, h
+
+
+def times(form, t):
+    return SymmetricForm(form.diag * t, form.off * t, form.corner * t, form.weights)
 
 
 def toeplitz_ground(n, h):
@@ -24,22 +34,28 @@ def toeplitz_ground(n, h):
 
 @pytest.mark.parametrize("n", [16, 64, 256, 511])
 def test_dirichlet_toeplitz_closed_form(n):
-    A, w, h = dirichlet_laplacian(n)
-    est = lowest_eigenvalue(A, w)
+    form, h = dirichlet_laplacian(n)
+    est = lowest_eigenvalue(form)
     assert est.lambda0 == pytest.approx(toeplitz_ground(n, h), abs=1e-12)
     assert est.residual <= max(1e-10, 50 * np.finfo(float).eps * 4.0 / h**2)
 
 
+def test_dense_check_tolerance_scales_with_the_norm():
+    # eigvalsh is known to a few eps * ||M|| only: at ||M|| ~ 1e12 it is off
+    # by about 1e-4, which a fixed 1e-9 would report as a disagreement
+    form, h = dirichlet_laplacian(512)
+    est = lowest_eigenvalue(times(form, 1e6))
+    assert est.lambda0 == pytest.approx(1e6 * toeplitz_ground(512, h), rel=1e-12)
+
+
 def test_dirichlet_continuum_limit():
-    A, w, h = dirichlet_laplacian(2048)
-    est = lowest_eigenvalue(A, w)
+    est = lowest_eigenvalue(dirichlet_laplacian(2048)[0])
     assert est.lambda0 == pytest.approx(np.pi**2, rel=1e-5)
 
 
 def test_zero_matrix():
     n = 32
-    A = sp.csr_matrix((n, n))
-    est = lowest_eigenvalue(A, np.ones(n))
+    est = lowest_eigenvalue(SymmetricForm(np.zeros(n), np.zeros(n - 1), 0.0, np.ones(n)))
     assert est.lambda0 == 0.0
     assert est.residual == 0.0
 
@@ -52,11 +68,10 @@ def test_methods_agree_with_dense(method):
         diag = rng.uniform(1.0, 3.0, n)
         off = rng.uniform(-1.0, 1.0, n - 1)
         w = rng.uniform(0.5, 2.0, n)
-        K = sp.diags_array([off, diag, off], offsets=[-1, 0, 1])
-        A = (sp.diags(1.0 / w) @ K).tocsr()
+        form = weighted_form(diag, off, 0.0, w)
         cfg = SolverConfig(dense_check=False)
-        est = lowest_eigenvalue(A, w, cfg)
-        ref = dense_lowest(A, w)
+        est = lowest_eigenvalue(form, cfg)
+        ref = dense_lowest(form)
         assert est.lambda0 == pytest.approx(ref.lambda0, abs=1e-9)
         # eigenvectors agree up to sign, in the weighted norm
         dot = abs(est.eigvec @ (w * ref.eigvec))
@@ -69,19 +84,19 @@ def test_weighted_problem_matches_conjugated_dense():
     w = rng.uniform(0.5, 2.0, n)
     diag = rng.uniform(2.0, 4.0, n)
     off = rng.uniform(-1.0, 0.0, n - 1)
-    K = sp.diags_array([off, diag, off], offsets=[-1, 0, 1])
-    A = (sp.diags(1.0 / w) @ K).tocsr()
-    est = lowest_eigenvalue(A, w)
-    evals = np.linalg.eigvalsh(symmetrized(A, w).toarray())
+    est = lowest_eigenvalue(weighted_form(diag, off, 0.0, w))
+    # the generalized problem K v = lambda W v, solved without the form
+    K = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    evals = scipy.linalg.eigh(K, np.diag(w), eigvals_only=True)
     assert est.lambda0 == pytest.approx(evals[0], abs=1e-10)
 
 
 def test_residual_contract():
-    A, w, _ = dirichlet_laplacian(128)
-    est = lowest_eigenvalue(A, w)
-    # residual recomputed independently on the symmetrized system
-    M = symmetrized(A, w).toarray()
-    d = np.sqrt(w)
+    form, _ = dirichlet_laplacian(128)
+    est = lowest_eigenvalue(form)
+    # residual recomputed independently on the dense symmetric form
+    M = form.dense()
+    d = np.sqrt(form.weights)
     v = d * est.eigvec
     v = v / np.linalg.norm(v)
     res = np.linalg.norm(M @ v - est.lambda0 * v)
@@ -89,19 +104,18 @@ def test_residual_contract():
 
 
 def cyclic_tridiagonal(rng, n, corner_sign):
-    """A = W^{-1} K for a random symmetric K, tridiagonal plus the corners."""
+    """The form of A = W^{-1} K for a random symmetric K, tridiagonal plus the
+    corners."""
     diag = rng.uniform(-1.0, 3.0, n)
     off = rng.uniform(0.1, 1.0, n - 1) * rng.choice([-1.0, 1.0], n - 1)
-    K = sp.diags_array([off, diag, off], offsets=[-1, 0, 1]).tolil()
-    K[0, n - 1] = K[n - 1, 0] = corner_sign * rng.uniform(0.05, 2.0)
-    w = rng.uniform(0.5, 2.0, n)
-    return (sp.diags(1.0 / w) @ K.tocsr()).tocsr(), w
+    corner = corner_sign * rng.uniform(0.05, 2.0)
+    return weighted_form(diag, off, corner, rng.uniform(0.5, 2.0, n))
 
 
 def test_nonconvergence_carries_best_iterate(monkeypatch):
     # a bracket that the refined value does not reach fails certification:
     # simulate a faulty bisection and check the refined iterate is reported
-    A, w, _ = dirichlet_laplacian(64)
+    form, _ = dirichlet_laplacian(64)
     bracket = eigensolve._bracket
 
     def shifted(*args):
@@ -110,18 +124,18 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_bracket", shifted)
     with pytest.raises(SolverConvergenceError, match="not certified") as info:
-        lowest_eigenvalue(A, w, SolverConfig(dense_check=False))
+        lowest_eigenvalue(form, SolverConfig(dense_check=False))
     best = info.value.best
     assert best is not None
     assert np.isfinite(best.lambda0)
-    assert best.lambda0 == pytest.approx(dense_lowest(A, w).lambda0, abs=1e-9)
+    assert best.lambda0 == pytest.approx(dense_lowest(form).lambda0, abs=1e-9)
 
 
 def test_determinism():
-    for A, w in (dirichlet_laplacian(200)[:2],
+    for form in (dirichlet_laplacian(200)[0],
                  cyclic_tridiagonal(np.random.default_rng(5), 200, 1.0)):
-        a = lowest_eigenvalue(A, w)
-        b = lowest_eigenvalue(A, w)
+        a = lowest_eigenvalue(form)
+        b = lowest_eigenvalue(form)
         assert a.lambda0 == b.lambda0
         assert np.array_equal(a.eigvec, b.eigvec)
 
@@ -132,34 +146,36 @@ def test_cyclic_tridiagonal_matches_dense(n, corner_sign):
     rng = np.random.default_rng(n + (corner_sign > 0))
     cfg = SolverConfig(dense_check=False)
     for _ in range(10):
-        A, w = cyclic_tridiagonal(rng, n, corner_sign)
-        est = lowest_eigenvalue(A, w, cfg)
-        ref = dense_lowest(A, w)
+        form = cyclic_tridiagonal(rng, n, corner_sign)
+        est = lowest_eigenvalue(form, cfg)
+        ref = dense_lowest(form)
         assert est.lambda0 == pytest.approx(ref.lambda0, abs=1e-12)
-        assert abs(est.eigvec @ (w * ref.eigvec)) == pytest.approx(1.0, abs=1e-6)
+        dot = abs(est.eigvec @ (form.weights * ref.eigvec))
+        assert dot == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("corner_sign", [-1.0, 1.0])
 @pytest.mark.parametrize("seed", [3, 33])
 def test_localized_circle_ground_state(seed, corner_sign):
     # with this much disorder eigenvectors are localized, and lambda0's lives
-    # where T's lowest one is nearly zero: it is T's second eigenvector
-    # (seed 3) or (T - s)^{-1} u (seed 33), so the start needs both
-    A, w = cyclic_tridiagonal(np.random.default_rng(seed), 200, corner_sign)
-    est = lowest_eigenvalue(A, w, SolverConfig(dense_check=False))
-    assert est.lambda0 == pytest.approx(dense_lowest(A, w).lambda0, abs=1e-12)
+    # where the open chain's lowest one is nearly zero: it is the chain's
+    # second eigenvector or a solve with the wrap edge's ends, so the start
+    # needs both
+    form = cyclic_tridiagonal(np.random.default_rng(seed), 200, corner_sign)
+    est = lowest_eigenvalue(form, SolverConfig(dense_check=False))
+    assert est.lambda0 == pytest.approx(dense_lowest(form).lambda0, abs=1e-12)
 
 
 @pytest.mark.parametrize("circle", [False, True])
 def test_tiny_norm(circle):
     # at ||M|| ~ 1e-294 a shift gap of a few ulps of ||M|| is subnormal and a
     # solve at that gap overflows, unless the solver rescales M first
-    A, w = (cyclic_tridiagonal(np.random.default_rng(6), 64, -1.0) if circle
-            else dirichlet_laplacian(64)[:2])
+    form = (cyclic_tridiagonal(np.random.default_rng(6), 64, -1.0) if circle
+            else dirichlet_laplacian(64)[0])
     cfg = SolverConfig(dense_check=False)
-    tiny = lowest_eigenvalue(A * 2.0 ** -1000, w, cfg)
+    tiny = lowest_eigenvalue(times(form, 2.0 ** -1000), cfg)
     assert tiny.lambda0 * 2.0 ** 1000 == pytest.approx(
-        lowest_eigenvalue(A, w, cfg).lambda0, rel=1e-12)
+        lowest_eigenvalue(form, cfg).lambda0, rel=1e-12)
 
 
 def test_deflated_circle():
@@ -167,7 +183,7 @@ def test_deflated_circle():
     # the constant vector, which the wrap edge leaves alone, so lambda0 equals
     # the open chain's mu0 and the bisection closes onto that end
     op = build_schrodinger(warp_const(1.0), 256)
-    est = lowest_eigenvalue(op.matrix, op.weights, SolverConfig(dense_check=False))
+    est = lowest_eigenvalue(op, SolverConfig(dense_check=False))
     assert est.lambda0 == pytest.approx(0.0, abs=1e-12)
     assert np.ptp(est.eigvec) <= 1e-9 * np.max(np.abs(est.eigvec))
 
@@ -175,25 +191,28 @@ def test_deflated_circle():
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_rejects_matrix_outside_the_chain_pattern(n):
     # the wrap entry of a small ring lands on the diagonal (n = 1), the
-    # off-diagonal (n = 2) or the corner (n = 3), so those are chains; an
-    # entry two or more places off the diagonal and off the corner is not
-    A = sp.diags_array([np.full(n - 1, -1.0), np.full(n, 4.0), np.full(n - 1, -1.0)],
-                       offsets=[-1, 0, 1]).tolil()
-    A[0, n - 1] = A[n - 1, 0] = -1.0
+    # off-diagonal (n = 2) or the corner (n = 3), so those are chains; a
+    # corner on fewer than three nodes, or an off-diagonal that is not one
+    # shorter than the diagonal, is not
+    diag, off = np.full(n, 4.0), np.full(n - 1, -1.0)
+    if n == 1:
+        diag[0] = -1.0
     if n <= 3:
-        est = lowest_eigenvalue(A.tocsr(), np.ones(n))
-        assert est.lambda0 == pytest.approx(dense_lowest(A.tocsr(), np.ones(n)).lambda0,
-                                            abs=1e-12)
+        form = SymmetricForm(diag, off, -1.0 if n == 3 else 0.0, np.ones(n))
+        est = lowest_eigenvalue(form)
+        assert est.lambda0 == pytest.approx(dense_lowest(form).lambda0, abs=1e-12)
+        if n < 3:
+            with pytest.raises(ValueError, match="corner"):
+                SymmetricForm(diag, off, -1.0, np.ones(n))
         return
-    A[1, n - 2] = A[n - 2, 1] = -0.5
     with pytest.raises(ValueError, match="tridiagonal"):
-        lowest_eigenvalue(A.tocsr(), np.ones(n))
+        lowest_eigenvalue(SymmetricForm(diag, np.full(n, -1.0), 0.0, np.ones(n)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_rejects_non_finite_entries(bad):
-    A, w, _ = dirichlet_laplacian(8)
-    A = A.tolil()
-    A[3, 3] = bad
+    form, _ = dirichlet_laplacian(8)
+    diag = form.diag.copy()
+    diag[3] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        lowest_eigenvalue(A.tocsr(), w)
+        lowest_eigenvalue(SymmetricForm(diag, form.off, 0.0, form.weights))

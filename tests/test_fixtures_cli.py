@@ -431,6 +431,33 @@ def test_main_names_the_first_bad_warp_node(tmp_path, capsys, base, warp, where)
     assert f"warp must be finite and positive ({where})\n" in capsys.readouterr().err
 
 
+def test_run_huge_operator_has_a_finite_residual(tmp_path):
+    # 1/h^2 is about 4e303 at grid 64, so ||M r|| of a unit residual vector r
+    # overflows unless the residual is taken on the form scaled to norm ~1
+    f = tmp_path / "tiny.warp"
+    f.write_text("base circle 1e-150\nwarp sinshift 1\n")
+    res = run(RunConfig("verify-warped", str(f), grid_n=64, fmt="csv"))
+    assert res.exit_code == EXIT_OK, res.text
+    rows = [line.split(",") for line in res.text.splitlines()[2:]]
+    assert len(rows) == 10
+    assert all(np.isfinite(float(r[4])) for r in rows)
+
+
+@pytest.mark.parametrize("command, base, spacing", [
+    ("verify-warped", "circle 1e-155", "1.5625e-157"),
+    ("verify-warped", "circle 1e300", "1.5625e+298"),
+    ("verify-warped", "interval 0.0 1e-160 dirichlet", "1.5384615384615385e-162"),
+    ("verify-warped", "interval 0.0 1e-160 neumann", "1.5625e-162"),
+    ("tail-ess", "interval 0.0 1e-160 dirichlet", "1.5384615384615385e-162"),
+], ids=["circle", "circle-huge", "dirichlet", "neumann", "tail-ess"])
+def test_main_rejects_a_spacing_without_finite_inverse_square(tmp_path, capsys, command,
+                                                              base, spacing):
+    f = tmp_path / "tiny.warp"
+    f.write_text(f"base {base}\nwarp const 1\n")
+    assert main([command, str(f), "--grid", "64"]) == EXIT_VALIDATION
+    assert f"grid spacing {spacing} is out of range" in capsys.readouterr().err
+
+
 # -- the exp warp near the continuum --------------------------------------------
 
 @pytest.mark.parametrize("c", [0.358, 0.25, 0.4])
@@ -479,6 +506,19 @@ def test_algebra_commands_load_no_scipy(tmp_path):
              f"print(json.dumps([codes, {_LOADED_SCIPY}]))")
     out = _python("-c", probe, json.dumps(argvs), SPECSUB_FIXTURE_DIR=str(tmp_path))
     assert json.loads(out.splitlines()[-1]) == [[EXIT_OK] * 5 + [EXIT_INAPPLICABLE], []]
+
+
+def test_warped_commands_load_no_scipy_sparse():
+    # the warped solver works on three diagonals with LAPACK's tridiagonal
+    # routines, so scipy.linalg is all it loads of scipy
+    argvs = [["verify-warped", "sinshift", "--grid", "64"],
+             ["tail-ess", "exp", "--grid", "256"]]
+    probe = ("import json, sys\nfrom specsub.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, sorted(m for m in sys.modules "
+             "if m.startswith('scipy.sparse'))]))")
+    out = _python("-c", probe, json.dumps(argvs))
+    assert json.loads(out.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
 
 
 def test_bare_import_loads_no_scipy():

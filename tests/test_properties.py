@@ -1,4 +1,4 @@
-"""Property tests of the closed-form Lie results.
+"""Property tests of the closed-form Lie results and of the warped solver.
 
 Hypothesis runs derandomized with a bounded number of examples, so the suite
 stays deterministic and fast.
@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import change_basis
+from specsub.eigensolve import SolverConfig, SymmetricForm, lowest_eigenvalue
 from specsub.fixtures import LIE_BUILTINS, catalog_fixture
 from specsub.group_spectra import group_spectrum_report
 from specsub.lie_core import MetricLieAlgebra, classify
+from specsub.warped_spectra import (CircleBase, WarpProfile, WarpedProductSpec,
+                                    build_schrodinger)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -71,3 +74,43 @@ def test_lambda0_scales_inversely_with_the_metric(name, t):
     assert math.isclose(rs.lambda0, ra.lambda0 / t, rel_tol=1e-12, abs_tol=0.0)
     if name != "affine2":
         assert ra.lambda0 == rs.lambda0 == 0.0
+
+
+# -- the warped solver ----------------------------------------------------------
+
+EPS = np.finfo(float).eps
+UNCHECKED = SolverConfig(dense_check=False)
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Three diagonals of random sign and size, a corner of either sign (or
+    none), positive weights."""
+    n = draw(st.integers(3, 64))
+    entries = st.floats(-10.0, 10.0)
+    diag = draw(st.lists(entries, min_size=n, max_size=n))
+    off = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+    corner = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(1e-3, 10.0))
+    weights = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    return SymmetricForm(diag, off, corner, weights)
+
+
+@PROPERTY
+@given(symmetric_forms())
+def test_lowest_eigenvalue_certifies_and_matches_the_dense_spectrum(form):
+    est = lowest_eigenvalue(form, UNCHECKED)
+    M = form.dense()
+    norm = np.max(np.sum(np.abs(M), axis=1))
+    assert abs(est.lambda0 - np.linalg.eigvalsh(M)[0]) <= 64 * EPS * norm
+
+
+@PROPERTY
+@given(st.integers(16, 64).flatmap(lambda n: st.tuples(
+    st.floats(1.0, 10.0), st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))))
+def test_schrodinger_operator_is_positive_semidefinite(case):
+    length, samples = case
+    spec = WarpedProductSpec(CircleBase(length),
+                             WarpProfile("samples", (), samples=np.array(samples)))
+    op = build_schrodinger(spec, len(samples))
+    norm = np.max(np.sum(np.abs(op.dense()), axis=1))
+    assert lowest_eigenvalue(op, UNCHECKED).lambda0 >= -64 * EPS * norm

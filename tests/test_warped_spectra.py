@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import specsub.warped_spectra
-from specsub.eigensolve import SolverConfig, symmetrized
+from specsub.eigensolve import SolverConfig
 from specsub.fixtures import warp_const, warp_exp, warp_sinshift
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase,
                                     WarpProfile, WarpedProductSpec, base_grid,
@@ -41,10 +41,10 @@ def richardson_second_derivative(f, x, h0=1e-3):
 
 def test_const_warp_is_plain_laplacian():
     op = build_schrodinger(warp_const(1.0), 64)
-    diag = op.matrix.diagonal()
     h = op.grid.h
-    assert np.allclose(diag, 2.0 / h**2)
-    assert op.symmetry_residual() == 0.0
+    assert np.allclose(op.diag, 2.0 / h**2)
+    assert np.allclose(op.off, -1.0 / h**2)
+    assert op.corner == pytest.approx(-1.0 / h**2)
 
 
 def test_min_grid_size():
@@ -68,7 +68,7 @@ def test_exp_potential_constant(k):
                              WarpProfile("exp", (a,)), fiber_dim=k)
     op = build_schrodinger(spec, 256)
     h = op.grid.h
-    V = op.matrix.diagonal() - 2.0 / h**2
+    V = op.diag - 2.0 / h**2
     expected = (k * a / 2.0) ** 2
     assert np.allclose(V, expected, atol=5.0 * expected * h**2)
 
@@ -79,7 +79,7 @@ def test_sinshift_potential_against_richardson():
     op = build_schrodinger(spec, n)
     grid = base_grid(spec, n)
     h = grid.h
-    V = op.matrix.diagonal() - 2.0 / h**2
+    V = op.diag - 2.0 / h**2
 
     def phi(x):
         return np.sqrt(2.0 + np.sin(x))
@@ -95,7 +95,11 @@ def test_symmetry_invariant_all_fixtures():
         for build in (lambda s: build_schrodinger(s, 128),
                       lambda s: build_warped_mode(s, 0, 128),
                       lambda s: build_warped_mode(s, 3, 128)):
-            assert build(spec).symmetry_residual() < 1e-12
+            # K = W A = W^{1/2} M W^{1/2} in the original coordinates
+            op = build(spec)
+            root = np.sqrt(op.weights)
+            K = root[:, None] * op.dense() * root[None, :]
+            assert np.max(np.abs(K - K.T)) <= 1e-12 * np.max(np.abs(K))
 
 
 def test_weights_positive_and_uniform_for_s():
@@ -121,8 +125,8 @@ def test_unitary_equivalence_exact():
         n = 128
         s_op = build_schrodinger(spec, n)
         l_op = build_warped_mode(spec, 0, n)
-        es = np.linalg.eigvalsh(symmetrized(s_op.matrix, s_op.weights).toarray())
-        el = np.linalg.eigvalsh(symmetrized(l_op.matrix, l_op.weights).toarray())
+        es = np.linalg.eigvalsh(s_op.dense())
+        el = np.linalg.eigvalsh(l_op.dense())
         assert np.max(np.abs(es - el)) < 1e-6
 
 
@@ -141,8 +145,8 @@ def test_mode_monotonicity():
             lams.append(solve_lowest(op, FAST).lambda0)
         assert all(b >= a - 1e-10 for a, b in zip(lams, lams[1:]))
         # the added diagonal is nonnegative at the matrix level
-        d0 = build_warped_mode(spec, 0, 128).matrix.diagonal()
-        d2 = build_warped_mode(spec, 2, 128).matrix.diagonal()
+        d0 = build_warped_mode(spec, 0, 128).diag
+        d2 = build_warped_mode(spec, 2, 128).diag
         assert np.all(d2 - d0 >= 0.0)
 
 
@@ -169,7 +173,6 @@ def test_mode_form_matches_edge_sum(base):
     h = op.grid.h
     oracle = sum(np.sqrt(pl * pr) * (fr - fl) ** 2 for pl, pr, fl, fr in edges) / h
     assert op.quadratic_form(f) == pytest.approx(oracle, rel=1e-12)
-    assert op.symmetry_residual() < 1e-14
 
 
 def test_const_mode_one_exact():
