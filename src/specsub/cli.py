@@ -1,22 +1,15 @@
 """Command-line driver.
 
-Commands and their CSV column orders (a versioned comment line precedes the
-header in every CSV):
-
-  analyze        fixture,valid,unimodular,solvable,nilpotent,semisimple,amenable,radical_dim,marginal
-  lambda0        fixture,unimodular,amenable,lambda0,cheeger,method
-  cheeger        fixture,unimodular,amenable,lambda0,cheeger,method
-  quotient       fixture,ideal_dim,H_norm2,tr_ad_H,lambda0_N,lambda0_quotient,lower_bound,equality_expected,partial
-  verify-warped  fixture,grid_n,mode,lambda0,residual,slack   (mode -1 is the
-                 Schrodinger operator row; slack is lambda0 of a mode row
-                 minus the inequality right-hand side, and on the S row the
-                 minimum over modes minus the right-hand side)
-  tail-ess       fixture,grid_n,cutoff,lambda0,residual
+The CSV column order of each command is ``HEADERS[command]``, which
+``specsub --help`` lists too; a versioned comment line precedes the header in
+every CSV.  In the verify-warped CSV, mode -1 is the Schrodinger operator
+row; slack is lambda0 of a mode row minus the inequality right-hand side, and
+on the S row the minimum over modes minus the right-hand side.
 
 Exit codes: 0 success, 1 validation or parse failure, 2 a solver result
 that fails certification or, for verify-warped, a violated inequality or a
-two-route mismatch (the report says which), 3 closed-form formula
-inapplicable.
+two-route mismatch (the text report on stderr says which, in both formats),
+3 closed-form formula inapplicable.
 --seed is accepted and ignored: no computation is random.
 """
 
@@ -47,7 +40,18 @@ EXIT_INAPPLICABLE = 3
 
 MAX_GRID = 2 ** 20
 
-COMMANDS = ("analyze", "lambda0", "cheeger", "quotient", "verify-warped", "tail-ess")
+_SPECTRUM = ("fixture", "unimodular", "amenable", "lambda0", "cheeger", "method")
+HEADERS = {
+    "analyze": ("fixture", "valid", "unimodular", "solvable", "nilpotent", "semisimple",
+                "amenable", "radical_dim", "marginal"),
+    "lambda0": _SPECTRUM,
+    "cheeger": _SPECTRUM,
+    "quotient": ("fixture", "ideal_dim", "H_norm2", "tr_ad_H", "lambda0_N",
+                 "lambda0_quotient", "lower_bound", "equality_expected", "partial"),
+    "verify-warped": ("fixture", "grid_n", "mode", "lambda0", "residual", "slack"),
+    "tail-ess": ("fixture", "grid_n", "cutoff", "lambda0", "residual"),
+}
+COMMANDS = tuple(HEADERS)
 
 
 @dataclass
@@ -83,8 +87,8 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv(header: Sequence[str], rows) -> str:
-    lines = [f"# {CSV_VERSION}", ",".join(header)]
+def _csv(command: str, rows) -> str:
+    lines = [f"# {CSV_VERSION}", ",".join(HEADERS[command])]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
@@ -130,8 +134,7 @@ def _cmd_analyze(config: RunConfig, fix) -> str:
         row += ([crep.unimodular, crep.solvable, crep.nilpotent, crep.semisimple,
                  crep.amenable, crep.radical.dim, crep.numerically_marginal]
                 if crep else [None] * 7)
-        return _csv(["fixture", "valid", "unimodular", "solvable", "nilpotent",
-                     "semisimple", "amenable", "radical_dim", "marginal"], [row])
+        return _csv("analyze", [row])
     lines = [f"fixture: {name}",
              f"valid: {_fmt(vrep.ok)} (antisymmetry {vrep.antisymmetry_residual:.2e}, "
              f"jacobi {vrep.jacobi_residual:.2e}, min metric eig "
@@ -169,8 +172,7 @@ def _cmd_lambda0(config: RunConfig, fix) -> str:
             f"{name}: not amenable, lambda0 formula inapplicable; "
             f"Cheeger lower bound {rep.cheeger!r} (lambda0 >= {rep.lambda0!r})")
     if config.fmt == "csv":
-        return _csv(["fixture", "unimodular", "amenable", "lambda0", "cheeger",
-                     "method"], rows)
+        return _csv("lambda0", rows)
     lines = [f"fixture: {name}",
              f"unimodular: {_fmt(crep.unimodular)}",
              f"amenable: {_fmt(crep.amenable)}",
@@ -189,8 +191,7 @@ def _cmd_cheeger(config: RunConfig, fix) -> str:
     name = _fixture_name(config, fix)
     crep, rep, rows = _group_rows(config, alg, name)
     if config.fmt == "csv":
-        return _csv(["fixture", "unimodular", "amenable", "lambda0", "cheeger",
-                     "method"], rows)
+        return _csv("cheeger", rows)
     kind = "exact" if crep.amenable else "lower bound"
     return (f"fixture: {name}\ncheeger ({kind}): {rep.cheeger!r}\n"
             f"lambda0 ({kind}): {rep.lambda0!r}\nmethod: {rep.method.value}\n")
@@ -216,9 +217,7 @@ def _cmd_quotient(config: RunConfig, fix) -> str:
              rep.lambda0_N, rep.lambda0_quotient, rep.lower_bound,
              rep.equality_expected, rep.partial]]
     if config.fmt == "csv":
-        return _csv(["fixture", "ideal_dim", "H_norm2", "tr_ad_H", "lambda0_N",
-                     "lambda0_quotient", "lower_bound", "equality_expected",
-                     "partial"], rows)
+        return _csv("quotient", rows)
     lines = [f"fixture: {name}",
              f"ideal dimension: {n_ideal.dim}",
              f"|H|^2: {alg.inner(rep.H, rep.H)!r}",
@@ -252,9 +251,6 @@ def _cmd_verify_warped(config: RunConfig, fix) -> str:
         rows.append([name, config.grid_n, m, lam, res, lam - ineq.rhs])
     rows.append([name, config.grid_n, -1, ineq.lambda0_schrodinger,
                  ineq.residuals[-1], ineq.slack])
-    if config.fmt == "csv":
-        return _csv(["fixture", "grid_n", "mode", "lambda0", "residual", "slack"],
-                    rows)
     lines = [f"fixture: {name} (grid {config.grid_n})",
              "mode lambda0s: " + ", ".join(repr(v) for v in ineq.lambda0_modes),
              f"lambda0 total space (min over modes): {ineq.lhs!r}",
@@ -266,6 +262,8 @@ def _cmd_verify_warped(config: RunConfig, fix) -> str:
              f"({'ok' if eq.passed else 'MISMATCH'})"]
     if not (ineq.passed and eq.passed):
         raise SolverConvergenceError("\n".join(lines))
+    if config.fmt == "csv":
+        return _csv("verify-warped", rows)
     return "\n".join(lines) + "\n"
 
 
@@ -286,7 +284,7 @@ def _cmd_tail_ess(config: RunConfig, fix) -> str:
     rows = [[name, config.grid_n, c, v, r]
             for c, v, r in zip(rep.cutoffs, rep.values, rep.residuals)]
     if config.fmt == "csv":
-        return _csv(["fixture", "grid_n", "cutoff", "lambda0", "residual"], rows)
+        return _csv("tail-ess", rows)
     lines = [f"fixture: {name} (grid {config.grid_n})"]
     lines += [f"cutoff {c!r}: lambda0 {v!r}" for c, v in zip(rep.cutoffs, rep.values)]
     lines.append(f"monotone non-decreasing: {_fmt(rep.monotone)}")
@@ -318,26 +316,22 @@ def run(config: RunConfig) -> RunResult:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    columns = "".join(
+        f"  {name:<15}{','.join(header)}"
+        f"{'  (mode -1 = Schrodinger row)' if name == 'verify-warped' else ''}\n"
+        for name, header in HEADERS.items())
     p = argparse.ArgumentParser(
         prog="specsub",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Spectral invariants of metric Lie algebras and "
                     "warped-product eigenvalue checks.",
-        epilog="CSV columns (frozen under the version tag %s):\n"
-               "  analyze        fixture,valid,unimodular,solvable,nilpotent,"
-               "semisimple,amenable,radical_dim,marginal\n"
-               "  lambda0        fixture,unimodular,amenable,lambda0,cheeger,method\n"
-               "  cheeger        fixture,unimodular,amenable,lambda0,cheeger,method\n"
-               "  quotient       fixture,ideal_dim,H_norm2,tr_ad_H,lambda0_N,"
-               "lambda0_quotient,lower_bound,equality_expected,partial\n"
-               "  verify-warped  fixture,grid_n,mode,lambda0,residual,slack  "
-               "(mode -1 = Schrodinger row)\n"
-               "  tail-ess       fixture,grid_n,cutoff,lambda0,residual\n"
-               "Fixture names are resolved against $%s, then as file\n"
+        epilog=f"CSV columns (frozen under the version tag {CSV_VERSION}):\n"
+               f"{columns}"
+               f"Fixture names are resolved against ${FIXTURE_DIR_ENV}, then as file\n"
                "paths, then against the built-in catalog.\n"
                "Exit codes: 0 ok, 1 validation/parse failure, 2 uncertified "
                "solver result or a\nviolated inequality or two-route mismatch "
-               "in verify-warped, 3 formula inapplicable." % (CSV_VERSION, FIXTURE_DIR_ENV))
+               "in verify-warped, 3 formula inapplicable.")
     sub = p.add_subparsers(dest="command", required=True)
     specs = {
         "analyze": "validate and classify a Lie algebra fixture",

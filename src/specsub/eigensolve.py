@@ -30,14 +30,14 @@ from .errors import SolverConvergenceError
 
 REFINE_STEPS = 2    # inverse-iteration steps after the bracket
 ULPS = 64           # bracket width, shift gap, certification slack: eps * ||M|| units
+DENSE_LIMIT = 512   # largest n that the dense cross-check covers
+DENSE_TOL = 1e-9    # its agreement, or ULPS * eps * ||M|| if that is larger
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-10            # residual target |Mv - lambda v| / |v|
     dense_check: bool = True
-    dense_limit: int = 512
-    dense_tol: float = 1e-9
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -245,11 +245,11 @@ def lowest_eigenvalue(form: SymmetricForm, cfg: SolverConfig = DEFAULT_SOLVER,
             f"bracket [{lo!r}, {hi!r}], residual {est.residual:.3e} "
             f"(target {tol_eff:.3e}), M - {shift / unit!r} positive definite: "
             f"{definite}", best=est)
-    if cfg.dense_check and form.n <= cfg.dense_limit:
+    if cfg.dense_check and form.n <= DENSE_LIMIT:
         # values only: LAPACK syevd, independent of the bisection and known
         # to a few eps * ||M||
         ref = float(np.linalg.eigvalsh(Mu.dense())[0]) / unit
-        if abs(ref - est.lambda0) > max(cfg.dense_tol, slack):
+        if abs(ref - est.lambda0) > max(DENSE_TOL, slack):
             raise SolverConvergenceError(
                 f"iterative value {est.lambda0!r} disagrees with dense "
                 f"reference {ref!r}", best=est)

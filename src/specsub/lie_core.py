@@ -107,18 +107,21 @@ class MetricLieAlgebra:
 
     # -- span helpers ---------------------------------------------------------
 
-    def gram_orthonormalize(self, rows: np.ndarray, rank_tol: float = DEFAULT.rank_tol) -> np.ndarray:
-        """Rows spanning a subspace -> g-orthonormal rows (rank revealed by SVD)."""
+    def gram_orthonormalize(self, rows: np.ndarray) -> np.ndarray:
+        """Rows spanning a subspace -> g-orthonormal rows (rank revealed by SVD).
+
+        A span of vectors has no algebra scale, so the rank is cut relative to
+        the top singular value of the rows.
+        """
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.size == 0 or rows.shape[0] == 0:
             return np.zeros((0, self.dim))
         # work in coordinates where g is the identity
         L = np.linalg.cholesky(self.metric)
         cols = rows @ L  # euclidean rows in the flat coordinates
-        u, s, vt = np.linalg.svd(cols, full_matrices=False)
-        keep = s > rank_tol * max(s[0], 1e-300)
-        flat = vt[keep]
-        return np.linalg.solve(L.T, flat.T).T
+        s, vt = np.linalg.svd(cols, full_matrices=False)[1:]
+        rank = _rank(s, s[0], DEFAULT.rank_tol)[0]
+        return np.linalg.solve(L.T, vt[:rank].T).T
 
     def project_onto(self, onb_rows: np.ndarray, v) -> np.ndarray:
         """g-orthogonal projection of v onto the span of g-orthonormal rows."""
@@ -215,11 +218,12 @@ class Ideal:
     def complement_onb(self) -> np.ndarray:
         """g-orthonormal basis of the orthogonal complement of the span."""
         n = self.parent.dim
-        if self.dim == 0:
-            return self.parent.gram_orthonormalize(np.eye(n))
+        if self.dim == n:
+            # the rows below would be round-off alone, with no top to cut against
+            return np.zeros((0, n))
         # row i is e_i minus its projection onto the span
         rest = np.eye(n) - (self.onb @ self.parent.metric).T @ self.onb
-        comp = self.parent.gram_orthonormalize(rest, rank_tol=1e-10)
+        comp = self.parent.gram_orthonormalize(rest)
         if comp.shape[0] != n - self.dim:
             raise RuntimeError("complement rank detection failed")
         return comp
@@ -291,68 +295,60 @@ def _bracket_products(c: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> 
     return np.tensordot(rows_b, left, axes=(1, 1)).transpose(1, 0, 2)  # [a, b, k]
 
 
+def _rank(values: np.ndarray, scale: float, tol: float):
+    """(rank, marginal): how many |values| exceed the cut tol * scale, and
+    whether any value lies within two decades of that cut."""
+    a = np.abs(values)
+    cut = tol * scale
+    marginal = bool(np.any((a > 1e-2 * cut) & (a < 1e2 * cut)))
+    return int(np.count_nonzero(a > cut)), marginal
+
+
+def _bracket_scale(alg: MetricLieAlgebra) -> float:
+    """sigma = max(||c||_F in a g-orthonormal basis, 1): the scale of bracket
+    values, and sigma^2 that of Killing values.  The floor at 1 makes an
+    algebra that is abelian up to round-off cut against 1, not against its
+    own round-off."""
+    L = np.linalg.cholesky(alg.metric)
+    E = np.linalg.inv(L)  # rows: a g-orthonormal basis, E g E^T = I
+    # a coordinate vector v has the components v @ L in that basis
+    return max(float(np.linalg.norm(_bracket_products(alg.structure, E, E) @ L)), 1.0)
+
+
 def _bracket_span(alg: MetricLieAlgebra, rows_a: np.ndarray, rows_b: np.ndarray,
-                  rank_tol: float, marginal: Optional[list] = None) -> np.ndarray:
+                  sigma: float, rank_tol: float):
+    """Rows spanning [rows_a, rows_b] and whether the rank cut was marginal."""
     if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
-        return np.zeros((0, alg.dim))
+        return np.zeros((0, alg.dim)), False
     prods = _bracket_products(alg.structure, rows_a, rows_b).reshape(-1, alg.dim)
     # the tall product matrix only enters through its R factor; this skips
     # forming the left singular vectors
     r = np.linalg.qr(prods, mode="r")
     s, vt = np.linalg.svd(r, full_matrices=False)[1:]
-    if marginal is not None and _marginal_svals(s, rank_tol):
-        marginal.append(True)
-    if s.size == 0 or s[0] <= rank_tol:
-        return np.zeros((0, alg.dim))
-    return vt[s > rank_tol * s[0]]
+    rank, marginal = _rank(s, sigma, rank_tol)
+    return vt[:rank], marginal
 
 
 def derived_subalgebra(alg: MetricLieAlgebra, sub: Optional[Ideal] = None,
-                       tols: Tolerances = DEFAULT,
-                       marginal: Optional[list] = None) -> Ideal:
+                       tols: Tolerances = DEFAULT) -> Ideal:
     """Span of all brackets of pairs of spanning vectors of ``sub``."""
     if sub is None:
         sub = full_ideal(alg)
-    rows = _bracket_span(alg, sub.onb, sub.onb, tols.rank_tol, marginal)
-    return Ideal(alg, rows)
+    return Ideal(alg, _bracket_span(alg, sub.onb, sub.onb, _bracket_scale(alg),
+                                    tols.rank_tol)[0])
 
 
-def _series_dims(alg, step, tols):
-    """Iterate a span-shrinking step until the dimension stabilizes."""
-    current = full_ideal(alg)
-    dims = [current.dim]
+def _series(alg, step):
+    """The ideals of a span-shrinking bracket step, iterated from the whole
+    algebra until the dimension stabilizes, and whether any cut was marginal."""
+    series, marginal = [full_ideal(alg)], False
     for _ in range(alg.dim + 1):
-        nxt = step(current)
-        dims.append(nxt.dim)
-        if nxt.dim == 0 or nxt.dim == current.dim:
+        rows, flag = step(series[-1].onb)
+        series.append(Ideal(alg, rows))
+        marginal = marginal or flag
+        if series[-1].dim in (0, series[-2].dim):
             break
-        current = nxt
-    return dims
-
-
-def _marginal_svals(svals: np.ndarray, rank_tol: float) -> bool:
-    if svals.size == 0:
-        return False
-    top = max(float(svals[0]), 1e-300)
-    rel = svals / top
-    return bool(np.any((rel > rank_tol * 1e-2) & (rel < rank_tol * 1e2)))
-
-
-def radical(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT):
-    """Largest solvable ideal, via the Killing-orthogonal of the derived algebra.
-
-    Returns (Ideal, marginal_flag).
-    """
-    der = derived_subalgebra(alg, tols=tols)
-    if der.dim == 0:
-        return full_ideal(alg), False
-    B = alg.killing_form()
-    m = der.onb @ B  # rows: v -> B(d_a, v)
-    u, s, vt = np.linalg.svd(m, full_matrices=True)
-    marginal = _marginal_svals(s, tols.rank_tol)
-    top = max(float(s[0]), 1e-300) if s.size else 0.0
-    null_rows = vt[np.sum(s > tols.rank_tol * top):]
-    return Ideal(alg, null_rows), marginal
+    return series, marginal
 
 
 def quotient_algebra(alg: MetricLieAlgebra, n_ideal: Ideal,
@@ -393,25 +389,27 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
     solvable/nilpotent come from the derived and lower central series,
     the radical from the Killing-orthogonal of the derived algebra, and
     amenability from the definiteness of the Killing form of the Levi
-    quotient (compact type) -- quotient zero counts as amenable.
+    quotient (compact type) -- quotient zero counts as amenable.  Every
+    rank and definiteness cut is ``_rank`` against the algebra's scale
+    sigma (bracket values) or sigma^2 (Killing values).
     """
     if alg.dim == 0:
         rad = zero_ideal(alg)
         return ClassificationReport(True, True, True, True, True, rad, (0,), False,
                                     "zero algebra")
-    marks: list = []
-    derived_dims = _series_dims(
-        alg, lambda s: derived_subalgebra(alg, s, tols, marks), tols)
-    solvable = derived_dims[-1] == 0
-    whole = full_ideal(alg).onb
-    lower_dims = _series_dims(
-        alg,
-        lambda s: Ideal(alg, _bracket_span(alg, whole, s.onb, tols.rank_tol, marks)),
-        tols,
-    )
-    nilpotent = lower_dims[-1] == 0
-    rad, marginal = radical(alg, tols)
-    marginal = marginal or bool(marks)
+    sigma, tol = _bracket_scale(alg), tols.rank_tol
+    derived, derived_marginal = _series(
+        alg, lambda s: _bracket_span(alg, s, s, sigma, tol))
+    whole = derived[0].onb
+    lower, lower_marginal = _series(
+        alg, lambda s: _bracket_span(alg, whole, s, sigma, tol))
+    solvable, nilpotent = derived[-1].dim == 0, lower[-1].dim == 0
+    # the radical is the Killing-orthogonal of the derived algebra: the null
+    # space of the rows v -> B(d_a, v)
+    s, vt = np.linalg.svd(derived[1].onb @ alg.killing_form(), full_matrices=True)[1:]
+    rank, radical_marginal = _rank(s, sigma ** 2, tol)
+    rad = Ideal(alg, vt[rank:])
+    marginal = derived_marginal or lower_marginal or radical_marginal
     if solvable and rad.dim != alg.dim:
         # keep the report consistent when rank decisions disagree
         rad, marginal = full_ideal(alg), True
@@ -422,10 +420,9 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
     else:
         quot, _ = quotient_algebra(alg, rad, tols)
         eigs = np.linalg.eigvalsh(quot.killing_form())
-        scale = max(float(np.max(np.abs(eigs), initial=0.0)), 1e-300)
-        amenable = bool(np.max(eigs) < -tols.definite_tol * scale)
-        if _marginal_svals(np.sort(np.abs(eigs))[::-1], tols.definite_tol):
-            marginal = True
+        rank, levi_marginal = _rank(eigs, sigma ** 2, tol)
+        amenable = rank == eigs.size and bool(np.max(eigs) < 0.0)
+        marginal = marginal or levi_marginal
         derivation = ("Levi quotient Killing form negative definite"
                       if amenable else "Levi quotient of non-compact type")
     return ClassificationReport(
@@ -435,7 +432,7 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
         semisimple=semisimple,
         amenable=amenable,
         radical=rad,
-        derived_series_lengths=tuple(derived_dims),
+        derived_series_lengths=tuple(i.dim for i in derived),
         numerically_marginal=marginal,
         derivation=derivation,
     )

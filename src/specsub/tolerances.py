@@ -17,12 +17,14 @@ class Tolerances:
     spd_tol: float = 1e-12       # metric eigenvalues must exceed this
     # span / rank decisions
     ideal_tol: float = 1e-9      # bracket-closure residual for spans
-    rank_tol: float = 1e-9       # relative singular-value cutoff
+    # relative cut of every rank and definiteness decision: against the top
+    # singular value for a span of vectors, against sigma for bracket values
+    # and sigma^2 for Killing values, sigma = max(||c||_F in a g-orthonormal
+    # basis, 1)
+    rank_tol: float = 1e-9
     unimodular_tol: float = 1e-9 # sup norm of the trace functional
-    definite_tol: float = 1e-9   # relative margin for definiteness tests
     # spectral checks
     solver_tol: float = 1e-10    # residual target for the iterative eigensolver
-    eig_tol: float = 1e-8        # allowed negativity for nonnegative operators
     ineq_tol: float = 1e-8       # allowed slack violation for inequalities
     unitary_tol: float = 1e-6    # agreement of the two Schrodinger routes
     identity_tol: float = 1e-9   # algebraic identities (mean curvature etc.)
@@ -41,7 +43,6 @@ STRICT = Tolerances(
     rank_tol=1e-11,
     unimodular_tol=1e-11,
     solver_tol=1e-11,
-    eig_tol=1e-10,
     ineq_tol=1e-10,
     identity_tol=1e-11,
 )

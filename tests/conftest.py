@@ -16,7 +16,7 @@ def make_algebra(n, brackets, metric=None, labels=None):
 def change_basis(alg, q):
     """alg in the basis f_a = sum_i q[i, a] e_i of an orthogonal q, the metric
     carried along."""
-    c = np.einsum("ia,jb,kc,ijk->abc", q, q, q, alg.structure)
+    c = np.einsum("ia,jb,kc,ijk->abc", q, q, q, alg.structure, optimize=True)
     return MetricLieAlgebra(alg.dim, c, q.T @ alg.metric @ q)
 
 

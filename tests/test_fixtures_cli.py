@@ -9,13 +9,14 @@ import pytest
 
 import specsub.cli
 import specsub.group_spectra
-from specsub.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_VALIDATION,
+from specsub.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                          RunConfig, main, run)
 from specsub.errors import FixtureParseError
 from specsub.fixtures import (LIE_BUILTINS, WARP_BUILTINS, catalog_fixture,
                               catalog_ideals, fixture_text, parse_fixture_text)
 from specsub.lie_core import MetricLieAlgebra, validate
-from specsub.warped_spectra import CircleBase, IntervalBase, WarpedProductSpec
+from specsub.warped_spectra import (CircleBase, IntervalBase, WarpedProductSpec,
+                                    verify_warped)
 
 
 # -- parsing --------------------------------------------------------------------
@@ -431,16 +432,28 @@ def test_main_names_the_first_bad_warp_node(tmp_path, capsys, base, warp, where)
     assert f"warp must be finite and positive ({where})\n" in capsys.readouterr().err
 
 
-def test_run_huge_operator_has_a_finite_residual(tmp_path):
+def test_run_huge_operator_has_a_finite_residual():
     # 1/h^2 is about 4e303 at grid 64, so ||M r|| of a unit residual vector r
     # overflows unless the residual is taken on the form scaled to norm ~1
+    spec = parse_fixture_text("base circle 1e-150\nwarp sinshift 1\n")
+    ineq, _ = verify_warped(spec, 64)
+    assert len(ineq.residuals) == 10
+    assert all(np.isfinite(ineq.residuals))
+
+
+def test_main_verify_warped_fails_alike_in_text_and_csv(tmp_path, capsys):
+    # lambda0 is round-off at ||M|| ~ 1e304, so the inequality is violated;
+    # the CSV used to be written with exit 0
     f = tmp_path / "tiny.warp"
     f.write_text("base circle 1e-150\nwarp sinshift 1\n")
-    res = run(RunConfig("verify-warped", str(f), grid_n=64, fmt="csv"))
-    assert res.exit_code == EXIT_OK, res.text
-    rows = [line.split(",") for line in res.text.splitlines()[2:]]
-    assert len(rows) == 10
-    assert all(np.isfinite(float(r[4])) for r in rows)
+    errs = []
+    for fmt in ("text", "csv"):
+        assert main(["verify-warped", str(f), "--grid", "64", "--format", fmt]) == EXIT_SOLVER
+        out, err = capsys.readouterr()
+        assert out == ""
+        errs.append(err)
+    assert errs[0] == errs[1]
+    assert "VIOLATED" in errs[0] and "MISMATCH" in errs[0]
 
 
 @pytest.mark.parametrize("command, base, spacing", [
@@ -486,6 +499,56 @@ def _python(*args, **env):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+HELP = """\
+usage: specsub [-h]
+               {analyze,lambda0,cheeger,quotient,verify-warped,tail-ess} ...
+
+Spectral invariants of metric Lie algebras and warped-product eigenvalue checks.
+
+positional arguments:
+  {analyze,lambda0,cheeger,quotient,verify-warped,tail-ess}
+    analyze             validate and classify a Lie algebra fixture
+    lambda0             bottom of the spectrum of an amenable group
+    cheeger             Cheeger constant (exact when amenable, else lower
+                        bound)
+    quotient            quotient lower bound through an ideal's mean curvature
+    verify-warped       warped-product inequality and two-route equality
+    tail-ess            essential-spectrum tail estimates on a truncated ray
+
+options:
+  -h, --help            show this help message and exit
+
+CSV columns (frozen under the version tag specsub-csv v1):
+  analyze        fixture,valid,unimodular,solvable,nilpotent,semisimple,amenable,radical_dim,marginal
+  lambda0        fixture,unimodular,amenable,lambda0,cheeger,method
+  cheeger        fixture,unimodular,amenable,lambda0,cheeger,method
+  quotient       fixture,ideal_dim,H_norm2,tr_ad_H,lambda0_N,lambda0_quotient,lower_bound,equality_expected,partial
+  verify-warped  fixture,grid_n,mode,lambda0,residual,slack  (mode -1 = Schrodinger row)
+  tail-ess       fixture,grid_n,cutoff,lambda0,residual
+Fixture names are resolved against $SPECSUB_FIXTURE_DIR, then as file
+paths, then against the built-in catalog.
+Exit codes: 0 ok, 1 validation/parse failure, 2 uncertified solver result or a
+violated inequality or two-route mismatch in verify-warped, 3 formula inapplicable.
+"""
+
+
+def test_main_help_lists_the_frozen_csv_columns(capsys, monkeypatch):
+    # the epilog is built from cli.HEADERS; argparse wraps at $COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP
+
+
+@pytest.mark.parametrize("command", sorted(specsub.cli.HEADERS))
+def test_csv_header_is_the_headers_entry(command):
+    fixture = {"verify-warped": "const", "tail-ess": "exp"}.get(command, "paper_example3")
+    res = run(RunConfig(command, fixture, grid_n=64, fmt="csv"))
+    assert res.exit_code == EXIT_OK, res.text
+    assert res.text.splitlines()[1] == ",".join(specsub.cli.HEADERS[command])
 
 
 def test_python_dash_m_runs_the_cli():

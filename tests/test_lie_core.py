@@ -416,6 +416,18 @@ def test_quotient_algebra_of_example3():
     assert quot.trace_covector().dual_norm() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("make", [so3, sl2])
+def test_quotient_by_everything_in_a_rotated_basis(make):
+    # [g, g] = g: the rows e_i minus their projection are round-off alone, and
+    # a cut relative to their own top singular value counted it as rank
+    alg = rotate_algebra(make(), np.random.default_rng(3))
+    der = derived_subalgebra(alg)
+    assert der.dim == 3
+    assert der.complement_onb().shape == (0, 3)
+    quot, push = quotient_algebra(alg, der)
+    assert quot.dim == 0 and push.shape == (0, 3)
+
+
 def test_restrict_to_span_requires_closure():
     alg = so3()
     with pytest.raises(NotAnIdealError):

@@ -119,6 +119,7 @@ def test_symmetric_space_oracles(family, sizes, rotate):
     assert rep.solvable and not rep.nilpotent
     assert not rep.unimodular and rep.amenable
     assert rep.radical.dim == dim
+    assert not rep.numerically_marginal
 
     expected = trace_x * trace_x / 4.0
     assert lambda0_amenable(alg, report=rep).lambda0 == pytest.approx(expected, rel=1e-12)
