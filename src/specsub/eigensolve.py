@@ -17,6 +17,7 @@ against the dense eigenvalues.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,8 +26,9 @@ import numpy as np
 
 from .errors import SolverConvergenceError
 
-# scipy is imported inside the functions that use it, so that the algebra
-# commands, which build and solve no grid operator, never load it
+# scipy is loaded by _lapack on the first solve, so that the algebra commands,
+# which build and solve no grid operator, never load it; and of scipy the
+# solves load only its LAPACK extension, not the scipy.linalg package
 
 REFINE_STEPS = 2    # inverse-iteration steps after the bracket
 ULPS = 64           # bracket width, shift gap, certification slack: eps * ||M|| units
@@ -141,42 +143,70 @@ def _estimate(Mu: SymmetricForm, unit: float, v, grid_n, mode) -> SpectrumEstima
     return SpectrumEstimate(lam / unit, eigvec, math.sqrt(_dot(r, r)) / unit, grid_n, mode)
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK wrappers, the f2py extension scipy.linalg._flapack,
+    loaded by itself: scipy.linalg.lapack re-exports its routines as the same
+    objects, and the package init of scipy.linalg would cost a fresh process
+    about 0.25 s.  Registered in sys.modules under its own name, it is the
+    copy that a later ``import scipy.linalg`` uses.  Without an extension
+    file, scipy.linalg.lapack itself."""
+    import importlib.machinery as machinery
+    import importlib.util
+    import os
+    import sys
+    import scipy   # scipy's own start-up (its DLL paths on Windows), 20 ms
+
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:        # scipy.linalg, once loaded, has it too
+        spec = machinery.FileFinder(
+            os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+            (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            from scipy.linalg import lapack
+            return lapack
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
 def _factor(Mu: SymmetricForm, s: float):
     """dpttrf's factors of T+ - s, z = (T+ - s)^{-1} w and g(s), or None when
     T+ - s is not positive definite.  M - s is positive definite exactly when
     the result is not None and g(s) > 0."""
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    lapack = _lapack()
     rho, sign = abs(Mu.corner), np.sign(Mu.corner)
     upper = Mu.diag - s
     upper[[0, -1]] += rho
-    fd, fe, info = dpttrf(upper, Mu.off)
+    fd, fe, info = lapack.dpttrf(upper, Mu.off)
     if info:
         return None
     w = np.zeros(Mu.n)
     w[0], w[-1] = 1.0, -sign
-    z = dpttrs(fd, fe, w)[0]
+    z = lapack.dpttrs(fd, fe, w)[0]
     return fd, fe, z, 1.0 - rho * (z[0] - sign * z[-1])
 
 
 def _solve(Mu: SymmetricForm, factors, b):
     """(M - s)^{-1} b from ``_factor(Mu, s)``, by Sherman-Morrison."""
-    from scipy.linalg.lapack import dpttrs
     fd, fe, z, g = factors
-    y = dpttrs(fd, fe, b)[0]
+    y = _lapack().dpttrs(fd, fe, b)[0]
     return y + z * (abs(Mu.corner) * (y[0] - np.sign(Mu.corner) * y[-1]) / g)
 
 
 def _bracket(Mu: SymmetricForm, resolution: float):
     """[lo, hi] holding lambda0 of Mu, and a start vector."""
-    from scipy.linalg.lapack import dstebz, dstein
+    lapack = _lapack()
     rho = abs(Mu.corner)
     lower = Mu.diag.copy()
     lower[[0, -1]] -= rho                 # T-
     # LAPACK bisection for T-'s mu0 (and mu1 on a circle), then mu0's
     # eigenvector alone (asked for together, close pairs are
     # reorthogonalized at many times the cost)
-    _, mu, block, split, _ = dstebz(lower, Mu.off, 2, 0.0, 0.0, 1, 2 if rho else 1, 0.0, "E")
-    v0 = dstein(lower, Mu.off, mu[:1], block, split)[0][:, 0]
+    _, mu, block, split, _ = lapack.dstebz(lower, Mu.off, 2, 0.0, 0.0, 1, 2 if rho else 1,
+                                           0.0, "E")
+    v0 = lapack.dstein(lower, Mu.off, mu[:1], block, split)[0][:, 0]
     if not rho:
         return float(mu[0]), float(mu[0]), v0
     lo, hi = float(mu[0]), float(mu[1])
@@ -198,7 +228,7 @@ def _bracket(Mu: SymmetricForm, resolution: float):
     # lambda0's eigenvector is picked out by (M - lo)^{-1} from e_0 or e_{n-1},
     # or lives away from the wrap edge, as T-'s v0 or v1: start from the
     # lowest Ritz vector of all of them
-    basis = [v0, dstein(lower, Mu.off, mu[1:2], np.roll(block, -1), split)[0][:, 0]]
+    basis = [v0, lapack.dstein(lower, Mu.off, mu[1:2], np.roll(block, -1), split)[0][:, 0]]
     if below is not None:
         ends = np.zeros((2, Mu.n))
         ends[0, 0] = ends[1, -1] = 1.0

@@ -338,16 +338,17 @@ def derived_subalgebra(alg: MetricLieAlgebra, sub: Optional[Ideal] = None,
                                     tols.rank_tol)[0])
 
 
-def _series(alg, step):
-    """The ideals of a span-shrinking bracket step, iterated from the whole
-    algebra until the dimension stabilizes, and whether any cut was marginal."""
-    series, marginal = [full_ideal(alg)], False
-    for _ in range(alg.dim + 1):
+def _series(alg, step, start):
+    """The series of ideals ``start`` (the whole algebra, then [g, g])
+    continued by a span-shrinking bracket step until the dimension
+    stabilizes, and whether any cut of the continuation was marginal."""
+    series, marginal = list(start), False
+    for _ in range(alg.dim):
+        if series[-1].dim in (0, series[-2].dim):
+            break
         rows, flag = step(series[-1].onb)
         series.append(Ideal(alg, rows))
         marginal = marginal or flag
-        if series[-1].dim in (0, series[-2].dim):
-            break
     return series, marginal
 
 
@@ -391,28 +392,32 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
     amenability from the definiteness of the Killing form of the Levi
     quotient (compact type) -- quotient zero counts as amenable.  Every
     rank and definiteness cut is ``_rank`` against the algebra's scale
-    sigma (bracket values) or sigma^2 (Killing values).
+    sigma (bracket values) or sigma^2 (Killing values), and the
+    unimodular cut of the trace functional is against sigma too.
     """
     if alg.dim == 0:
         rad = zero_ideal(alg)
         return ClassificationReport(True, True, True, True, True, rad, (0,), False,
                                     "zero algebra")
     sigma, tol = _bracket_scale(alg), tols.rank_tol
+    # both series start g, [g, g]
+    g = full_ideal(alg)
+    rows, marginal = _bracket_span(alg, g.onb, g.onb, sigma, tol)
+    start = (g, Ideal(alg, rows))
     derived, derived_marginal = _series(
-        alg, lambda s: _bracket_span(alg, s, s, sigma, tol))
-    whole = derived[0].onb
+        alg, lambda s: _bracket_span(alg, s, s, sigma, tol), start)
     lower, lower_marginal = _series(
-        alg, lambda s: _bracket_span(alg, whole, s, sigma, tol))
+        alg, lambda s: _bracket_span(alg, g.onb, s, sigma, tol), start)
     solvable, nilpotent = derived[-1].dim == 0, lower[-1].dim == 0
     # the radical is the Killing-orthogonal of the derived algebra: the null
     # space of the rows v -> B(d_a, v)
     s, vt = np.linalg.svd(derived[1].onb @ alg.killing_form(), full_matrices=True)[1:]
     rank, radical_marginal = _rank(s, sigma ** 2, tol)
     rad = Ideal(alg, vt[rank:])
-    marginal = derived_marginal or lower_marginal or radical_marginal
+    marginal = marginal or derived_marginal or lower_marginal or radical_marginal
     if solvable and rad.dim != alg.dim:
         # keep the report consistent when rank decisions disagree
-        rad, marginal = full_ideal(alg), True
+        rad, marginal = g, True
     semisimple = rad.dim == 0
     if rad.dim == alg.dim:
         amenable = True
@@ -426,7 +431,7 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
         derivation = ("Levi quotient Killing form negative definite"
                       if amenable else "Levi quotient of non-compact type")
     return ClassificationReport(
-        unimodular=alg.is_unimodular(tols.unimodular_tol),
+        unimodular=alg.is_unimodular(tols.unimodular_tol * sigma),
         solvable=solvable,
         nilpotent=nilpotent,
         semisimple=semisimple,

@@ -22,7 +22,9 @@ class Tolerances:
     # and sigma^2 for Killing values, sigma = max(||c||_F in a g-orthonormal
     # basis, 1)
     rank_tol: float = 1e-9
-    unimodular_tol: float = 1e-9 # sup norm of the trace functional
+    # sup norm of the trace functional; classify cuts it at unimodular_tol *
+    # sigma, MetricLieAlgebra.is_unimodular at the absolute value it is given
+    unimodular_tol: float = 1e-9
     # spectral checks
     solver_tol: float = 1e-10    # residual target for the iterative eigensolver
     ineq_tol: float = 1e-8       # allowed slack violation for inequalities

@@ -503,6 +503,8 @@ def _rayleigh_2d(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
     num_th = np.einsum("i,ij,ij->", 1.0 / psi, dth, dth) / (h_theta * h_theta)
     num = (num_x + num_th) * h * h_theta
     den = float(np.einsum("i,ij,ij->", psi, f2d, f2d) * h * h_theta)
+    if not den > 0.0:
+        raise ValueError("f2d has zero norm: it has no Rayleigh quotient")
     return num / den
 
 

@@ -573,7 +573,7 @@ def test_algebra_commands_load_no_scipy(tmp_path):
 
 def test_warped_commands_load_no_scipy_sparse():
     # the warped solver works on three diagonals with LAPACK's tridiagonal
-    # routines, so scipy.linalg is all it loads of scipy
+    # routines, so scipy's LAPACK extension is all it loads of scipy.linalg
     argvs = [["verify-warped", "sinshift", "--grid", "64"],
              ["tail-ess", "exp", "--grid", "256"]]
     probe = ("import json, sys\nfrom specsub.cli import main\n"
@@ -582,6 +582,39 @@ def test_warped_commands_load_no_scipy_sparse():
              "if m.startswith('scipy.sparse'))]))")
     out = _python("-c", probe, json.dumps(argvs))
     assert json.loads(out.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
+
+
+def test_warped_commands_load_the_lapack_extension_alone():
+    # the package init of scipy.linalg (and with it scipy._lib._array_api and
+    # numpy.f2py) is most of a fresh warped call's import time
+    argvs = [["verify-warped", "sinshift", "--grid", "64"],
+             ["tail-ess", "exp", "--grid", "256"]]
+    probe = ("import json, sys\nfrom specsub.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, [m for m in ('scipy.linalg', "
+             "'scipy._lib._array_api', 'numpy.f2py') if m in sys.modules]]))")
+    out = _python("-c", probe, json.dumps(argvs))
+    assert json.loads(out.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
+
+
+def test_lapack_extension_is_the_one_scipy_linalg_uses():
+    probe = ("import numpy as np\nfrom specsub.eigensolve import _lapack\n"
+             "ext = _lapack()\n"
+             "import scipy.linalg, scipy.linalg.lapack as lapack\n"
+             "print(all(getattr(ext, f) is getattr(lapack, f)\n"
+             "          for f in ('dstebz', 'dstein', 'dpttrf', 'dpttrs')))\n"
+             "vals = scipy.linalg.eigh_tridiagonal(2.0 * np.ones(3), -np.ones(2),\n"
+             "                                     eigvals_only=True)\n"
+             "print(np.allclose(vals, [2 - 2 ** 0.5, 2, 2 + 2 ** 0.5]))")
+    assert _python("-c", probe).splitlines() == ["True", "True"]
+
+
+def test_lapack_without_an_extension_file_is_scipy_linalg_lapack(tmp_path):
+    # _lapack looks for the extension beside scipy.__file__, the package
+    # import goes by scipy.__path__
+    probe = ("import sys, scipy\nscipy.__file__ = sys.argv[1]\n"
+             "from specsub.eigensolve import _lapack\nprint(_lapack().__name__)")
+    assert _python("-c", probe, str(tmp_path / "__init__.py")) == "scipy.linalg.lapack\n"
 
 
 def test_bare_import_loads_no_scipy():

@@ -9,14 +9,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import change_basis
+from conftest import change_basis, rotate_algebra
 from specsub.eigensolve import SolverConfig, SymmetricForm, lowest_eigenvalue
 from specsub.fixtures import LIE_BUILTINS, catalog_fixture
 from specsub.group_spectra import group_spectrum_report
 from specsub.lie_core import MetricLieAlgebra, classify
+from specsub.tolerances import DEFAULT
 from specsub.warped_spectra import (CircleBase, WarpProfile, WarpedProductSpec,
-                                    build_schrodinger)
+                                    build_schrodinger, pushdown_slack)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -62,6 +64,16 @@ def test_marginal_flag_is_basis_invariant(name):
     q = np.linalg.qr(np.arange(1.0, alg.dim ** 2 + 1).reshape(alg.dim, alg.dim) ** 0.5)[0]
     assert not classify(alg).numerically_marginal
     assert not classify(change_basis(alg, q)).numerically_marginal
+
+
+@pytest.mark.parametrize("name", ["sl2", "paper_example3", "heisenberg3", "so3"])
+def test_unimodular_cut_is_relative_to_the_bracket_scale(name):
+    # the trace functional's round-off grows with c: at 1e7 it is about 1e-9
+    alg, rng = catalog_fixture(name), np.random.default_rng(9)
+    for _ in range(20):
+        rot = rotate_algebra(alg, rng)
+        scaled = MetricLieAlgebra(rot.dim, 1e7 * rot.structure, rot.metric)
+        assert classify(scaled).unimodular
 
 
 @PROPERTY
@@ -114,3 +126,26 @@ def test_schrodinger_operator_is_positive_semidefinite(case):
     op = build_schrodinger(spec, len(samples))
     norm = np.max(np.sum(np.abs(op.dense()), axis=1))
     assert lowest_eigenvalue(op, UNCHECKED).lambda0 >= -64 * EPS * norm
+
+
+@st.composite
+def sampled_circle_functions(draw):
+    """A positive sampled circle warp with n in [16, 64] nodes and a grid
+    function on the n x m product grid."""
+    n = draw(st.integers(16, 64))
+    samples = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    spec = WarpedProductSpec(CircleBase(draw(st.floats(1.0, 10.0))),
+                             WarpProfile("samples", (), samples=np.array(samples)))
+    f2d = draw(arrays(float, (n, draw(st.integers(2, 16))), elements=st.floats(-10.0, 10.0)))
+    return spec, f2d
+
+
+@PROPERTY
+@given(sampled_circle_functions())
+def test_pushdown_slack_is_nonnegative(case):
+    spec, f2d = case
+    if not f2d.any():
+        with pytest.raises(ValueError, match="zero norm"):
+            pushdown_slack(spec, f2d, f2d.shape[0])
+    else:
+        assert pushdown_slack(spec, f2d, f2d.shape[0]) >= -DEFAULT.ineq_tol
