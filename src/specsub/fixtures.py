@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from typing import Optional, Union
 
 import numpy as np
@@ -160,19 +161,15 @@ def catalog_fixture(name: str, c: Optional[float] = None) -> Fixture:
 # -- serialization -------------------------------------------------------------
 
 def lie_fixture_text(alg: MetricLieAlgebra) -> str:
-    lines = [f"dim {alg.dim}"]
-    c = alg.structure
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in range(alg.dim):
-                if c[i, j, k] != 0.0:
-                    lines.append(f"bracket {i+1} {j+1} {k+1} {float(c[i, j, k])!r}")
-    g = alg.metric
-    for i in range(alg.dim):
-        for j in range(i, alg.dim):
-            default = 1.0 if i == j else 0.0
-            if g[i, j] != default:
-                lines.append(f"metric {i+1} {j+1} {float(g[i, j])!r}")
+    n, c, g = alg.dim, alg.structure, alg.metric
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    i, j, k = np.nonzero((c != 0.0) & upper[:, :, None])
+    a, b = np.nonzero((g != np.eye(n)) & (upper | np.eye(n, dtype=bool)))
+    lines = [f"dim {n}"]
+    lines += map("bracket {} {} {} {!r}".format, (i + 1).tolist(), (j + 1).tolist(),
+                 (k + 1).tolist(), c[i, j, k].tolist())
+    lines += map("metric {} {} {!r}".format, (a + 1).tolist(), (b + 1).tolist(),
+                 g[a, b].tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -225,18 +222,40 @@ def _parse_int(tok, lineno):
 
 
 def parse_fixture_text(text: str, tols: Tolerances = DEFAULT) -> Fixture:
+    lie = _parse_lie_bulk(text)
+    if lie is not None:
+        return _lie_algebra(*lie, tols)
+    return _parse_lines(text, tols)
+
+
+def _parse_lines(text: str, tols: Tolerances = DEFAULT) -> Fixture:
+    """The per-line parser: every file the bulk path does not accept, and the
+    source of every FixtureParseError."""
     rows = list(_tokens(text))
     if not rows:
         raise FixtureParseError("empty fixture file")
     head = rows[0][1][0]
     if head == "dim":
-        return _parse_lie(rows, tols)
+        return _lie_algebra(*_parse_lie(rows), tols)
     if head in ("base", "fiber_dim", "fiber_lambda0", "warp"):
         return _parse_warp(rows)
     raise FixtureParseError(f"unknown directive {head!r}", rows[0][0])
 
 
-def _parse_lie(rows, tols: Tolerances) -> MetricLieAlgebra:
+def _lie_algebra(n: int, c: np.ndarray, g: np.ndarray,
+                 tols: Tolerances) -> MetricLieAlgebra:
+    try:
+        min_eig = float(np.min(np.linalg.eigvalsh(g)))
+    except np.linalg.LinAlgError:
+        min_eig = float("-inf")
+    if min_eig <= tols.spd_tol:
+        raise FixtureParseError(
+            f"metric is not positive definite (min eigenvalue {min_eig:.3e})")
+    return MetricLieAlgebra(n, c, g)
+
+
+def _parse_lie(rows):
+    """-> (n, c, g) from the token rows of a Lie file, one line at a time."""
     lineno, toks = rows[0]
     if toks[0] != "dim" or len(toks) != 2:
         raise FixtureParseError("lie fixtures start with 'dim n'", lineno)
@@ -284,14 +303,77 @@ def _parse_lie(rows, tols: Tolerances) -> MetricLieAlgebra:
             g[j - 1, i - 1] = v
         else:
             raise FixtureParseError(f"unknown directive {kind!r}", lineno)
-    try:
-        min_eig = float(np.min(np.linalg.eigvalsh(g)))
-    except np.linalg.LinAlgError:
-        min_eig = float("-inf")
-    if min_eig <= tols.spd_tol:
-        raise FixtureParseError(
-            f"metric is not positive definite (min eigenvalue {min_eig:.3e})")
-    return MetricLieAlgebra(n, c, g)
+    return n, c, g
+
+
+# A Lie file in which every line is blank, a comment or one directive of the
+# strict ASCII grammar below is parsed in bulk, without a Python object per
+# token.  Its integers have at most 15 digits, so they are exact as float64,
+# and every number converts by the same correctly rounded routine as float()
+# (np.fromstring calls PyOS_string_to_double).  Anything else, or a row that
+# fails a check, goes to the per-line parser, which owns the error messages.
+_SEP = r"[ \t]+"
+_INT = r"[+-]?[0-9]{1,15}"
+_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+# no line break of str.splitlines inside a comment
+_COMMENT = r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?"
+_LIE_LINE = (rf"[ \t]*(?:(?:dim{_SEP}{_INT}|bracket{_SEP}{_INT}{_SEP}{_INT}{_SEP}{_INT}{_SEP}"
+             rf"{_NUMBER}|metric{_SEP}{_INT}{_SEP}{_INT}{_SEP}{_NUMBER})[ \t]*)?{_COMMENT}"
+             r"\r?(?=\n|\Z)")
+# a line break before a line outside the grammar; the literal '\n' lets the
+# search skip from line break to line break
+_LIE_BAD_LINE = rf"\n(?!{_LIE_LINE})"
+_LIE_DIM = rf"\s*dim{_SEP}({_INT})"
+
+
+def _parse_lie_bulk(text: str):
+    """-> (n, c, g) for a Lie file the bulk path accepts exactly, else None."""
+    # the patterns compile on first use (re caches them), not at import; the
+    # leading '\n' puts the first line under the same check as the others
+    if re.search(_LIE_BAD_LINE, "\n" + text):
+        return None
+    if "#" in text:
+        text = re.sub("#.*", "", text)
+    head = re.match(_LIE_DIM, text)
+    if head is None or text.count("dim") != 1:
+        return None
+    n = int(head[1])
+    if n < 1:
+        return None
+    c = np.zeros((n, n, n))
+    g = np.eye(n)
+    count = text.count("bracket") + text.count("metric")
+    if count == 0:          # np.fromstring reads a blank string as [-1.]
+        return n, c, g
+    # one row (tag, i, j, k, v) per directive: tag 1 is a bracket, a metric
+    # line becomes (0, 0, i, j, v)
+    body = text[head.end():].replace("bracket", "1").replace("metric", "0 0")
+    rows = np.fromstring(body, sep=" ").reshape(count, 5)
+    bracket = rows[:, 0] == 1.0
+    idx, val = rows[:, 1:4], rows[:, 4]
+    in_range = (idx >= 1.0) & (idx <= n)
+    in_range[~bracket, 0] = True
+    if not (in_range.all() and np.isfinite(val).all()):
+        return None
+    idx = idx.astype(np.intp) - 1
+    i, j, k = idx[bracket].T
+    v = val[bracket]
+    mi, mj = idx[~bracket, 1:].T
+    w = val[~bracket]
+    lo, hi = np.minimum(mi, mj), np.maximum(mi, mj)
+    if ((i >= j).any() or _has_duplicates((i * n + j) * n + k)
+            or _has_duplicates(lo * n + hi)):
+        return None
+    c[i, j, k] = v
+    c[j, i, k] = -v
+    g[mi, mj] = w
+    g[mj, mi] = w
+    return n, c, g
+
+
+def _has_duplicates(keys: np.ndarray) -> bool:
+    keys = np.sort(keys)
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def _parse_warp(rows) -> WarpedProductSpec:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -489,28 +490,53 @@ def pushdown(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> np.ndarra
     return _pushdown(psi, np.asarray(f2d, dtype=float))
 
 
-def _rayleigh_2d(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
-                 f2d: np.ndarray) -> float:
+# Below this a sum of squares may hold subnormal terms whose rounding errors
+# exceed eps of the sum.
+_SUMSQ_MIN = sys.float_info.min / sys.float_info.epsilon
+
+
+def _quotient_terms(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
+                    f2d: np.ndarray) -> Tuple[float, float]:
+    """(numerator, denominator) of the discrete Rayleigh quotient of f2d."""
     h_theta = 2.0 * np.pi / f2d.shape[1]
     h = grid.h
     # base-direction differences on the same edges as the operators
     cond = np.sqrt(psi_pad[:-1] * psi_pad[1:])
     f_pad = grid.pad(f2d)
     dx = f_pad[1:] - f_pad[:-1]
-    # one pass per sum, without n x m temporaries for the products
-    num_x = np.einsum("e,ej,ej->", cond, dx, dx) / (h * h)
+    # one pass per sum, without n x m temporaries for the products; Python
+    # floats from here on, which overflow to inf without a warning
+    num_x = float(np.einsum("e,ej,ej->", cond, dx, dx)) / (h * h)
     dth = np.roll(f2d, -1, axis=1) - f2d
-    num_th = np.einsum("i,ij,ij->", 1.0 / psi, dth, dth) / (h_theta * h_theta)
+    num_th = float(np.einsum("i,ij,ij->", 1.0 / psi, dth, dth)) / (h_theta * h_theta)
     num = (num_x + num_th) * h * h_theta
-    den = float(np.einsum("i,ij,ij->", psi, f2d, f2d) * h * h_theta)
+    den = float(np.einsum("i,ij,ij->", psi, f2d, f2d)) * h * h_theta
+    return num, den
+
+
+def _rayleigh_2d(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
+                 f2d: np.ndarray) -> Tuple[float, np.ndarray]:
+    """-> (R(f2d), the f2d it was computed on).
+
+    R is invariant under f -> t f.  When the sums of squares overflow or
+    underflow, f2d is rescaled by the power of two that brings max |f2d| into
+    [0.5, 1), which is exact, and the quotient is taken again; that f2d is
+    returned for the other scale-invariant terms of the caller.
+    """
+    num, den = _quotient_terms(grid, psi, psi_pad, f2d)
+    if not (math.isfinite(num) and _SUMSQ_MIN <= den < math.inf):
+        top = float(np.max(np.abs(f2d)))
+        if 0.0 < top < math.inf:
+            f2d = np.ldexp(f2d, -math.frexp(top)[1])
+            num, den = _quotient_terms(grid, psi, psi_pad, f2d)
     if not den > 0.0:
         raise ValueError("f2d has zero norm: it has no Rayleigh quotient")
-    return num / den
+    return num / den, f2d
 
 
 def rayleigh_2d(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
     """Discrete Rayleigh quotient of the warped metric on base x S^1."""
-    return _rayleigh_2d(*_sample(spec, grid_n), np.asarray(f2d, dtype=float))
+    return _rayleigh_2d(*_sample(spec, grid_n), np.asarray(f2d, dtype=float))[0]
 
 
 def pushdown_slack(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
@@ -519,10 +545,9 @@ def pushdown_slack(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> flo
     Nonnegative up to round-off for a circle fiber by construction.
     """
     grid, psi, psi_pad = _sample(spec, grid_n)
-    f2d = np.asarray(f2d, dtype=float)
+    r2, f2d = _rayleigh_2d(grid, psi, psi_pad, np.asarray(f2d, dtype=float))
     h = _pushdown(psi, f2d)
     s_op = _schrodinger(spec, grid, psi, psi_pad)
-    r2 = _rayleigh_2d(grid, psi, psi_pad, f2d)
     rs = s_op.rayleigh(h)
     wh2 = s_op.weights * h * h
     fiber_term = spec.fiber_lambda0 * float(np.sum(wh2 / psi ** 2) / np.sum(wh2))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,11 +10,13 @@ import pytest
 
 import specsub.cli
 import specsub.group_spectra
+from conftest import an_structure, heisenberg_type_structure, rotated
 from specsub.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                          RunConfig, main, run)
 from specsub.errors import FixtureParseError
-from specsub.fixtures import (LIE_BUILTINS, WARP_BUILTINS, catalog_fixture,
-                              catalog_ideals, fixture_text, parse_fixture_text)
+from specsub.fixtures import (LIE_BUILTINS, WARP_BUILTINS, _parse_lines,
+                              catalog_fixture, catalog_ideals, fixture_text,
+                              lie_fixture_text, parse_fixture_text)
 from specsub.lie_core import MetricLieAlgebra, validate
 from specsub.warped_spectra import (CircleBase, IntervalBase, WarpedProductSpec,
                                     verify_warped)
@@ -169,6 +172,60 @@ def test_sampled_warp_round_trip():
     text = fixture_text(spec)
     back = parse_fixture_text(text)
     assert np.array_equal(back.warp.samples, samples)
+
+
+def _lie_fixture_text_loop(alg):
+    """The one-entry-at-a-time serializer that lie_fixture_text replaced."""
+    lines = [f"dim {alg.dim}"]
+    c, g = alg.structure, alg.metric
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            for k in range(alg.dim):
+                if c[i, j, k] != 0.0:
+                    lines.append(f"bracket {i+1} {j+1} {k+1} {float(c[i, j, k])!r}")
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            if g[i, j] != (1.0 if i == j else 0.0):
+                lines.append(f"metric {i+1} {j+1} {float(g[i, j])!r}")
+    return "\n".join(lines) + "\n"
+
+
+def _rotated_large():
+    """Rotated AN25 and HT(24, 16), the second with a random SPD metric."""
+    rng = np.random.default_rng(11)
+    an25 = MetricLieAlgebra(25, rotated(an_structure(24), rng), np.eye(25))
+    a = rng.standard_normal((41, 41))
+    g = a @ a.T / 41 + np.eye(41)
+    ht41 = MetricLieAlgebra(41, rotated(heisenberg_type_structure(24, 16, rng), rng),
+                            np.triu(g) + np.triu(g, 1).T)
+    return [an25, ht41]
+
+
+def test_lie_fixture_text_matches_the_loop_byte_for_byte():
+    algebras = [catalog_fixture(name, 0.25 if name == "affine2" else None)
+                for name in sorted(LIE_BUILTINS)] + _rotated_large()
+    for alg in algebras:
+        assert lie_fixture_text(alg) == _lie_fixture_text_loop(alg)
+
+
+def _ht41_text():
+    """A rotated Heisenberg-type algebra of dimension 41 as a .lie file."""
+    rng = np.random.default_rng(7)
+    c = rotated(heisenberg_type_structure(24, 16, rng), rng)
+    return fixture_text(MetricLieAlgebra(41, c, np.eye(41)))
+
+
+def test_parse_of_a_dimension_41_file_peaks_below_eight_times_its_text():
+    # a Python object per token cost 17.7 times the text at peak
+    text = _ht41_text()
+    tracemalloc.start()
+    try:
+        alg = parse_fixture_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(alg.structure, _parse_lines(text).structure)
+    assert peak <= 8 * len(text), peak / len(text)
 
 
 # -- CLI ---------------------------------------------------------------------------
@@ -360,7 +417,8 @@ def test_run_verify_warped_scans_modes_once(monkeypatch):
     ("dim 2\nmetric 1 1 nan\n", 2),
     ("dim 3\nbracket 1 2 3 nan\n", 2),
     ("dim 3\nbracket 1 2 3 inf\n", 2),
-], ids=["metric-nan", "bracket-nan", "bracket-inf"])
+    ("dim 3\nbracket 1 2 3 1e999\n", 2),
+], ids=["metric-nan", "bracket-nan", "bracket-inf", "bracket-overflow"])
 def test_run_rejects_non_finite_lie_entries(tmp_path, text, line):
     f = tmp_path / "nonfinite.lie"
     f.write_text(text)
@@ -490,13 +548,18 @@ def test_main_seed_is_accepted_and_ignored(capsys):
     assert outs[0] == outs[1]
 
 
-def _python(*args, **env):
-    """stdout of a fresh interpreter that imports specsub from this source tree."""
+def _run(*args, **env):
+    """A fresh interpreter that imports specsub from this source tree."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(specsub.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])), **env)
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=60)
+
+
+def _python(*args, **env):
+    """stdout of a fresh interpreter that imports specsub from this source tree."""
+    proc = _run(*args, **env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -615,6 +678,14 @@ def test_lapack_without_an_extension_file_is_scipy_linalg_lapack(tmp_path):
     probe = ("import sys, scipy\nscipy.__file__ = sys.argv[1]\n"
              "from specsub.eigensolve import _lapack\nprint(_lapack().__name__)")
     assert _python("-c", probe, str(tmp_path / "__init__.py")) == "scipy.linalg.lapack\n"
+
+
+def test_analyze_of_lie_files_writes_nothing_to_stderr(tmp_path):
+    (tmp_path / "only_dim.lie").write_text("dim 3\n")
+    (tmp_path / "ht41.lie").write_text(_ht41_text())
+    for name in ("only_dim.lie", "ht41.lie"):
+        proc = _run("-m", "specsub", "analyze", str(tmp_path / name))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
 def test_bare_import_loads_no_scipy():

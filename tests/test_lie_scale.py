@@ -15,32 +15,7 @@ from specsub.group_spectra import lambda0_amenable, quotient_bound
 from specsub.lie_core import (Ideal, MetricLieAlgebra, _bracket_products,
                               classify, derived_subalgebra, validate)
 
-
-def an_structure(n):
-    c = np.zeros((n + 1,) * 3)
-    for i in range(1, n + 1):
-        c[0, i, i], c[i, 0, i] = 1.0, -1.0
-    return c
-
-
-def heisenberg_type_structure(p, q, rng):
-    n = 1 + p + q
-    c = np.zeros((n,) * 3)
-    for i in range(1, 1 + p):
-        c[0, i, i], c[i, 0, i] = 0.5, -0.5
-    for k in range(1 + p, n):
-        c[0, k, k], c[k, 0, k] = 1.0, -1.0
-        j = rng.standard_normal((p, p))
-        c[1:1 + p, 1:1 + p, k] = j - j.T
-    return c
-
-
-def rotated(c, rng):
-    """Structure constants in the orthonormal basis f_a = sum_i Q[i, a] e_i."""
-    q, _ = np.linalg.qr(rng.standard_normal((c.shape[0],) * 2))
-    c = np.tensordot(q, c, axes=(0, 0))           # [a, j, k]
-    c = np.tensordot(c, q, axes=(1, 0))           # [a, k, b]
-    return np.tensordot(c, q, axes=(1, 0))        # [a, b, c]
+from conftest import an_structure, heisenberg_type_structure, rotated
 
 
 def random_structure(n, rng):

@@ -1,4 +1,5 @@
-"""Property tests of the closed-form Lie results and of the warped solver.
+"""Property tests of the closed-form Lie results, the warped solver and the
+fixture parser.
 
 Hypothesis runs derandomized with a bounded number of examples, so the suite
 stays deterministic and fast.
@@ -13,12 +14,15 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import change_basis, rotate_algebra
 from specsub.eigensolve import SolverConfig, SymmetricForm, lowest_eigenvalue
-from specsub.fixtures import LIE_BUILTINS, catalog_fixture
+from specsub.errors import FixtureParseError
+from specsub.fixtures import (LIE_BUILTINS, _parse_lie_bulk, _parse_lines,
+                              catalog_fixture, fixture_text, parse_fixture_text)
 from specsub.group_spectra import group_spectrum_report
 from specsub.lie_core import MetricLieAlgebra, classify
 from specsub.tolerances import DEFAULT
-from specsub.warped_spectra import (CircleBase, WarpProfile, WarpedProductSpec,
-                                    build_schrodinger, pushdown_slack)
+from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase, WarpProfile,
+                                    WarpedProductSpec, build_schrodinger,
+                                    pushdown_slack)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -149,3 +153,127 @@ def test_pushdown_slack_is_nonnegative(case):
             pushdown_slack(spec, f2d, f2d.shape[0])
     else:
         assert pushdown_slack(spec, f2d, f2d.shape[0]) >= -DEFAULT.ineq_tol
+
+
+# -- the fixture parser ---------------------------------------------------------
+
+# finite floats, with subnormal and near-overflow values drawn on purpose
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([5e-324, -2.2e-309, 1.7976931348623157e308, -1e308]))
+
+
+@st.composite
+def lie_algebras(draw):
+    """Dimension 1 to 12, sparse random brackets and a random SPD metric."""
+    n = draw(st.integers(1, 12))
+    keys = [(i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(n)]
+    c = np.zeros((n, n, n))
+    if keys:
+        for i, j, k in draw(st.lists(st.sampled_from(keys), unique=True, max_size=24)):
+            c[i, j, k] = draw(FINITE)
+            c[j, i, k] = -c[i, j, k]
+    a = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    g = a @ a.T + np.eye(n)
+    return MetricLieAlgebra(n, c, np.triu(g) + np.triu(g, 1).T)
+
+
+@st.composite
+def warp_specs(draw):
+    positive = st.floats(1e-3, 1e3)
+    if draw(st.booleans()):
+        base = CircleBase(draw(positive))
+    else:
+        a = draw(st.floats(-1e3, 1e3))
+        base = IntervalBase(a, a + draw(positive), draw(st.sampled_from(list(Boundary))))
+    kind = draw(st.sampled_from(["const", "exp", "sinshift", "samples"]))
+    if kind == "samples":
+        samples = draw(st.lists(positive, min_size=16, max_size=40))
+        warp = WarpProfile(kind, (), samples=np.array(samples))
+    else:
+        warp = WarpProfile(kind, (draw(positive),))
+    return WarpedProductSpec(base, warp, fiber_dim=draw(st.integers(1, 8)),
+                             fiber_lambda0=draw(st.floats(0.0, 1e3)))
+
+
+def outcome(parse, text):
+    """The error message and line, or the parsed algebra's bytes."""
+    try:
+        alg = parse(text)
+    except FixtureParseError as err:
+        return str(err), err.line
+    return alg.structure.tobytes(), alg.metric.tobytes()
+
+
+@PROPERTY
+@given(lie_algebras())
+def test_lie_fixture_text_round_trips(alg):
+    back = parse_fixture_text(fixture_text(alg))
+    assert back.dim == alg.dim
+    assert np.array_equal(back.structure, alg.structure)
+    assert np.array_equal(back.metric, alg.metric)
+
+
+@PROPERTY
+@given(warp_specs())
+def test_warp_fixture_text_round_trips(spec):
+    back = parse_fixture_text(fixture_text(spec))
+    assert back.base == spec.base
+    assert (back.warp.kind, back.warp.params) == (spec.warp.kind, spec.warp.params)
+    assert np.array_equal(back.warp.samples, spec.warp.samples)
+    assert (back.fiber_dim, back.fiber_lambda0) == (spec.fiber_dim, spec.fiber_lambda0)
+
+
+CORRUPTIONS = ["not-a-number", "index", "order", "duplicate", "non-finite", "directive"]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(lie_algebras(), st.sampled_from(CORRUPTIONS), st.data())
+def test_a_corrupted_lie_file_fails_as_the_per_line_parser_says(alg, how, data):
+    lines = fixture_text(alg).splitlines()
+    at = data.draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))
+    toks = lines[at].split()
+    if how == "not-a-number":
+        toks[-1] = data.draw(st.sampled_from(["x", "1.0.0", "0x10", "1e", "--1"]))
+    elif how == "index":
+        pos = data.draw(st.integers(1, max(1, len(toks) - 2)))
+        toks[pos] = data.draw(st.sampled_from(["0", "-1", str(alg.dim + 1)]))
+    elif how == "order" and toks[0] == "bracket":
+        toks[1], toks[2] = toks[2], data.draw(st.sampled_from([toks[1], toks[2]]))
+    elif how == "duplicate":
+        lines.insert(at, lines[at])
+    elif how == "non-finite":
+        toks[-1] = data.draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+    elif how == "directive":
+        toks[0] = "frobnicate"
+    if how != "duplicate":
+        lines[at] = " ".join(toks)
+    text = "\n".join(lines) + "\n"
+    assert outcome(parse_fixture_text, text) == outcome(_parse_lines, text)
+
+
+@PROPERTY
+@given(lie_algebras(), st.data())
+def test_formatting_does_not_change_the_parsed_algebra(alg, data):
+    # comments, blank lines, tabs, CRLF and the spellings +1 and 1_0
+    def spell(tok, integer):
+        forms = [tok] if tok.startswith("-") else [tok, "+" + tok]
+        if integer and len(tok) > 1:
+            forms.append(tok[0] + "_" + tok[1:])
+        return data.draw(st.sampled_from(forms))
+
+    clean = fixture_text(alg)
+    out = [data.draw(st.sampled_from(["", "# leading comment"]))]
+    for line in clean.splitlines():
+        toks = line.split()
+        toks = [toks[0]] + [spell(t, integer=m < len(toks) - 2 or toks[0] == "dim")
+                            for m, t in enumerate(toks[1:])]
+        sep = data.draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+        tail = data.draw(st.sampled_from(["", " # note", "\t#", "  # bracket 1 2 3 4.0"]))
+        out.append(data.draw(st.sampled_from(["", " ", "\t"])) + sep.join(toks) + tail)
+        out += data.draw(st.sampled_from([[], [""], ["   "], ["# metric 1 1 2.0"]]))
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(out) + eol
+    assert outcome(parse_fixture_text, text) == outcome(_parse_lines, text) \
+        == outcome(parse_fixture_text, clean)
+    if "_" not in text:
+        assert _parse_lie_bulk(text) is not None

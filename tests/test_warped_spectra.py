@@ -294,6 +294,29 @@ def test_pushdown_slack_tight_at_ground_state():
         assert -1e-10 <= s <= 1e-8
 
 
+@pytest.mark.parametrize("t", [1e160, 1e-160, 2.0 ** 520, 2.0 ** -560])
+def test_pushdown_is_invariant_under_extreme_scaling(t):
+    # the sums of squares of t f overflow (1e160) or lose digits to underflow
+    # (1e-160); a power of two of max |f| scales them back exactly
+    spec = warp_sinshift(1.0)
+    f2d = np.random.default_rng(4).standard_normal((64, 16))
+    r, s = rayleigh_2d(spec, f2d, 64), pushdown_slack(spec, f2d, 64)
+    rt, st = rayleigh_2d(spec, t * f2d, 64), pushdown_slack(spec, t * f2d, 64)
+    if np.frexp(t)[0] == 0.5:
+        assert (rt, st) == (r, s)
+    else:
+        assert rt == pytest.approx(r, rel=1e-13)
+        assert abs(st - s) <= 1e-13 * r
+
+
+def test_pushdown_of_a_subnormal_function_has_a_norm():
+    spec = warp_sinshift(1.0)
+    tiny, ones = np.full((64, 16), 2.2e-309), np.ones((64, 16))
+    assert rayleigh_2d(spec, tiny, 64) == rayleigh_2d(spec, ones, 64) == 0.0
+    assert pushdown_slack(spec, tiny, 64) == pytest.approx(
+        pushdown_slack(spec, ones, 64), abs=1e-12)
+
+
 def test_rayleigh_2d_separates_for_const_warp():
     # product metric: R(u(x)v(theta)) = R_base(u) + R_fiber(v)
     spec = warp_const(1.0)
