@@ -94,7 +94,8 @@ class SymmetricForm:
             raise ValueError(f"operator is not tridiagonal plus a circle's corner: {n} "
                              f"diagonal, {self.off.size} off-diagonal entries, "
                              f"{self.weights.size} weights, corner {self.corner!r}")
-        if not np.isfinite(np.r_[self.diag, self.off, self.corner]).all():
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()
+                and math.isfinite(self.corner)):
             raise ValueError("operator has non-finite entries")
         if not (np.isfinite(self.weights) & (self.weights > 0.0)).all():
             raise ValueError("weights must be finite and positive")

@@ -104,6 +104,10 @@ class WarpedProductSpec:
             raise ValueError("fiber dimension must be positive")
         if self.fiber_lambda0 < 0:
             raise ValueError("fiber lambda0 must be nonnegative")
+        # the samples and S per grid size (see _sample): not a field, so eq,
+        # hash, repr and replace never see it; the fields are frozen, so it
+        # cannot go stale
+        object.__setattr__(self, "_memo", {})
 
 
 @dataclass(frozen=True)
@@ -220,10 +224,21 @@ def warp_values(spec: WarpedProductSpec, grid: Grid) -> np.ndarray:
 
 
 def _sample(spec: WarpedProductSpec, grid_n: int):
-    """The base grid, psi at its nodes and psi laid out by ``Grid.pad``."""
-    grid = base_grid(spec, grid_n)
-    psi, ends = _warp(spec, grid)
-    return grid, psi, grid.pad(psi, *ends)
+    """The base grid, psi at its nodes and psi laid out by ``Grid.pad``,
+    read-only and taken once per spec and grid size."""
+    key = ("sample", grid_n)
+    if key not in spec._memo:
+        grid = base_grid(spec, grid_n)
+        psi, ends = _warp(spec, grid)
+        psi_pad = grid.pad(psi, *ends)
+        _freeze(grid.x, psi, psi_pad)
+        spec._memo[key] = grid, psi, psi_pad
+    return spec._memo[key]
+
+
+def _freeze(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
 
 
 def _extrapolate(three, t):
@@ -292,16 +307,23 @@ def _potential(grid: Grid, phi: np.ndarray, phi_pad: np.ndarray) -> np.ndarray:
     return (nbr - deg * phi) / (phi * (grid.h * grid.h))
 
 
-def _schrodinger(spec: WarpedProductSpec, grid: Grid, psi: np.ndarray,
-                 psi_pad: np.ndarray) -> DiscreteOperator:
-    k_half = spec.fiber_dim / 2.0
-    V = _potential(grid, psi ** k_half, psi_pad ** k_half)
-    return _operator(grid, np.ones(psi_pad.size - 1), V, np.ones(grid.x.size), "S")
+def _schrodinger(spec: WarpedProductSpec, grid_n: int) -> DiscreteOperator:
+    """S on the grid of ``_sample``, read-only and built once per spec and
+    grid size."""
+    key = ("S", grid_n)
+    if key not in spec._memo:
+        grid, psi, psi_pad = _sample(spec, grid_n)
+        k_half = spec.fiber_dim / 2.0
+        V = _potential(grid, psi ** k_half, psi_pad ** k_half)
+        op = _operator(grid, np.ones(psi_pad.size - 1), V, np.ones(grid.x.size), "S")
+        _freeze(op.diag, op.off, op.weights)
+        spec._memo[key] = op
+    return spec._memo[key]
 
 
 def build_schrodinger(spec: WarpedProductSpec, grid_n: int) -> DiscreteOperator:
     """S = -f'' + V f with V = (psi^{k/2})''/psi^{k/2}, uniform weights."""
-    return _schrodinger(spec, *_sample(spec, grid_n))
+    return _schrodinger(spec, grid_n)
 
 
 def _mode_operators(spec: WarpedProductSpec, grid_n: int, modes):
@@ -388,8 +410,8 @@ def verify_warped(spec: WarpedProductSpec, grid_n: int,
     """
     ests = mode_scan(spec, grid_n, m_max, cfg)
     lams = tuple(e.lambda0 for e in ests)
-    grid, psi, psi_pad = _sample(spec, grid_n)
-    s_est = solve_lowest(_schrodinger(spec, grid, psi, psi_pad), cfg)
+    psi_pad = _sample(spec, grid_n)[2]
+    s_est = solve_lowest(_schrodinger(spec, grid_n), cfg)
     residuals = tuple(e.residual for e in ests) + (s_est.residual,)
     total = min(lams)
     rhs = s_est.lambda0 + spec.fiber_lambda0 * float(np.min(1.0 / psi_pad ** 2))
@@ -477,66 +499,95 @@ def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int,
 
 # -- pushdown of 2D grid functions --------------------------------------------
 
-def _pushdown(psi: np.ndarray, f2d: np.ndarray) -> np.ndarray:
-    if f2d.shape[0] != psi.size:
-        raise ValueError("first axis of f2d must match the base grid")
-    h_theta = 2.0 * np.pi / f2d.shape[1]
-    return np.sqrt(np.einsum("ij,ij->i", f2d, f2d) * psi * h_theta)
-
-
-def pushdown(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> np.ndarray:
-    """h(x_i) = sqrt of the fiber integral of f^2 with the warped fiber measure."""
-    _, psi, _ = _sample(spec, grid_n)
-    return _pushdown(psi, np.asarray(f2d, dtype=float))
-
-
 # Below this a sum of squares may hold subnormal terms whose rounding errors
 # exceed eps of the sum.
 _SUMSQ_MIN = sys.float_info.min / sys.float_info.epsilon
 
 
+def _grid_function(psi: np.ndarray, f2d) -> np.ndarray:
+    f2d = np.asarray(f2d, dtype=float)
+    if f2d.ndim != 2 or f2d.shape[0] != psi.size:
+        raise ValueError("first axis of f2d must match the base grid")
+    return f2d
+
+
+def _rescaled(f2d: np.ndarray) -> Tuple[np.ndarray, int]:
+    """(f2d * 2**-e, e) with the e that brings max |f2d| into [0.5, 1)
+    (0 for the zero function): an exact rescaling for sums of squares that
+    overflow or underflow."""
+    top = float(np.max(np.abs(f2d)))
+    if not math.isfinite(top):
+        raise ValueError("f2d has non-finite entries")
+    e = math.frexp(top)[1]
+    return np.ldexp(f2d, -e), e
+
+
+def _fiber_sums(psi: np.ndarray, f2d: np.ndarray) -> Tuple[np.ndarray, float]:
+    """(sums of f2d^2 along the fiber, their sum weighted by psi).  einsum
+    overflows to inf without a warning, and so do Python floats."""
+    rows = np.einsum("ij,ij->i", f2d, f2d)
+    return rows, float(np.einsum("i,i->", psi, rows))
+
+
+def _pushdown(psi: np.ndarray, rows: np.ndarray, n_theta: int) -> np.ndarray:
+    return np.sqrt(rows * psi * (2.0 * np.pi / n_theta))
+
+
+def pushdown(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> np.ndarray:
+    """h(x_i) = sqrt of the fiber integral of f^2 with the warped fiber measure."""
+    _, psi, _ = _sample(spec, grid_n)
+    f2d = _grid_function(psi, f2d)
+    rows, total = _fiber_sums(psi, f2d)
+    e = 0
+    # total * h_theta bounds every h^2, so h^2 is finite when it is
+    if not _SUMSQ_MIN <= total * (2.0 * np.pi / f2d.shape[1]) < math.inf:
+        f2d, e = _rescaled(f2d)
+        rows = _fiber_sums(psi, f2d)[0]
+    return np.ldexp(_pushdown(psi, rows, f2d.shape[1]), e)
+
+
 def _quotient_terms(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
-                    f2d: np.ndarray) -> Tuple[float, float]:
-    """(numerator, denominator) of the discrete Rayleigh quotient of f2d."""
+                    f2d: np.ndarray) -> Tuple[float, float, np.ndarray]:
+    """(numerator, denominator) of the discrete Rayleigh quotient of f2d, and
+    the sums of f2d^2 along the fiber."""
     h_theta = 2.0 * np.pi / f2d.shape[1]
     h = grid.h
     # base-direction differences on the same edges as the operators
     cond = np.sqrt(psi_pad[:-1] * psi_pad[1:])
     f_pad = grid.pad(f2d)
-    dx = f_pad[1:] - f_pad[:-1]
-    # one pass per sum, without n x m temporaries for the products; Python
-    # floats from here on, which overflow to inf without a warning
-    num_x = float(np.einsum("e,ej,ej->", cond, dx, dx)) / (h * h)
-    dth = np.roll(f2d, -1, axis=1) - f2d
-    num_th = float(np.einsum("i,ij,ij->", 1.0 / psi, dth, dth)) / (h_theta * h_theta)
-    num = (num_x + num_th) * h * h_theta
-    den = float(np.einsum("i,ij,ij->", psi, f2d, f2d)) * h * h_theta
-    return num, den
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = f_pad[1:] - f_pad[:-1]
+        dth = np.roll(f2d, -1, axis=1) - f2d
+    # each term: row sums of squares (numpy has SIMD loops for a two-operand
+    # einsum, not for three), dotted with the edge or node weights
+    num_x = float(np.einsum("e,e->", cond, np.einsum("ej,ej->e", dx, dx))) / (h * h)
+    num_th = float(np.einsum("i,i->", 1.0 / psi, np.einsum("ij,ij->i", dth, dth))) \
+        / (h_theta * h_theta)
+    rows, total = _fiber_sums(psi, f2d)
+    return (num_x + num_th) * h * h_theta, total * h * h_theta, rows
 
 
 def _rayleigh_2d(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
                  f2d: np.ndarray) -> Tuple[float, np.ndarray]:
-    """-> (R(f2d), the f2d it was computed on).
+    """-> (R(f2d), the sums of f2d^2 along the fiber, up to a power of two).
 
     R is invariant under f -> t f.  When the sums of squares overflow or
-    underflow, f2d is rescaled by the power of two that brings max |f2d| into
-    [0.5, 1), which is exact, and the quotient is taken again; that f2d is
-    returned for the other scale-invariant terms of the caller.
+    underflow, the quotient is taken again on f2d rescaled by a power of
+    two (``_rescaled``), whose sums go to the caller's other scale-invariant
+    terms.
     """
-    num, den = _quotient_terms(grid, psi, psi_pad, f2d)
+    num, den, rows = _quotient_terms(grid, psi, psi_pad, f2d)
     if not (math.isfinite(num) and _SUMSQ_MIN <= den < math.inf):
-        top = float(np.max(np.abs(f2d)))
-        if 0.0 < top < math.inf:
-            f2d = np.ldexp(f2d, -math.frexp(top)[1])
-            num, den = _quotient_terms(grid, psi, psi_pad, f2d)
+        num, den, rows = _quotient_terms(grid, psi, psi_pad, _rescaled(f2d)[0])
     if not den > 0.0:
         raise ValueError("f2d has zero norm: it has no Rayleigh quotient")
-    return num / den, f2d
+    return num / den, rows
 
 
 def rayleigh_2d(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
     """Discrete Rayleigh quotient of the warped metric on base x S^1."""
-    return _rayleigh_2d(*_sample(spec, grid_n), np.asarray(f2d, dtype=float))[0]
+    grid, psi, psi_pad = _sample(spec, grid_n)
+    return _rayleigh_2d(grid, psi, psi_pad, _grid_function(psi, f2d))[0]
 
 
 def pushdown_slack(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
@@ -545,9 +596,10 @@ def pushdown_slack(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> flo
     Nonnegative up to round-off for a circle fiber by construction.
     """
     grid, psi, psi_pad = _sample(spec, grid_n)
-    r2, f2d = _rayleigh_2d(grid, psi, psi_pad, np.asarray(f2d, dtype=float))
-    h = _pushdown(psi, f2d)
-    s_op = _schrodinger(spec, grid, psi, psi_pad)
+    f2d = _grid_function(psi, f2d)
+    r2, rows = _rayleigh_2d(grid, psi, psi_pad, f2d)
+    h = _pushdown(psi, rows, f2d.shape[1])
+    s_op = _schrodinger(spec, grid_n)
     rs = s_op.rayleigh(h)
     wh2 = s_op.weights * h * h
     fiber_term = spec.fiber_lambda0 * float(np.sum(wh2 / psi ** 2) / np.sum(wh2))

@@ -216,3 +216,15 @@ def test_rejects_non_finite_entries(bad):
     diag[3] = bad
     with pytest.raises(ValueError, match="non-finite"):
         lowest_eigenvalue(SymmetricForm(diag, form.off, 0.0, form.weights))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["off", "corner"])
+def test_rejects_non_finite_off_diagonal_and_corner(where, bad):
+    diag, off, corner = np.full(8, 2.0), np.full(7, -1.0), -1.0
+    if where == "off":
+        off[5] = bad
+    else:
+        corner = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SymmetricForm(diag, off, corner, np.ones(8))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -280,8 +282,48 @@ def test_pushdown_slack_samples_once(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(specsub.warped_spectra, "base_grid", counting)
-    pushdown_slack(exp_interval(0.4, 8.0), np.ones((32, 8)), 32)
+    spec = exp_interval(0.4, 8.0)
+    for _ in range(2):
+        pushdown_slack(spec, np.ones((32, 8)), 32)
     assert len(calls) == 1
+    # the mode scan and the S solve of a verification share the sample too
+    verify_closed_fiber_equality(spec, 32, cfg=FAST)
+    assert len(calls) == 1
+
+
+def test_memoized_spec_gives_the_bits_of_a_fresh_one():
+    rng = np.random.default_rng(6)
+    spec = warp_sinshift(0.7)
+    for n in (64, 128, 64):
+        for _ in range(3):
+            f2d = rng.standard_normal((n, 16))
+            fresh = warp_sinshift(0.7)
+            assert rayleigh_2d(spec, f2d, n) == rayleigh_2d(fresh, f2d, n)
+            assert pushdown_slack(spec, f2d, n) == pushdown_slack(fresh, f2d, n)
+            assert np.array_equal(pushdown(spec, f2d, n), pushdown(fresh, f2d, n))
+
+
+def test_memoized_arrays_are_read_only():
+    spec = exp_interval(0.4, 8.0)
+    grid, psi, psi_pad = specsub.warped_spectra._sample(spec, 32)
+    op = build_schrodinger(spec, 32)
+    assert build_schrodinger(spec, 32) is op
+    for a in (grid.x, psi, psi_pad, op.diag, op.off, op.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+
+
+def test_replace_builds_its_own_operators():
+    spec = exp_interval(0.4, 8.0)
+    old = build_schrodinger(spec, 32)
+    wider = replace(spec, fiber_dim=3)
+    new = build_schrodinger(wider, 32)
+    assert not np.array_equal(new.diag, old.diag)
+    fresh = WarpedProductSpec(spec.base, spec.warp, 3, name="exp")
+    assert np.array_equal(new.diag, build_schrodinger(fresh, 32).diag)
+    # the memo is no field: equality, hash and repr do not see it
+    assert replace(spec) == spec and hash(replace(spec)) == hash(spec)
+    assert repr(spec) == repr(exp_interval(0.4, 8.0))
 
 
 def test_pushdown_slack_tight_at_ground_state():
@@ -302,11 +344,45 @@ def test_pushdown_is_invariant_under_extreme_scaling(t):
     f2d = np.random.default_rng(4).standard_normal((64, 16))
     r, s = rayleigh_2d(spec, f2d, 64), pushdown_slack(spec, f2d, 64)
     rt, st = rayleigh_2d(spec, t * f2d, 64), pushdown_slack(spec, t * f2d, 64)
+    h, ht = pushdown(spec, f2d, 64), pushdown(spec, t * f2d, 64)
     if np.frexp(t)[0] == 0.5:
         assert (rt, st) == (r, s)
+        assert np.array_equal(ht, t * h)
     else:
         assert rt == pytest.approx(r, rel=1e-13)
         assert abs(st - s) <= 1e-13 * r
+        assert np.allclose(ht, t * h, rtol=1e-13, atol=0.0)
+
+
+def test_pushdown_near_the_largest_float():
+    # neighbouring differences of +-1.5e308 overflow; no warning may escape
+    spec = warp_sinshift(1.0)
+    signs = np.where(np.random.default_rng(5).random((64, 16)) < 0.5, -1.0, 1.0)
+    assert rayleigh_2d(spec, 1.5e308 * signs, 64) == pytest.approx(
+        rayleigh_2d(spec, signs, 64), rel=1e-13)
+    assert pushdown_slack(spec, 1.5e308 * signs, 64) == pytest.approx(
+        pushdown_slack(spec, signs, 64), rel=1e-13)
+    # one row whose h^2 overflows while the norm of f, times h = 0.1, does not
+    f2d = np.zeros((64, 4))
+    f2d[5] = 6.1e153
+    assert pushdown(warp_const(1.0), f2d, 64)[5] == pytest.approx(
+        6.1e153 * np.sqrt(2.0 * np.pi), rel=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [pushdown, rayleigh_2d, pushdown_slack])
+def test_pushdown_rejects_non_finite_entries(fn, bad):
+    f2d = np.random.default_rng(4).standard_normal((64, 16))
+    f2d[10:12, 3:5] = bad      # neighbours too: inf - inf is nan
+    with pytest.raises(ValueError, match="f2d has non-finite entries"):
+        fn(warp_sinshift(1.0), f2d, 64)
+
+
+@pytest.mark.parametrize("shape", [(63, 16), (64,)])
+@pytest.mark.parametrize("fn", [pushdown, rayleigh_2d, pushdown_slack])
+def test_pushdown_rejects_a_function_off_the_grid(fn, shape):
+    with pytest.raises(ValueError, match="first axis of f2d must match the base grid"):
+        fn(warp_sinshift(1.0), np.ones(shape), 64)
 
 
 def test_pushdown_of_a_subnormal_function_has_a_norm():
