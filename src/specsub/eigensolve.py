@@ -1,18 +1,20 @@
 """Lowest eigenvalue of weighted self-adjoint grid operators.
 
 A w-self-adjoint A is held as M = W^{1/2} A W^{-1/2}: tridiagonal plus, on a
-circle, the corner o = M[0, n-1].  Bracket: LAPACK bisection on the open chain
-T- = M - |o| u u^T, u = e_0 + sign(o) e_{n-1}, gives mu0 <= lambda0 <= mu1;
-on an interval lambda0 = mu0.  T+ = M + |o| w w^T, w = e_0 - sign(o) e_{n-1},
-has no corner and dominates M, so M - s is positive definite exactly when
-dpttrf factors T+ - s and g(s) = 1 - |o| w^T (T+ - s)^{-1} w > 0; on a circle
-one-pole rational steps (Bunch, Nielsen and Sorensen 1978) on g, safeguarded
-by bisection, pin lambda0.  Refine: inverse iteration just below the bracket
-(dpttrs and Sherman-Morrison), then the Rayleigh quotient in extended
-precision, so that closed-form comparisons hold at the 1e-12 level.
-Certify: M - shift is positive definite, the result lies in the bracket and
-meets the residual target.  Nothing is random.  Small grids are also checked
-against the dense eigenvalues.
+circle, the corner o = M[0, n-1].  T+ = M + |o| w w^T, w = e_0 - sign(o)
+e_{n-1}, has no corner, so M - s is positive definite exactly when dpttrf
+factors T+ - s and g(s) = 1 - |o| w^T (T+ - s)^{-1} w > 0.  Bracket: lo rises
+from the Gershgorin bound to shifts certified so, hi falls from the Rayleigh
+quotient of the ones vector to shifts that fail and to the Rayleigh quotient
+of an inverse-iteration step at each certified one.  The next shift is the
+largest of the midpoint, hi minus that step's residual and the Newton step
+s + 1 / tr (M - s)^{-1} on det(M - s), which from below never passes
+lambda0; the trace is O(n) by twisted factorization and Sherman-Morrison.
+Refine: inverse iteration just below the bracket, then the Rayleigh
+quotient in extended precision, so that closed-form comparisons hold at the
+1e-12 level.  Certify: M - shift is positive definite, the result lies in
+the bracket and meets the residual target.  Nothing is random.  Small grids
+are also checked against the eigenvalues of the band matrix (LAPACK dsbev).
 """
 
 from __future__ import annotations
@@ -114,15 +116,17 @@ class SymmetricForm:
         return M
 
 
+def _radii(form: SymmetricForm) -> np.ndarray:
+    """Gershgorin radii; edge k joins nodes k and k + 1 mod n (the corner)."""
+    edges = np.abs(np.r_[form.off, form.corner])
+    return edges + np.roll(edges, 1)
+
+
 def _scaled(form: SymmetricForm):
     """(unit * M, unit, ||M||) for the max row sum ||M|| and the power of two
     unit (exact) that brings it into [1/2, 1), so that no shift gap, solve or
     residual can under- or overflow."""
-    rows = np.abs(form.diag)
-    rows[1:] += np.abs(form.off)
-    rows[:-1] += np.abs(form.off)
-    rows[[0, -1]] += abs(form.corner)
-    scale = float(np.max(rows))
+    scale = float(np.max(np.abs(form.diag) + _radii(form)))
     unit = math.ldexp(1.0, -math.frexp(scale)[1])
     return SymmetricForm(form.diag * unit, form.off * unit, form.corner * unit,
                          form.weights), unit, scale
@@ -173,77 +177,84 @@ def _lapack():
 
 
 def _factor(Mu: SymmetricForm, s: float):
-    """dpttrf's factors of T+ - s, z = (T+ - s)^{-1} w and g(s), or None when
-    T+ - s is not positive definite.  M - s is positive definite exactly when
-    the result is not None and g(s) > 0."""
+    """dpttrf's factors of T+ - s, z = (T+ - s)^{-1} w, g(s) and
+    tr (M - s)^{-1}, or None unless M - s is positive definite: T+ - s
+    factors from both ends and g(s) > 0."""
     lapack = _lapack()
     rho, sign = abs(Mu.corner), np.sign(Mu.corner)
     upper = Mu.diag - s
     upper[[0, -1]] += rho
     fd, fe, info = lapack.dpttrf(upper, Mu.off)
-    if info:
+    back, _, info_back = lapack.dpttrf(upper[::-1], Mu.off[::-1])
+    if info or info_back:
         return None
+    # (T+ - s)^{-1} has the diagonal 1 / (forward + backward pivots - (T+ - s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        trace = float(np.sum(1.0 / (fd + back[::-1] - upper)))
+    if not rho:
+        return fd, fe, 0.0, 1.0, trace
     w = np.zeros(Mu.n)
     w[0], w[-1] = 1.0, -sign
     z = lapack.dpttrs(fd, fe, w)[0]
-    return fd, fe, z, 1.0 - rho * (z[0] - sign * z[-1])
+    g = 1.0 - rho * (z[0] - sign * z[-1])
+    return (fd, fe, z, g, trace + rho * _dot(z, z) / g) if g > 0.0 else None
 
 
 def _solve(Mu: SymmetricForm, factors, b):
     """(M - s)^{-1} b from ``_factor(Mu, s)``, by Sherman-Morrison."""
-    fd, fe, z, g = factors
+    fd, fe, z, g, _ = factors
     y = _lapack().dpttrs(fd, fe, b)[0]
     return y + z * (abs(Mu.corner) * (y[0] - np.sign(Mu.corner) * y[-1]) / g)
 
 
 def _bracket(Mu: SymmetricForm, resolution: float):
     """[lo, hi] holding lambda0 of Mu, and a start vector."""
-    lapack = _lapack()
-    rho = abs(Mu.corner)
-    lower = Mu.diag.copy()
-    lower[[0, -1]] -= rho                 # T-
-    # LAPACK bisection for T-'s mu0 (and mu1 on a circle), then mu0's
-    # eigenvector alone (asked for together, close pairs are
-    # reorthogonalized at many times the cost)
-    _, mu, block, split, _ = lapack.dstebz(lower, Mu.off, 2, 0.0, 0.0, 1, 2 if rho else 1,
-                                           0.0, "E")
-    v0 = lapack.dstein(lower, Mu.off, mu[:1], block, split)[0][:, 0]
-    if not rho:
-        return float(mu[0]), float(mu[0]), v0
-    lo, hi = float(mu[0]), float(mu[1])
-    s, below = lo, None
+    # the computed Gershgorin bound is a few eps * ||M|| off at most
+    lo = float(np.min(Mu.diag - _radii(Mu))) - 0.5 * resolution
+    v = np.full(Mu.n, 1.0 / math.sqrt(Mu.n))
+    hi, s = _dot(v, Mu.matvec(v)), lo
     while hi - lo > resolution:
         f = _factor(Mu, s)
-        if f is not None and f[3] > 0.0:
-            lo, below = s, f
+        if f is None:
+            hi, guess = s, lo
         else:
-            hi = s
-        step = 0.5 * (lo + hi)
-        if f is not None:
-            # root of the one-pole model beta / (p - s) of w^T (T+ - s)^{-1} w
-            newton = s + (1.0 - f[3]) / rho * f[3] / _dot(f[2], f[2])
-            step = newton if lo < newton < hi else step
-        # keep half the resolution from both ends, so that the last step
-        # from above closes the bracket from below
-        s = min(max(step, lo + 0.5 * resolution), hi - 0.5 * resolution)
-    # lambda0's eigenvector is picked out by (M - lo)^{-1} from e_0 or e_{n-1},
-    # or lives away from the wrap edge, as T-'s v0 or v1: start from the
-    # lowest Ritz vector of all of them
-    basis = [v0, lapack.dstein(lower, Mu.off, mu[1:2], np.roll(block, -1), split)[0][:, 0]]
-    if below is not None:
-        ends = np.zeros((2, Mu.n))
-        ends[0, 0] = ends[1, -1] = 1.0
-        basis += [_solve(Mu, below, b) for b in ends]
-    Q = np.linalg.qr(np.column_stack(basis))[0]
-    MQ = np.column_stack([Mu.matvec(q) for q in Q.T])
-    return lo, hi, Q @ np.linalg.eigh(Q.T @ MQ)[1][:, 0]
+            v = _solve(Mu, f, v)
+            v /= math.sqrt(_dot(v, v))
+            Mv = Mu.matvec(v)
+            rq = _dot(v, Mv)
+            r = Mv - rq * v
+            lo, hi = s, min(hi, rq)
+            # Newton on det(M - s) from below never passes lambda0; an eigenvalue
+            # lies within |r| of rq >= hi (Krylov-Bogolyubov): lambda0 once v is near it
+            guess = max(s + 1.0 / f[4] if f[4] > 0.0 else s, hi - math.sqrt(_dot(r, r)))
+        # the midpoint halves [lo, hi] at every certified shift, where Newton
+        # alone creeps (lo many gaps below lambda0, or lambda0 nearly double)
+        s = min(max(guess, 0.5 * (lo + hi), lo + 0.25 * resolution),
+                hi - 0.25 * resolution)
+    return lo, hi, v
+
+
+def _banded_lowest(Mu: SymmetricForm, compute_v: int = 0):
+    """Lowest eigenvalue of Mu, and with ``compute_v`` its eigenvector, by
+    LAPACK dsbev: the nodes taken alternately from both ends of the chain
+    put every edge and the corner within two places of the diagonal."""
+    n = Mu.n
+    pos = np.r_[np.arange(0, n, 2), np.arange(n - 1 - n % 2, 0, -2)]   # node -> place
+    band = np.zeros((3, n))                                              # lower storage
+    band[0, pos] = Mu.diag
+    band[np.abs(pos[1:] - pos[:-1]), np.minimum(pos[1:], pos[:-1])] = Mu.off
+    band[1, 0] += Mu.corner                 # nodes 0 and n - 1 sit at places 0 and 1
+    w, z, info = _lapack().dsbev(band, compute_v=compute_v, lower=1)
+    if info:
+        raise SolverConvergenceError(f"dense reference failed: LAPACK dsbev info {info}")
+    return float(w[0]), (z[pos, 0] if compute_v else None)
 
 
 def dense_lowest(form: SymmetricForm, grid_n: Optional[int] = None,
                  mode: Optional[int] = None) -> SpectrumEstimate:
     """Reference dense solve, eigenvalue and eigenvector."""
     Mu, unit, _ = _scaled(form)
-    v = np.linalg.eigh(Mu.dense())[1][:, 0]
+    v = _banded_lowest(Mu, compute_v=1)[1]
     return _estimate(Mu, unit, v, form.n if grid_n is None else grid_n, mode)
 
 
@@ -264,7 +275,7 @@ def lowest_eigenvalue(form: SymmetricForm, cfg: SolverConfig = DEFAULT_SOLVER,
     lo, hi, v = _bracket(Mu, slack)
     shift = lo - (slack or 1.0)         # slack is 0 only for M = 0
     factors = _factor(Mu, shift)
-    definite = factors is not None and factors[3] > 0.0
+    definite = factors is not None
     for _ in range(REFINE_STEPS if definite else 0):
         v = _solve(Mu, factors, v)
         v /= math.sqrt(_dot(v, v))
@@ -277,9 +288,9 @@ def lowest_eigenvalue(form: SymmetricForm, cfg: SolverConfig = DEFAULT_SOLVER,
             f"(target {tol_eff:.3e}), M - {shift / unit!r} positive definite: "
             f"{definite}", best=est)
     if cfg.dense_check and form.n <= DENSE_LIMIT:
-        # values only: LAPACK syevd, independent of the bisection and known
-        # to a few eps * ||M||
-        ref = float(np.linalg.eigvalsh(Mu.dense())[0]) / unit
+        # values only: LAPACK dsbev, independent of the bracket and known to
+        # a few eps * ||M||
+        ref = _banded_lowest(Mu)[0] / unit
         if abs(ref - est.lambda0) > max(DENSE_TOL, slack):
             raise SolverConvergenceError(
                 f"iterative value {est.lambda0!r} disagrees with dense "

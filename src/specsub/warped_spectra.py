@@ -294,17 +294,15 @@ def _operator(grid: Grid, conduct: np.ndarray, potential, psi: np.ndarray,
                             corner, psi * grid.h, label, grid)
 
 
-def _potential(grid: Grid, phi: np.ndarray, phi_pad: np.ndarray) -> np.ndarray:
-    """V = (second difference of phi) / phi with the grid's closure.
-
-    The second difference is the sum over a node's neighbours minus its
-    degree times phi, so a Neumann end sees its one neighbour only, matching
-    the zero-flux divergence form exactly.
-    """
-    nbr = grid.fold(phi_pad[1:], phi_pad[:-1])
-    ones = np.ones(phi_pad.size - 1)
-    deg = grid.fold(ones, ones)
-    return (nbr - deg * phi) / (phi * (grid.h * grid.h))
+def _potential(grid: Grid, psi_pad: np.ndarray, k_half: float) -> np.ndarray:
+    """V = (second difference of phi) / phi for phi = psi^{k/2}, with the
+    grid's closure: the sum over a node's neighbours of phi_nbr / phi, taken
+    from the edge ratios of psi so that no power of psi itself overflows,
+    minus its degree (a Neumann end sees its one neighbour only, matching the
+    zero-flux divergence form exactly)."""
+    with np.errstate(over="ignore"):     # inf is rejected by the operator's check
+        r = psi_pad[1:] / psi_pad[:-1]
+        return grid.fold(r ** k_half - 1.0, r ** -k_half - 1.0) / (grid.h * grid.h)
 
 
 def _schrodinger(spec: WarpedProductSpec, grid_n: int) -> DiscreteOperator:
@@ -312,9 +310,8 @@ def _schrodinger(spec: WarpedProductSpec, grid_n: int) -> DiscreteOperator:
     grid size."""
     key = ("S", grid_n)
     if key not in spec._memo:
-        grid, psi, psi_pad = _sample(spec, grid_n)
-        k_half = spec.fiber_dim / 2.0
-        V = _potential(grid, psi ** k_half, psi_pad ** k_half)
+        grid, _, psi_pad = _sample(spec, grid_n)
+        V = _potential(grid, psi_pad, spec.fiber_dim / 2.0)
         op = _operator(grid, np.ones(psi_pad.size - 1), V, np.ones(grid.x.size), "S")
         _freeze(op.diag, op.off, op.weights)
         spec._memo[key] = op

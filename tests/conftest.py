@@ -53,3 +53,14 @@ def rotated(c, rng):
     c = np.tensordot(q, c, axes=(0, 0))           # [a, j, k]
     c = np.tensordot(c, q, axes=(1, 0))           # [a, k, b]
     return np.tensordot(c, q, axes=(1, 0))        # [a, b, c]
+
+
+def smoothed_random_warp(rng, n):
+    """Criterion 6's sampled circle warp: uniform(0.5, 2) samples, four
+    periodic box smooths."""
+    raw = rng.uniform(0.5, 2.0, n)
+    kernel = np.ones(9) / 9.0
+    for _ in range(4):
+        raw = np.convolve(np.concatenate([raw[-4:], raw, raw[:4]]), kernel,
+                          mode="valid")
+    return raw

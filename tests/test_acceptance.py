@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import smoothed_random_warp
 from specsub.eigensolve import SolverConfig, dense_lowest, lowest_eigenvalue
 from specsub.fixtures import (LIE_BUILTINS, catalog_fixture, catalog_ideals,
                               warp_const, warp_exp, warp_sinshift)
@@ -146,15 +147,6 @@ def test_criterion_5_warped_equality():
 
 
 # 6 ---------------------------------------------------------------------------
-
-def smoothed_random_warp(rng, n):
-    raw = rng.uniform(0.5, 2.0, n)
-    kernel = np.ones(9) / 9.0
-    for _ in range(4):
-        raw = np.convolve(np.concatenate([raw[-4:], raw, raw[:4]]), kernel,
-                          mode="valid")
-    return raw
-
 
 def test_criterion_6_inequality():
     worst = np.inf

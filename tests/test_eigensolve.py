@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import smoothed_random_warp
 from specsub import eigensolve
 from specsub.eigensolve import (SolverConfig, SymmetricForm, dense_lowest,
                                 lowest_eigenvalue)
 from specsub.errors import SolverConvergenceError
 from specsub.fixtures import warp_const
-from specsub.warped_spectra import build_schrodinger
+from specsub.warped_spectra import (CircleBase, WarpedProductSpec, WarpProfile,
+                                    build_schrodinger, build_warped_mode)
 
 
 def weighted_form(diag, off, corner, w):
@@ -26,6 +28,9 @@ def dirichlet_laplacian(n, length=1.0):
 
 def times(form, t):
     return SymmetricForm(form.diag * t, form.off * t, form.corner * t, form.weights)
+
+
+EPS = np.finfo(float).eps
 
 
 def toeplitz_ground(n, h):
@@ -157,10 +162,9 @@ def test_cyclic_tridiagonal_matches_dense(n, corner_sign):
 @pytest.mark.parametrize("corner_sign", [-1.0, 1.0])
 @pytest.mark.parametrize("seed", [3, 33])
 def test_localized_circle_ground_state(seed, corner_sign):
-    # with this much disorder eigenvectors are localized, and lambda0's lives
-    # where the open chain's lowest one is nearly zero: it is the chain's
-    # second eigenvector or a solve with the wrap edge's ends, so the start
-    # needs both
+    # with this much disorder eigenvectors are localized, and lambda0's may
+    # live far from where the constant start vector's inverse iterates first
+    # gather, near the wrap edge or away from it
     form = cyclic_tridiagonal(np.random.default_rng(seed), 200, corner_sign)
     est = lowest_eigenvalue(form, SolverConfig(dense_check=False))
     assert est.lambda0 == pytest.approx(dense_lowest(form).lambda0, abs=1e-12)
@@ -180,12 +184,55 @@ def test_tiny_norm(circle):
 
 def test_deflated_circle():
     # on the constant-warp circle S is the cycle Laplacian: lambda0 = 0 with
-    # the constant vector, which the wrap edge leaves alone, so lambda0 equals
-    # the open chain's mu0 and the bisection closes onto that end
+    # the constant vector, which is the bracket's start: the Gershgorin bound
+    # and its Rayleigh quotient close the bracket before any factorization
     op = build_schrodinger(warp_const(1.0), 256)
     est = lowest_eigenvalue(op, SolverConfig(dense_check=False))
     assert est.lambda0 == pytest.approx(0.0, abs=1e-12)
     assert np.ptp(est.eigvec) <= 1e-9 * np.max(np.abs(est.eigvec))
+
+
+@pytest.mark.parametrize("circle", [False, True])
+@pytest.mark.parametrize("n", [4, 16, 256, 4096])
+def test_start_orthogonal_to_the_ground_state(n, circle):
+    # the all-ones start is an eigenvector of -(path Laplacian), and at even
+    # n orthogonal to its alternating ground state, which round-off alone
+    # must bring in
+    diag = np.full(n, -2.0)
+    if not circle:
+        diag[[0, -1]] = -1.0
+    form = SymmetricForm(diag, np.ones(n - 1), 1.0 if circle else 0.0, np.ones(n))
+    est = lowest_eigenvalue(form, SolverConfig(dense_check=False))
+    exact = -4.0 if circle else -2.0 - 2.0 * np.cos(np.pi / n)
+    assert est.lambda0 == pytest.approx(exact, abs=64 * EPS * 4.0)
+    if n <= 256:
+        assert est.lambda0 == pytest.approx(np.linalg.eigvalsh(form.dense())[0],
+                                            abs=64 * EPS * 4.0)
+
+
+@pytest.mark.parametrize("warp, most", [("sampled", 30), ("const", 2)])
+def test_factorizations_per_solve(monkeypatch, warp, most):
+    # Newton steps from below alone take about 120 factorizations per solve
+    # on this rough sampled warp, whose Gershgorin bound lies hundreds of
+    # gaps below lambda0 (the midpoint alone 18, with the residual step 9);
+    # the constant-warp circle needs only the refine's
+    n = 2048
+    spec = warp_const(1.0) if warp == "const" else WarpedProductSpec(
+        CircleBase(2 * np.pi), WarpProfile("samples", (), samples=smoothed_random_warp(
+            np.random.default_rng(600), n)))
+    counts = []
+    factor = eigensolve._factor
+
+    def counting(*args):
+        counts[-1] += 1
+        return factor(*args)
+
+    monkeypatch.setattr(eigensolve, "_factor", counting)
+    for op in [build_schrodinger(spec, n)] + [build_warped_mode(spec, m, n)
+                                              for m in range(9)]:
+        counts.append(0)
+        lowest_eigenvalue(op, SolverConfig(dense_check=False))
+    assert max(counts) <= most, counts
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import change_basis, rotate_algebra
+from specsub import eigensolve
 from specsub.eigensolve import SolverConfig, SymmetricForm, lowest_eigenvalue
 from specsub.errors import FixtureParseError
 from specsub.fixtures import (LIE_BUILTINS, _parse_lie_bulk, _parse_lines,
@@ -22,7 +23,7 @@ from specsub.lie_core import MetricLieAlgebra, classify
 from specsub.tolerances import DEFAULT
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase, WarpProfile,
                                     WarpedProductSpec, build_schrodinger,
-                                    pushdown_slack)
+                                    lambda0_ess_tail, pushdown_slack)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -118,6 +119,57 @@ def test_lowest_eigenvalue_certifies_and_matches_the_dense_spectrum(form):
     M = form.dense()
     norm = np.max(np.sum(np.abs(M), axis=1))
     assert abs(est.lambda0 - np.linalg.eigvalsh(M)[0]) <= 64 * EPS * norm
+
+
+@PROPERTY
+@given(symmetric_forms())
+def test_bracket_stays_below_lambda0(form):
+    # lo only rises to certified shifts, so it never passes lambda0 by more
+    # than round-off
+    Mu, unit, scale = eigensolve._scaled(form)
+    lo = eigensolve._bracket(Mu, 64 * EPS * scale * unit)[0] / unit
+    assert lo <= np.linalg.eigvalsh(form.dense())[0] + 64 * EPS * scale
+
+
+@PROPERTY
+@given(st.integers(3, 512), st.sampled_from([-1.0, 1.0]), st.integers(0, 2**32 - 1))
+def test_banded_lowest_matches_eigvalsh(n, corner_sign, seed):
+    rng = np.random.default_rng(seed)
+    form = SymmetricForm(rng.uniform(-10.0, 10.0, n), rng.uniform(-10.0, 10.0, n - 1),
+                         corner_sign * rng.uniform(1e-3, 10.0), np.ones(n))
+    M = form.dense()
+    norm = np.max(np.sum(np.abs(M), axis=1))
+    assert abs(eigensolve._banded_lowest(form)[0] - np.linalg.eigvalsh(M)[0]) <= 64 * EPS * norm
+
+
+@st.composite
+def dirichlet_warps(draw):
+    """An exp warp of random rate, or a smooth positive sampled warp, on a
+    Dirichlet interval, with the grid size."""
+    n = draw(st.integers(32, 256))
+    length = draw(st.floats(1.0, 60.0))
+    if draw(st.booleans()):
+        warp = WarpProfile("exp", (draw(st.floats(-3.0, 3.0)),))
+    else:
+        amps = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+        x = np.arange(1, n + 1) / (n + 1)
+        log_psi = sum(a * np.sin((k + 1) * np.pi * x + k) for k, a in enumerate(amps))
+        warp = WarpProfile("samples", (), samples=np.exp(log_psi))
+    base = IntervalBase(0.0, length, Boundary.DIRICHLET)
+    return WarpedProductSpec(base, warp, fiber_dim=draw(st.integers(1, 40))), n
+
+
+@PROPERTY
+@given(dirichlet_warps())
+def test_tail_is_non_decreasing(case):
+    # each cutoff restricts S to a principal submatrix of the one before, so
+    # the bottoms interlace
+    spec, n = case
+    cutoffs = np.linspace(0.0, 0.8, 9) * spec.base.b
+    rep = lambda0_ess_tail(spec, cutoffs, n, UNCHECKED)
+    norm = np.max(np.sum(np.abs(build_schrodinger(spec, n).dense()), axis=1))
+    assert rep.monotone
+    assert all(b >= a - 64 * EPS * norm for a, b in zip(rep.values, rep.values[1:]))
 
 
 @PROPERTY
