@@ -119,46 +119,55 @@ def _validated(alg: MetricLieAlgebra, tols: Tolerances):
         raise FixtureParseError(
             "fixture failed validation: antisymmetry residual "
             f"{rep.antisymmetry_residual:.2e}, Jacobi residual "
-            f"{rep.jacobi_residual:.2e}, min metric eigenvalue "
-            f"{rep.min_metric_eigenvalue:.2e}")
+            f"{rep.jacobi_residual:.2e} (relative to the bracket scale), "
+            f"min metric eigenvalue {rep.min_metric_eigenvalue:.2e}")
     return rep
+
+
+def _finite(rows):
+    """Rows whose numbers fit in a double: lambda0 grows like the square of
+    the structure constants, and an overflow is an input out of range."""
+    if not all(np.isfinite(v) for v in rows[0] if isinstance(v, float)):
+        raise FixtureParseError("a result overflows a double at this bracket scale")
+    return rows
 
 
 def _cmd_analyze(config: RunConfig, fix) -> str:
     alg = _need_lie(fix)
-    vrep = validate(alg, config.tolerances)
-    crep = classify(alg, config.tolerances) if vrep.ok else None
     name = _fixture_name(config, fix)
     if config.fmt == "csv":
+        # the frozen contract: an invalid algebra is a valid=false row, exit 0
+        vrep = validate(alg, config.tolerances)
+        crep = classify(alg, config.tolerances) if vrep.ok else None
         row = [name, vrep.ok]
         row += ([crep.unimodular, crep.solvable, crep.nilpotent, crep.semisimple,
                  crep.amenable, crep.radical.dim, crep.numerically_marginal]
                 if crep else [None] * 7)
         return _csv("analyze", [row])
+    vrep = _validated(alg, config.tolerances)
+    crep = classify(alg, config.tolerances)
     lines = [f"fixture: {name}",
-             f"valid: {_fmt(vrep.ok)} (antisymmetry {vrep.antisymmetry_residual:.2e}, "
+             f"valid: true (antisymmetry {vrep.antisymmetry_residual:.2e}, "
              f"jacobi {vrep.jacobi_residual:.2e}, min metric eig "
-             f"{vrep.min_metric_eigenvalue:.3g})"]
-    if crep:
-        lines += [f"unimodular: {_fmt(crep.unimodular)}",
-                  f"solvable: {_fmt(crep.solvable)}",
-                  f"nilpotent: {_fmt(crep.nilpotent)}",
-                  f"semisimple: {_fmt(crep.semisimple)}",
-                  f"amenable: {_fmt(crep.amenable)} ({crep.derivation})",
-                  f"radical dimension: {crep.radical.dim}",
-                  f"derived series dims: {list(crep.derived_series_lengths)}"]
-        if crep.numerically_marginal:
-            lines.append("warning: rank decisions were numerically marginal")
-    if not vrep.ok:
-        raise FixtureParseError("fixture failed validation; see report")
+             f"{vrep.min_metric_eigenvalue:.3g})",
+             f"unimodular: {_fmt(crep.unimodular)}",
+             f"solvable: {_fmt(crep.solvable)}",
+             f"nilpotent: {_fmt(crep.nilpotent)}",
+             f"semisimple: {_fmt(crep.semisimple)}",
+             f"amenable: {_fmt(crep.amenable)} ({crep.derivation})",
+             f"radical dimension: {crep.radical.dim}",
+             f"derived series dims: {list(crep.derived_series_lengths)}"]
+    if crep.numerically_marginal:
+        lines.append("warning: rank decisions were numerically marginal")
     return "\n".join(lines) + "\n"
 
 
 def _group_rows(config: RunConfig, alg: MetricLieAlgebra, name: str):
     crep = classify(alg, config.tolerances)
-    rep = group_spectra.group_spectrum_report(alg, config.tolerances, report=crep)
-    return crep, rep, [[name, crep.unimodular, crep.amenable, rep.lambda0,
-                        rep.cheeger, rep.method.value]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = group_spectra.group_spectrum_report(alg, config.tolerances, report=crep)
+    return crep, rep, _finite([[name, crep.unimodular, crep.amenable, rep.lambda0,
+                                rep.cheeger, rep.method.value]])
 
 
 def _cmd_lambda0(config: RunConfig, fix) -> str:
@@ -211,11 +220,12 @@ def _cmd_quotient(config: RunConfig, fix) -> str:
         n_ideal = derived_subalgebra(alg, tols=config.tolerances)
     if n_ideal.dim == 0:
         raise FixtureParseError("the requested ideal is zero; nothing to quotient")
-    rep = group_spectra.quotient_bound(alg, n_ideal, config.tolerances)
     tau = alg.trace_covector()
-    rows = [[name, n_ideal.dim, alg.inner(rep.H, rep.H), tau(rep.H),
-             rep.lambda0_N, rep.lambda0_quotient, rep.lower_bound,
-             rep.equality_expected, rep.partial]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = group_spectra.quotient_bound(alg, n_ideal, config.tolerances)
+        rows = _finite([[name, n_ideal.dim, alg.inner(rep.H, rep.H), tau(rep.H),
+                         rep.lambda0_N, rep.lambda0_quotient, rep.lower_bound,
+                         rep.equality_expected, rep.partial]])
     if config.fmt == "csv":
         return _csv("quotient", rows)
     lines = [f"fixture: {name}",

@@ -27,7 +27,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import FixtureParseError
-from .lie_core import Ideal, MetricLieAlgebra
+from .lie_core import Ideal, MetricLieAlgebra, metric_definiteness
 from .tolerances import Tolerances, DEFAULT
 from .warped_spectra import (Boundary, CircleBase, IntervalBase, WarpProfile,
                              WarpedProductSpec)
@@ -244,11 +244,8 @@ def _parse_lines(text: str, tols: Tolerances = DEFAULT) -> Fixture:
 
 def _lie_algebra(n: int, c: np.ndarray, g: np.ndarray,
                  tols: Tolerances) -> MetricLieAlgebra:
-    try:
-        min_eig = float(np.min(np.linalg.eigvalsh(g)))
-    except np.linalg.LinAlgError:
-        min_eig = float("-inf")
-    if min_eig <= tols.spd_tol:
+    min_eig, definite = metric_definiteness(g, tols.spd_tol)
+    if not definite:
         raise FixtureParseError(
             f"metric is not positive definite (min eigenvalue {min_eig:.3e})")
     return MetricLieAlgebra(n, c, g)

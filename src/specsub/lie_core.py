@@ -3,16 +3,19 @@
 A finite-dimensional real Lie algebra is stored as a rank-3 array c with
 [e_i, e_j] = sum_k c[i,j,k] e_k together with a positive-definite inner
 product g on the same basis.  Everything here is exact linear algebra up to
-floating point: brackets, adjoint maps, the Levi-Civita connection of the
-corresponding left-invariant metric, structural classification (solvable,
+floating point: brackets, adjoint maps, structural classification (solvable,
 nilpotent, radical, compact-type Levi factor) and the mean curvature of the
-subgroup generated by an ideal.
+subgroup generated by an ideal.  Every decision is taken on one normalized
+copy of the structure constants (``MetricLieAlgebra.frame``), so it is the
+same for the algebra with constants t c, and for any metric t g.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +30,28 @@ def _asvec(x, n: int) -> np.ndarray:
     return v
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` read-only: a float array that owns its memory is frozen in place,
+    a view (its owner could still write) or another dtype is copied."""
+    a = np.asarray(a, dtype=float)
+    a = a if a.base is None else a.copy()
+    a.setflags(write=False)
+    return a
+
+
+class Frame(NamedTuple):
+    """The structure constants in a g-orthonormal basis times 2**-exponent,
+    where sigma = scale * 2**exponent is their Frobenius norm (scale in
+    [0.5, 1), or 1 when sigma = 0).  A vector v has the frame components
+    ``v @ chol``, frame rows w the coordinates ``w @ inv_chol``."""
+
+    chol: np.ndarray
+    inv_chol: np.ndarray
+    structure: np.ndarray
+    scale: float
+    exponent: int
+
+
 @dataclass(frozen=True)
 class MetricLieAlgebra:
     """Lie algebra with structure constants ``structure`` and inner product ``metric``."""
@@ -37,23 +62,43 @@ class MetricLieAlgebra:
     basis_labels: Optional[tuple] = None
 
     def __post_init__(self):
-        c = np.array(self.structure, dtype=float)
-        g = np.array(self.metric, dtype=float)
+        c = _frozen(self.structure)
+        g = _frozen(self.metric)
         n = int(self.dim)
         if c.shape != (n, n, n):
             raise ValueError(f"structure constants must have shape {(n, n, n)}")
         if g.shape != (n, n):
             raise ValueError(f"metric must have shape {(n, n)}")
-        c.setflags(write=False)
-        g.setflags(write=False)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "structure", c)
         object.__setattr__(self, "metric", g)
+        # (scale, exponent) of a parent's Frame, not a field: _on_rows sets it
+        # so that round-off is cut against the parent's sigma
+        object.__setattr__(self, "_parent_scale", None)
         if self.basis_labels is not None:
             labels = tuple(str(s) for s in self.basis_labels)
             if len(labels) != n:
                 raise ValueError("need one label per basis vector")
             object.__setattr__(self, "basis_labels", labels)
+
+    @cached_property
+    def frame(self) -> Frame:
+        """The normalized frame, built once: every decision is taken on it."""
+        L = np.linalg.cholesky(self.metric)
+        inv = np.linalg.inv(L)
+        c = self.structure
+        if self._parent_scale is None:
+            # a power of two near max|c| first: exact, and then the norm
+            # cannot overflow
+            exponent = int(np.frexp(np.max(np.abs(c), initial=0.0))[1])
+            hat = _bracket_products(np.ldexp(c, -exponent), inv, inv) @ L
+            scale, shift = math.frexp(float(np.linalg.norm(hat)))
+            hat, exponent = np.ldexp(hat, -shift), exponent + shift
+        else:
+            scale, exponent = self._parent_scale
+            hat = _bracket_products(np.ldexp(c, -exponent), inv, inv) @ L
+        hat.setflags(write=False)
+        return Frame(L, inv, hat, scale or 1.0, exponent)
 
     # -- basic linear algebra -------------------------------------------------
 
@@ -76,60 +121,15 @@ class MetricLieAlgebra:
 
     def trace_covector(self) -> "Covector":
         """Functional tau with tau(x) = tr(ad x)."""
-        comps = np.einsum("ijj->i", self.structure)
-        return Covector(self, comps)
+        return Covector(self, np.einsum("ijj->i", self.structure))
 
     def is_unimodular(self, tol: float = DEFAULT.unimodular_tol) -> bool:
-        return bool(np.max(np.abs(self.trace_covector().components), initial=0.0) < tol)
+        """Whether tr(ad x) vanishes, cut at tol relative to sigma on the frame."""
+        trace = np.einsum("ijj->i", self.frame.structure)
+        return bool(np.max(np.abs(trace), initial=0.0) < tol * self.frame.scale)
 
     def killing_form(self) -> np.ndarray:
-        # B[i, j] = tr(ad e_i ad e_j) = sum_{a,b} c[i,b,a] c[j,a,b]
-        c = self.structure
-        return np.tensordot(c, c, axes=([1, 2], [2, 1]))
-
-    def koszul_connection(self, x, y) -> np.ndarray:
-        """Levi-Civita connection of the left-invariant metric on constant fields.
-
-        Solves g w = rhs where rhs_k is half of
-        <[x,y],e_k> - <[y,e_k],x> + <[e_k,x],y>.
-        """
-        x = _asvec(x, self.dim)
-        y = _asvec(y, self.dim)
-        g = self.metric
-        c = self.structure
-        gx = g @ x
-        gy = g @ y
-        t1 = g @ self.bracket(x, y)
-        t2 = np.einsum("j,jkm,m->k", y, c, gx)   # <[y, e_k], x>
-        t3 = np.einsum("kim,i,m->k", c, x, gy)   # <[e_k, x], y>
-        rhs = 0.5 * (t1 - t2 + t3)
-        return np.linalg.solve(g, rhs)
-
-    # -- span helpers ---------------------------------------------------------
-
-    def gram_orthonormalize(self, rows: np.ndarray) -> np.ndarray:
-        """Rows spanning a subspace -> g-orthonormal rows (rank revealed by SVD).
-
-        A span of vectors has no algebra scale, so the rank is cut relative to
-        the top singular value of the rows.
-        """
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.size == 0 or rows.shape[0] == 0:
-            return np.zeros((0, self.dim))
-        # work in coordinates where g is the identity
-        L = np.linalg.cholesky(self.metric)
-        cols = rows @ L  # euclidean rows in the flat coordinates
-        s, vt = np.linalg.svd(cols, full_matrices=False)[1:]
-        rank = _rank(s, s[0], DEFAULT.rank_tol)[0]
-        return np.linalg.solve(L.T, vt[:rank].T).T
-
-    def project_onto(self, onb_rows: np.ndarray, v) -> np.ndarray:
-        """g-orthogonal projection of v onto the span of g-orthonormal rows."""
-        v = _asvec(v, self.dim)
-        if onb_rows.shape[0] == 0:
-            return np.zeros(self.dim)
-        coeff = onb_rows @ (self.metric @ v)
-        return coeff @ onb_rows
+        return _killing(self.structure)
 
 
 @dataclass(frozen=True)
@@ -161,15 +161,14 @@ class Covector:
 
 @dataclass(frozen=True)
 class Ideal:
-    """Subspace of a MetricLieAlgebra given by a spanning set of coordinate rows.
-
-    The stored orthonormal basis is with respect to the parent metric.  Whether
-    the span is a subalgebra or an ideal is checked by residuals, not assumed.
-    """
+    """Subspace of a MetricLieAlgebra given by a spanning set of coordinate rows,
+    with a g-orthonormal basis ``onb`` and the same basis as rows of the frame,
+    ``frame_onb``.  Subalgebra and ideal are checked by residuals, not assumed."""
 
     parent: MetricLieAlgebra
     span: np.ndarray
     onb: np.ndarray = field(init=False)
+    frame_onb: np.ndarray = field(init=False)
 
     def __post_init__(self):
         span = np.atleast_2d(np.asarray(self.span, dtype=float))
@@ -177,11 +176,11 @@ class Ideal:
             span = np.zeros((0, self.parent.dim))
         if span.shape[1] != self.parent.dim:
             raise ValueError("spanning vectors must live in the parent algebra")
-        span.setflags(write=False)
-        object.__setattr__(self, "span", span)
-        onb = self.parent.gram_orthonormalize(span)
-        onb.setflags(write=False)
-        object.__setattr__(self, "onb", onb)
+        object.__setattr__(self, "span", _frozen(span))
+        fr = self.parent.frame
+        rows = _orthonormal(span @ fr.chol)
+        object.__setattr__(self, "frame_onb", _frozen(rows))
+        object.__setattr__(self, "onb", _frozen(rows @ fr.inv_chol))
 
     @property
     def dim(self) -> int:
@@ -190,24 +189,22 @@ class Ideal:
     def residual_off(self, v) -> float:
         """Metric norm of the component of v outside the span."""
         v = _asvec(v, self.parent.dim)
-        rest = v - self.parent.project_onto(self.onb, v)
-        return self.parent.norm(rest)
+        return self.parent.norm(v - (self.onb @ (self.parent.metric @ v)) @ self.onb)
 
-    def _max_residual_off(self, rows: np.ndarray) -> float:
-        """Largest metric norm of the out-of-span part over a batch of rows."""
-        g = self.parent.metric
-        rest = rows - (rows @ g.T @ self.onb.T) @ self.onb
-        norm2 = np.einsum("ai,ai->a", rest @ g.T, rest)
-        return float(np.sqrt(np.max(np.maximum(norm2, 0.0), initial=0.0)))
+    def _max_residual_off(self, prods: np.ndarray) -> float:
+        """Largest norm of the out-of-span part of frame brackets over sigma."""
+        rest = prods.reshape(-1, self.parent.dim)
+        rest = rest - (rest @ self.frame_onb.T) @ self.frame_onb
+        return float(np.max(np.linalg.norm(rest, axis=1), initial=0.0)) / self.parent.frame.scale
 
     def subalgebra_residual(self) -> float:
-        prods = _bracket_products(self.parent.structure, self.onb, self.onb)
-        return self._max_residual_off(prods.reshape(-1, self.parent.dim))
+        rows = self.frame_onb
+        return self._max_residual_off(_bracket_products(self.parent.frame.structure, rows, rows))
 
     def ideal_residual(self) -> float:
-        # prods[b, i, :] = [e_i, onb[b]]
-        prods = np.tensordot(self.onb, self.parent.structure, axes=(1, 1))
-        return self._max_residual_off(prods.reshape(-1, self.parent.dim))
+        # [b, i, :] = [e_i, frame_onb[b]] over the frame basis e_i
+        return self._max_residual_off(
+            np.tensordot(self.frame_onb, self.parent.frame.structure, axes=(1, 1)))
 
     def is_subalgebra(self, tol: float = DEFAULT.ideal_tol) -> bool:
         return self.subalgebra_residual() < tol
@@ -215,24 +212,26 @@ class Ideal:
     def is_ideal(self, tol: float = DEFAULT.ideal_tol) -> bool:
         return self.ideal_residual() < tol
 
-    def complement_onb(self) -> np.ndarray:
-        """g-orthonormal basis of the orthogonal complement of the span."""
+    def frame_complement(self) -> np.ndarray:
+        """Orthonormal frame rows spanning the orthogonal complement."""
         n = self.parent.dim
         if self.dim == n:
             # the rows below would be round-off alone, with no top to cut against
             return np.zeros((0, n))
-        # row i is e_i minus its projection onto the span
-        rest = np.eye(n) - (self.onb @ self.parent.metric).T @ self.onb
-        comp = self.parent.gram_orthonormalize(rest)
+        comp = _orthonormal(np.eye(n) - self.frame_onb.T @ self.frame_onb)
         if comp.shape[0] != n - self.dim:
             raise RuntimeError("complement rank detection failed")
         return comp
 
+    def complement_onb(self) -> np.ndarray:
+        """g-orthonormal basis of the orthogonal complement of the span."""
+        return self.frame_complement() @ self.parent.frame.inv_chol
+
 
 @dataclass(frozen=True)
 class ValidationReport:
-    antisymmetry_residual: float
-    jacobi_residual: float
+    antisymmetry_residual: float   # max |c + c^T| on the frame, over sigma
+    jacobi_residual: float         # max Jacobi residual on the frame, over sigma^2
     metric_symmetry_residual: float
     min_metric_eigenvalue: float
     ok: bool
@@ -251,11 +250,28 @@ class ClassificationReport:
     derivation: str
 
 
+def metric_definiteness(g: np.ndarray, tol: float):
+    """(smallest eigenvalue of g, whether it exceeds tol times the largest):
+    a metric's scale is not degeneracy.  LAPACK reads one triangle and can
+    miss a NaN, so a non-finite entry fails first."""
+    if not np.isfinite(g).all():
+        return math.nan, False
+    eigs = np.linalg.eigvalsh(g)
+    return float(eigs[0]), bool(eigs[0] > tol * eigs[-1])
+
+
 def validate(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ValidationReport:
-    """Check antisymmetry, the Jacobi identity and metric positivity."""
-    c = alg.structure
-    n = alg.dim
-    anti = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))), initial=0.0))
+    """Check antisymmetry and the Jacobi identity on the normalized frame,
+    relative to sigma and sigma^2, and the metric relative to its own size.
+    Without a positive definite metric there is no frame: NaN residuals."""
+    g = alg.metric
+    gsym = float(np.max(np.abs(g - g.T), initial=0.0))
+    min_eig, definite = metric_definiteness(g, tols.spd_tol)
+    if not (definite and gsym <= tols.antisym_tol * np.max(np.abs(g))):
+        return ValidationReport(math.nan, math.nan, gsym, min_eig, False)
+    fr, n = alg.frame, alg.dim
+    c = fr.structure
+    anti = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))), initial=0.0)) / fr.scale
     # jac[i,j,l,k] = cyc[i,j,l,k] + cyc[l,i,j,k] + cyc[j,l,i,k] with
     # cyc[i,j,l,k] = sum_m c[i,j,m] c[m,l,k].  One output component k at a
     # time keeps all three cyclic terms in the same O(n^3) slice; the maximum
@@ -266,18 +282,8 @@ def validate(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ValidationRep
         cyc = (flat @ c[:, :, k]).reshape(n, n, n)
         jac = cyc + np.transpose(cyc, (1, 2, 0)) + np.transpose(cyc, (2, 0, 1))
         slice_max[k] = np.max(np.abs(jac))
-    jacobi = float(np.max(slice_max, initial=0.0))
-    gsym = float(np.max(np.abs(alg.metric - alg.metric.T), initial=0.0))
-    try:
-        min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (alg.metric + alg.metric.T))))
-    except np.linalg.LinAlgError:
-        min_eig = float("-inf")
-    ok = (
-        anti < tols.antisym_tol
-        and jacobi < tols.jacobi_tol
-        and gsym < tols.antisym_tol
-        and min_eig > tols.spd_tol
-    )
+    jacobi = float(np.max(slice_max, initial=0.0)) / fr.scale ** 2
+    ok = anti < tols.antisym_tol and jacobi < tols.jacobi_tol
     return ValidationReport(anti, jacobi, gsym, min_eig, ok)
 
 
@@ -295,6 +301,11 @@ def _bracket_products(c: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray) -> 
     return np.tensordot(rows_b, left, axes=(1, 1)).transpose(1, 0, 2)  # [a, b, k]
 
 
+def _killing(c: np.ndarray) -> np.ndarray:
+    # B[i, j] = tr(ad e_i ad e_j) = sum_{a,b} c[i,b,a] c[j,a,b]
+    return np.tensordot(c, c, axes=([1, 2], [2, 1]))
+
+
 def _rank(values: np.ndarray, scale: float, tol: float):
     """(rank, marginal): how many |values| exceed the cut tol * scale, and
     whether any value lies within two decades of that cut."""
@@ -304,38 +315,31 @@ def _rank(values: np.ndarray, scale: float, tol: float):
     return int(np.count_nonzero(a > cut)), marginal
 
 
-def _bracket_scale(alg: MetricLieAlgebra) -> float:
-    """sigma = max(||c||_F in a g-orthonormal basis, 1): the scale of bracket
-    values, and sigma^2 that of Killing values.  The floor at 1 makes an
-    algebra that is abelian up to round-off cut against 1, not against its
-    own round-off."""
-    L = np.linalg.cholesky(alg.metric)
-    E = np.linalg.inv(L)  # rows: a g-orthonormal basis, E g E^T = I
-    # a coordinate vector v has the components v @ L in that basis
-    return max(float(np.linalg.norm(_bracket_products(alg.structure, E, E) @ L)), 1.0)
+def _orthonormal(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning ``rows``.  A span of vectors has no algebra
+    scale, so the rank is cut relative to the top singular value."""
+    s, vt = np.linalg.svd(rows, full_matrices=False)[1:]
+    return vt[:_rank(s, np.max(s, initial=0.0), DEFAULT.rank_tol)[0]]
 
 
 def _bracket_span(alg: MetricLieAlgebra, rows_a: np.ndarray, rows_b: np.ndarray,
-                  sigma: float, rank_tol: float):
-    """Rows spanning [rows_a, rows_b] and whether the rank cut was marginal."""
-    if rows_a.shape[0] == 0 or rows_b.shape[0] == 0:
-        return np.zeros((0, alg.dim)), False
-    prods = _bracket_products(alg.structure, rows_a, rows_b).reshape(-1, alg.dim)
+                  rank_tol: float):
+    """The ideal spanned by [rows_a, rows_b] of frame rows, and whether the
+    rank cut was marginal."""
+    fr = alg.frame
+    prods = _bracket_products(fr.structure, rows_a, rows_b).reshape(-1, alg.dim)
     # the tall product matrix only enters through its R factor; this skips
     # forming the left singular vectors
-    r = np.linalg.qr(prods, mode="r")
-    s, vt = np.linalg.svd(r, full_matrices=False)[1:]
-    rank, marginal = _rank(s, sigma, rank_tol)
-    return vt[:rank], marginal
+    s, vt = np.linalg.svd(np.linalg.qr(prods, mode="r"), full_matrices=False)[1:]
+    rank, marginal = _rank(s, fr.scale, rank_tol)
+    return Ideal(alg, vt[:rank] @ fr.inv_chol), marginal
 
 
 def derived_subalgebra(alg: MetricLieAlgebra, sub: Optional[Ideal] = None,
                        tols: Tolerances = DEFAULT) -> Ideal:
     """Span of all brackets of pairs of spanning vectors of ``sub``."""
-    if sub is None:
-        sub = full_ideal(alg)
-    return Ideal(alg, _bracket_span(alg, sub.onb, sub.onb, _bracket_scale(alg),
-                                    tols.rank_tol)[0])
+    rows = (sub or full_ideal(alg)).frame_onb
+    return _bracket_span(alg, rows, rows, tols.rank_tol)[0]
 
 
 def _series(alg, step, start):
@@ -346,8 +350,8 @@ def _series(alg, step, start):
     for _ in range(alg.dim):
         if series[-1].dim in (0, series[-2].dim):
             break
-        rows, flag = step(series[-1].onb)
-        series.append(Ideal(alg, rows))
+        ideal, flag = step(series[-1].frame_onb)
+        series.append(ideal)
         marginal = marginal or flag
     return series, marginal
 
@@ -363,12 +367,7 @@ def quotient_algebra(alg: MetricLieAlgebra, n_ideal: Ideal,
     if n_ideal.dim > 0 and not n_ideal.is_ideal(tols.ideal_tol):
         raise NotAnIdealError("span is not an ideal; quotient bracket undefined")
     Q = n_ideal.complement_onb()
-    q = Q.shape[0]
-    P = Q @ alg.metric
-    if q == 0:
-        return MetricLieAlgebra(0, np.zeros((0, 0, 0)), np.zeros((0, 0))), P
-    cq = _bracket_products(alg.structure, Q, Q) @ alg.metric @ Q.T
-    return MetricLieAlgebra(q, cq, np.eye(q)), P
+    return _on_rows(alg, Q), Q @ alg.metric
 
 
 def restrict_to_span(alg: MetricLieAlgebra, sub: Ideal,
@@ -376,12 +375,16 @@ def restrict_to_span(alg: MetricLieAlgebra, sub: Ideal,
     """The subalgebra spanned by ``sub`` with the restricted metric."""
     if sub.dim > 0 and not sub.is_subalgebra(tols.ideal_tol):
         raise NotAnIdealError("span is not closed under the bracket")
-    E = sub.onb
-    k = E.shape[0]
-    if k == 0:
-        return MetricLieAlgebra(0, np.zeros((0, 0, 0)), np.zeros((0, 0)))
-    cs = _bracket_products(alg.structure, E, E) @ alg.metric @ E.T
-    return MetricLieAlgebra(k, cs, np.eye(k))
+    return _on_rows(alg, sub.onb)
+
+
+def _on_rows(alg: MetricLieAlgebra, E: np.ndarray) -> MetricLieAlgebra:
+    """The bracket projected onto the span of g-orthonormal rows E, in that
+    basis: identity metric, and cut against the parent's sigma."""
+    c = _bracket_products(alg.structure, E, E) @ alg.metric @ E.T
+    sub = MetricLieAlgebra(E.shape[0], c, np.eye(E.shape[0]))
+    object.__setattr__(sub, "_parent_scale", (alg.frame.scale, alg.frame.exponent))
+    return sub
 
 
 def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ClassificationReport:
@@ -390,30 +393,31 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
     solvable/nilpotent come from the derived and lower central series,
     the radical from the Killing-orthogonal of the derived algebra, and
     amenability from the definiteness of the Killing form of the Levi
-    quotient (compact type) -- quotient zero counts as amenable.  Every
-    rank and definiteness cut is ``_rank`` against the algebra's scale
-    sigma (bracket values) or sigma^2 (Killing values), and the
-    unimodular cut of the trace functional is against sigma too.
+    quotient (compact type) -- quotient zero counts as amenable.  Every cut
+    is ``_rank`` on the normalized frame with plain projections: bracket
+    values and the trace functional against sigma, Killing values against
+    sigma^2.
     """
     if alg.dim == 0:
         rad = zero_ideal(alg)
         return ClassificationReport(True, True, True, True, True, rad, (0,), False,
                                     "zero algebra")
-    sigma, tol = _bracket_scale(alg), tols.rank_tol
+    fr, tol = alg.frame, tols.rank_tol
     # both series start g, [g, g]
     g = full_ideal(alg)
-    rows, marginal = _bracket_span(alg, g.onb, g.onb, sigma, tol)
-    start = (g, Ideal(alg, rows))
+    top = g.frame_onb
+    gg, marginal = _bracket_span(alg, top, top, tol)
     derived, derived_marginal = _series(
-        alg, lambda s: _bracket_span(alg, s, s, sigma, tol), start)
+        alg, lambda s: _bracket_span(alg, s, s, tol), (g, gg))
     lower, lower_marginal = _series(
-        alg, lambda s: _bracket_span(alg, g.onb, s, sigma, tol), start)
+        alg, lambda s: _bracket_span(alg, top, s, tol), (g, gg))
     solvable, nilpotent = derived[-1].dim == 0, lower[-1].dim == 0
     # the radical is the Killing-orthogonal of the derived algebra: the null
     # space of the rows v -> B(d_a, v)
-    s, vt = np.linalg.svd(derived[1].onb @ alg.killing_form(), full_matrices=True)[1:]
-    rank, radical_marginal = _rank(s, sigma ** 2, tol)
-    rad = Ideal(alg, vt[rank:])
+    s, vt = np.linalg.svd(derived[1].frame_onb @ _killing(fr.structure),
+                          full_matrices=True)[1:]
+    rank, radical_marginal = _rank(s, fr.scale ** 2, tol)
+    rad = Ideal(alg, vt[rank:] @ fr.inv_chol)
     marginal = marginal or derived_marginal or lower_marginal or radical_marginal
     if solvable and rad.dim != alg.dim:
         # keep the report consistent when rank decisions disagree
@@ -423,37 +427,29 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
         amenable = True
         derivation = "solvable radical is everything; compact extension trivial"
     else:
-        quot, _ = quotient_algebra(alg, rad, tols)
-        eigs = np.linalg.eigvalsh(quot.killing_form())
-        rank, levi_marginal = _rank(eigs, sigma ** 2, tol)
+        Q = rad.frame_complement()
+        eigs = np.linalg.eigvalsh(_killing(_bracket_products(fr.structure, Q, Q) @ Q.T))
+        rank, levi_marginal = _rank(eigs, fr.scale ** 2, tol)
         amenable = rank == eigs.size and bool(np.max(eigs) < 0.0)
         marginal = marginal or levi_marginal
         derivation = ("Levi quotient Killing form negative definite"
                       if amenable else "Levi quotient of non-compact type")
     return ClassificationReport(
-        unimodular=alg.is_unimodular(tols.unimodular_tol * sigma),
-        solvable=solvable,
-        nilpotent=nilpotent,
-        semisimple=semisimple,
-        amenable=amenable,
-        radical=rad,
-        derived_series_lengths=tuple(i.dim for i in derived),
-        numerically_marginal=marginal,
-        derivation=derivation,
-    )
+        alg.is_unimodular(tols.unimodular_tol), solvable, nilpotent, semisimple, amenable,
+        rad, tuple(i.dim for i in derived), marginal, derivation)
 
 
 def mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal,
                    tols: Tolerances = DEFAULT) -> np.ndarray:
     """Mean curvature vector of the subgroup generated by an ideal.
 
-    Sums the complement part of nabla_E E over a g-orthonormal basis {E} of
-    the ideal.  The result lies in the metric complement of the span and does
-    not depend on the basis choice.
+    The complement part of the sum of nabla_E E over a g-orthonormal basis
+    {E} of the ideal.  The Koszul formula with x = y = E gives
+    <nabla_E E, z> = <[z, E], E>, so <H, z> is the trace of ad z restricted
+    to the ideal (Milnor, Adv. Math. 21, 1976): one contraction with E^T E.
     """
     if n_ideal.dim > 0 and not n_ideal.is_ideal(tols.ideal_tol):
         raise NotAnIdealError("mean curvature needs an ideal")
-    H = np.zeros(alg.dim)
-    for e in n_ideal.onb:
-        H += alg.koszul_connection(e, e)
-    return H - alg.project_onto(n_ideal.onb, H)
+    E, g = n_ideal.onb, alg.metric
+    H = np.linalg.solve(g, np.einsum("kim,mi->k", alg.structure, g @ E.T @ E))
+    return H - (E @ (g @ H)) @ E

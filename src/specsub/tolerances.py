@@ -11,20 +11,17 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # structure-constant validation
-    antisym_tol: float = 1e-12   # max |c[i,j,k] + c[j,i,k]| accepted
-    jacobi_tol: float = 1e-9     # max Jacobi residual accepted
-    spd_tol: float = 1e-12       # metric eigenvalues must exceed this
-    # span / rank decisions
-    ideal_tol: float = 1e-9      # bracket-closure residual for spans
-    # relative cut of every rank and definiteness decision: against the top
-    # singular value for a span of vectors, against sigma for bracket values
-    # and sigma^2 for Killing values, sigma = max(||c||_F in a g-orthonormal
-    # basis, 1)
+    # Every Lie cut is relative: to sigma = ||c||_F in a g-orthonormal basis
+    # (no floor, see lie_core.Frame) or to the largest metric eigenvalue.
+    antisym_tol: float = 1e-12   # max |c[i,j,k] + c[j,i,k]| / sigma accepted
+    jacobi_tol: float = 1e-9     # max Jacobi residual / sigma^2 accepted
+    spd_tol: float = 1e-12       # min / max metric eigenvalue must exceed this
+    ideal_tol: float = 1e-9      # bracket-closure residual / sigma for spans
+    # every rank and definiteness decision: against the top singular value
+    # for a span of vectors, against sigma for bracket values and sigma^2 for
+    # Killing values
     rank_tol: float = 1e-9
-    # sup norm of the trace functional; classify cuts it at unimodular_tol *
-    # sigma, MetricLieAlgebra.is_unimodular at the absolute value it is given
-    unimodular_tol: float = 1e-9
+    unimodular_tol: float = 1e-9  # sup norm of the trace functional / sigma
     # spectral checks
     solver_tol: float = 1e-10    # residual target for the iterative eigensolver
     ineq_tol: float = 1e-8       # allowed slack violation for inequalities

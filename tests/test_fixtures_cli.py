@@ -10,7 +10,8 @@ import pytest
 
 import specsub.cli
 import specsub.group_spectra
-from conftest import an_structure, heisenberg_type_structure, rotated
+from conftest import (an_structure, heisenberg_type_structure, rotate_algebra,
+                      rotated)
 from specsub.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                          RunConfig, main, run)
 from specsub.errors import FixtureParseError
@@ -262,6 +263,12 @@ def test_run_validation_failure_on_broken_jacobi(tmp_path):
     bad.write_text("dim 3\nbracket 1 2 3 1\nbracket 1 3 1 1\n")
     res = run(RunConfig("analyze", str(bad)))
     assert res.exit_code == EXIT_VALIDATION
+    # the text names the failed check: [e1, [e1, e2]] = e1 against sigma^2 = 4
+    assert "Jacobi residual 2.50e-01" in res.text
+    # the frozen CSV contract: a valid=false row and exit 0
+    res = run(RunConfig("analyze", str(bad), fmt="csv"))
+    assert res.exit_code == EXIT_OK
+    assert res.text.splitlines()[-1].split(",")[1:] == ["false"] + [""] * 7
 
 
 def test_run_unknown_fixture():
@@ -710,3 +717,74 @@ def test_analyze_of_lie_files_writes_nothing_to_stderr(tmp_path):
 
 def test_bare_import_loads_no_scipy():
     assert _python("-c", f"import sys, specsub\nprint({_LOADED_SCIPY})") == "[]\n"
+
+
+# -- scale: the algebra with constants t c and the metric t g ------------------
+
+def _outcomes(capsys, path, commands=("analyze", "lambda0", "cheeger", "quotient")):
+    """command -> (exit code, CSV row without the fixture name); stderr is
+    empty on success and one error line otherwise."""
+    out = {}
+    for command in commands:
+        code = main([command, str(path), "--format", "csv"])
+        stdout, stderr = capsys.readouterr()
+        if code == EXIT_OK:
+            assert stderr == ""
+            out[command] = code, stdout.splitlines()[-1].split(",")[1:]
+        else:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            out[command] = code, stderr
+    return out
+
+
+def _flags(outcomes):
+    """The outcomes with the printed numbers dropped: exit codes and flags."""
+    numbers = {"lambda0": (2, 3), "cheeger": (2, 3), "quotient": (1, 2, 3, 4, 5)}
+    return {command: (code, [v for i, v in enumerate(row)
+                             if i not in numbers.get(command, ())] if code == EXIT_OK else None)
+            for command, (code, row) in outcomes.items()}
+
+
+@pytest.mark.parametrize("name, rotate, t", [
+    ("sl2", False, 1e-5), ("so3", False, 1e-5), ("sl2", False, 1e160),
+    ("paper_example3", True, 1e20), ("paper_example3", True, 1e-20),
+    ("affine2", True, 1e50),
+])
+def test_scaled_constants_run_as_the_unscaled_algebra(tmp_path, capsys, name, rotate, t):
+    alg = catalog_fixture(name)
+    if rotate:
+        alg = rotate_algebra(alg, np.random.default_rng(5))
+    plain, scaled = tmp_path / "plain.lie", tmp_path / "scaled.lie"
+    plain.write_text(lie_fixture_text(alg))
+    scaled.write_text(lie_fixture_text(MetricLieAlgebra(alg.dim, t * alg.structure,
+                                                        alg.metric)))
+    expect = _flags(_outcomes(capsys, plain))
+    assert _flags(_outcomes(capsys, scaled)) == expect
+    if name == "sl2":
+        assert expect["lambda0"] == (EXIT_INAPPLICABLE, None)
+
+
+def test_constants_near_the_largest_double_classify_and_overflow_cleanly(tmp_path, capsys):
+    (tmp_path / "one.lie").write_text("dim 2\nbracket 1 2 2 1\n")
+    (tmp_path / "big.lie").write_text("dim 2\nbracket 1 2 2 1e308\n")
+    big = _outcomes(capsys, tmp_path / "big.lie")
+    assert big["analyze"] == _outcomes(capsys, tmp_path / "one.lie", ("analyze",))["analyze"]
+    # lambda0 = 2.5e615 does not fit in a double: an input out of range
+    for command in ("lambda0", "cheeger", "quotient"):
+        assert big[command] == (EXIT_VALIDATION, "error: a result overflows a double "
+                                                 "at this bracket scale\n")
+
+
+def test_a_small_metric_is_not_degenerate(tmp_path, capsys):
+    (tmp_path / "small.lie").write_text(
+        "dim 2\nbracket 1 2 2 1\nmetric 1 1 1e-13\nmetric 2 2 1e-13\n")
+    out = _outcomes(capsys, tmp_path / "small.lie", ("analyze", "lambda0"))
+    assert out["analyze"][1][0] == "true"
+    # lambda0 = |tau|^2 / 4 in the dual metric: 0.25 / 1e-13
+    assert float(out["lambda0"][1][2]) == pytest.approx(0.25e13, rel=1e-12)
+
+
+def test_a_singular_metric_is_rejected(tmp_path, capsys):
+    (tmp_path / "singular.lie").write_text("dim 2\nmetric 1 1 1\nmetric 1 2 1\nmetric 2 2 1\n")
+    for code, err in _outcomes(capsys, tmp_path / "singular.lie").values():
+        assert code == EXIT_VALIDATION and "not positive definite" in err

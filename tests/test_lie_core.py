@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,8 @@ def test_validate_broken_antisymmetry():
     alg = MetricLieAlgebra(3, c, np.eye(3))
     rep = validate(alg)
     assert not rep.ok
-    assert rep.antisymmetry_residual == pytest.approx(2.0)
+    # max |c + c^T| = 2, relative to sigma = ||c||_F = sqrt(2)
+    assert rep.antisymmetry_residual == pytest.approx(2.0 / np.sqrt(2.0))
 
 
 def test_validate_3d_solvable_example():
@@ -57,7 +60,9 @@ def test_validate_broken_jacobi():
     # c[0,1,:]=e3, c[0,2,:]=e1 fails Jacobi
     alg = make_algebra(3, [(0, 1, 2, 1.0), (0, 2, 0, 1.0)])
     rep = validate(alg)
-    assert rep.jacobi_residual > 0.5
+    # [e1, [e2, e3]] + [e2, [e3, e1]] + [e3, [e1, e2]] = e3, relative to
+    # sigma^2 = ||c||_F^2 = 4
+    assert rep.jacobi_residual == pytest.approx(0.25)
     assert not rep.ok
 
 
@@ -70,6 +75,24 @@ def test_validate_rejects_nan_entries():
     g = np.eye(3)
     g[1, 1] = np.nan
     assert not validate(MetricLieAlgebra(3, heisenberg3().structure, g)).ok
+
+
+def test_an_algebra_built_from_a_fresh_array_keeps_it():
+    n = 40
+    c, g = np.zeros((n, n, n)), np.eye(n)
+    tracemalloc.start()
+    try:
+        alg = MetricLieAlgebra(n, c, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < c.nbytes / 8, peak          # no second n^3 block
+    assert alg.structure is c and not c.flags.writeable
+    # a view is copied: its owner could still write through it
+    base = np.zeros((2, n, n, n))
+    view = MetricLieAlgebra(n, base[1], g)
+    base[1, 0, 1, 2] = 1.0
+    assert view.structure[0, 1, 2] == 0.0 and not view.structure.flags.writeable
 
 
 # -- bracket / ad / traces ------------------------------------------------------
@@ -288,12 +311,23 @@ def test_derived_series_lengths():
 
 # -- koszul connection -------------------------------------------------------------
 
+def koszul_connection(alg, x, y):
+    """Levi-Civita connection of the left-invariant metric on constant fields:
+    solves g w = rhs where rhs_k is half of
+    <[x,y],e_k> - <[y,e_k],x> + <[e_k,x],y>."""
+    g, c = alg.metric, alg.structure
+    t1 = g @ alg.bracket(x, y)
+    t2 = np.einsum("j,jkm,m->k", y, c, g @ x)   # <[y, e_k], x>
+    t3 = np.einsum("kim,i,m->k", c, x, g @ y)   # <[e_k, x], y>
+    return np.linalg.solve(g, 0.5 * (t1 - t2 + t3))
+
+
 def test_koszul_abelian_zero():
     rng = np.random.default_rng(4)
     alg = abelian(3)
     for _ in range(10):
         x, y = rng.standard_normal((2, 3))
-        assert np.allclose(alg.koszul_connection(x, y), 0.0)
+        assert np.allclose(koszul_connection(alg, x, y), 0.0)
 
 
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
@@ -306,8 +340,8 @@ def test_koszul_affine_frame(c):
     assert alg.inner(E1, E1) == pytest.approx(1.0)
     assert alg.inner(E2, E2) == pytest.approx(1.0)
     assert np.allclose(alg.bracket(E1, E2), s * E2)
-    assert np.allclose(alg.koszul_connection(E2, E2), s * E1)
-    assert np.allclose(alg.koszul_connection(E1, E1), 0.0)
+    assert np.allclose(koszul_connection(alg, E2, E2), s * E1)
+    assert np.allclose(koszul_connection(alg, E1, E1), 0.0)
 
 
 def test_koszul_torsion_free_and_metric_compatible():
@@ -315,11 +349,11 @@ def test_koszul_torsion_free_and_metric_compatible():
     for alg in (heisenberg3(), affine2(0.5), sl2(), so3(), paper_example3()):
         for _ in range(40):
             x, y, z = rng.standard_normal((3, alg.dim))
-            torsion = (alg.koszul_connection(x, y) - alg.koszul_connection(y, x)
+            torsion = (koszul_connection(alg, x, y) - koszul_connection(alg, y, x)
                        - alg.bracket(x, y))
             assert np.max(np.abs(torsion)) < 1e-10
-            compat = (alg.inner(alg.koszul_connection(x, y), z)
-                      + alg.inner(y, alg.koszul_connection(x, z)))
+            compat = (alg.inner(koszul_connection(alg, x, y), z)
+                      + alg.inner(y, koszul_connection(alg, x, z)))
             assert abs(compat) < 1e-10
 
 
@@ -362,6 +396,20 @@ def test_mean_curvature_basis_independent():
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         H1 = mean_curvature(alg, Ideal(alg, q @ base))
         assert np.allclose(H0, H1, atol=1e-10)
+
+
+def test_mean_curvature_is_the_koszul_sum():
+    # the complement part of the sum of nabla_E E over a g-orthonormal basis
+    rng = np.random.default_rng(8)
+    for alg in (paper_example3(), heisenberg3(), affine2(0.5)):
+        a = rng.standard_normal((alg.dim, alg.dim))
+        q = np.linalg.qr(rng.standard_normal((alg.dim, alg.dim)))[0]
+        c = np.einsum("ia,jb,kc,ijk->abc", q, q, q, alg.structure)
+        rot = MetricLieAlgebra(alg.dim, c, a @ a.T + np.eye(alg.dim))
+        ideal = derived_subalgebra(rot)
+        H = sum(koszul_connection(rot, e, e) for e in ideal.onb)
+        H = H - ideal.onb.T @ (ideal.onb @ rot.metric @ H)
+        assert np.allclose(mean_curvature(rot, ideal), H, rtol=0.0, atol=1e-12)
 
 
 def test_mean_curvature_in_complement():

@@ -43,7 +43,7 @@ def test_jacobi_residual_matches_full_tensor():
     c = random_structure(6, rng)
     cyc = np.einsum("ijm,mlk->ijlk", c, c)
     jac = cyc + np.transpose(cyc, (1, 2, 0, 3)) + np.transpose(cyc, (2, 0, 1, 3))
-    ref = np.max(np.abs(jac))
+    ref = np.max(np.abs(jac)) / np.sum(c * c)    # relative to sigma^2 = ||c||_F^2
     got = validate(MetricLieAlgebra(6, c, np.eye(6))).jacobi_residual
     assert got == pytest.approx(ref, rel=1e-12)
 
@@ -52,11 +52,19 @@ def test_closure_residuals_match_loops():
     rng = np.random.default_rng(2)
     n = 6
     a = rng.standard_normal((n, n))
-    alg = MetricLieAlgebra(n, random_structure(n, rng), a @ a.T + n * np.eye(n))
+    g = a @ a.T + n * np.eye(n)
+    alg = MetricLieAlgebra(n, random_structure(n, rng), g)
     sub = Ideal(alg, rng.standard_normal((3, n)))
-    sub_ref = max(sub.residual_off(alg.bracket(x, y)) for x in sub.onb for y in sub.onb)
+    # sigma = ||c||_F in a g-orthonormal basis: here the eigenbasis of g
+    w, v = np.linalg.eigh(g)
+    basis = (v / np.sqrt(w)).T
+    sigma = np.linalg.norm(np.einsum("ai,bj,ijk->abk", basis, basis, alg.structure)
+                           @ g @ basis.T)
+    # both residuals are relative to sigma, the ideal one over the frame basis
+    sub_ref = max(sub.residual_off(alg.bracket(x, y))
+                  for x in sub.onb for y in sub.onb) / sigma
     ideal_ref = max(sub.residual_off(alg.bracket(e, y))
-                    for e in np.eye(n) for y in sub.onb)
+                    for e in alg.frame.inv_chol for y in sub.onb) / sigma
     assert sub.subalgebra_residual() == pytest.approx(sub_ref, rel=1e-12)
     assert sub.ideal_residual() == pytest.approx(ideal_ref, rel=1e-12)
 
