@@ -89,8 +89,7 @@ def _fmt(x) -> str:
 
 def _csv(command: str, rows) -> str:
     lines = [f"# {CSV_VERSION}", ",".join(HEADERS[command])]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -162,10 +161,15 @@ def _cmd_analyze(config: RunConfig, fix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _group_rows(config: RunConfig, alg: MetricLieAlgebra, name: str):
+def _group_rows(config: RunConfig, alg: MetricLieAlgebra, name: str, exact=False):
     crep = classify(alg, config.tolerances)
     with np.errstate(over="ignore", invalid="ignore"):
         rep = group_spectra.group_spectrum_report(alg, config.tolerances, report=crep)
+    if exact and not crep.amenable:
+        # exact lambda0 has no closed form here, whether or not a bound overflows
+        raise FormulaInapplicableError(
+            f"{name}: not amenable, lambda0 formula inapplicable; "
+            f"Cheeger lower bound {rep.cheeger!r} (lambda0 >= {rep.lambda0!r})")
     return crep, rep, _finite([[name, crep.unimodular, crep.amenable, rep.lambda0,
                                 rep.cheeger, rep.method.value]])
 
@@ -174,12 +178,7 @@ def _cmd_lambda0(config: RunConfig, fix) -> str:
     alg = _need_lie(fix)
     _validated(alg, config.tolerances)
     name = _fixture_name(config, fix)
-    crep, rep, rows = _group_rows(config, alg, name)
-    if not crep.amenable:
-        # exact lambda0 has no closed form here; keep the CSV contract but fail
-        raise FormulaInapplicableError(
-            f"{name}: not amenable, lambda0 formula inapplicable; "
-            f"Cheeger lower bound {rep.cheeger!r} (lambda0 >= {rep.lambda0!r})")
+    crep, rep, rows = _group_rows(config, alg, name, exact=True)
     if config.fmt == "csv":
         return _csv("lambda0", rows)
     lines = [f"fixture: {name}",
@@ -214,8 +213,7 @@ def _cmd_quotient(config: RunConfig, fix) -> str:
         idx = [i - 1 for i in config.ideal]
         if any(i < 0 or i >= alg.dim for i in idx):
             raise FixtureParseError(f"--ideal indices must be in 1..{alg.dim}")
-        span = np.eye(alg.dim)[idx]
-        n_ideal = Ideal(alg, span)
+        n_ideal = Ideal(alg, np.eye(alg.dim)[idx])
     else:
         n_ideal = derived_subalgebra(alg, tols=config.tolerances)
     if n_ideal.dim == 0:
@@ -256,9 +254,8 @@ def _cmd_verify_warped(config: RunConfig, fix) -> str:
     cfg = config.solver()
     ineq, eq = warped_spectra.verify_warped(
         spec, config.grid_n, config.tolerances, cfg, config.m_max)
-    rows = []
-    for m, (lam, res) in enumerate(zip(ineq.lambda0_modes, ineq.residuals)):
-        rows.append([name, config.grid_n, m, lam, res, lam - ineq.rhs])
+    rows = [[name, config.grid_n, m, lam, res, lam - ineq.rhs]
+            for m, (lam, res) in enumerate(zip(ineq.lambda0_modes, ineq.residuals))]
     rows.append([name, config.grid_n, -1, ineq.lambda0_schrodinger,
                  ineq.residuals[-1], ineq.slack])
     lines = [f"fixture: {name} (grid {config.grid_n})",

@@ -248,6 +248,7 @@ def _lie_algebra(n: int, c: np.ndarray, g: np.ndarray,
     if not definite:
         raise FixtureParseError(
             f"metric is not positive definite (min eigenvalue {min_eig:.3e})")
+    c.setflags(write=False)  # handed over without a copy
     return MetricLieAlgebra(n, c, g)
 
 

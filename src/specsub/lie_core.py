@@ -31,12 +31,13 @@ def _asvec(x, n: int) -> np.ndarray:
 
 
 def _frozen(a) -> np.ndarray:
-    """``a`` read-only: a float array that owns its memory is frozen in place,
-    a view (its owner could still write) or another dtype is copied."""
-    a = np.asarray(a, dtype=float)
-    a = a if a.base is None else a.copy()
-    a.setflags(write=False)
-    return a
+    """``a`` read-only: a frozen float array that owns its memory is kept, a
+    writable array or a view (its owner could still write) is copied."""
+    b = np.asarray(a, dtype=float)
+    if b.base is not None or (b is a and b.flags.writeable):
+        b = b.copy()
+    b.setflags(write=False)
+    return b
 
 
 class Frame(NamedTuple):
@@ -87,16 +88,14 @@ class MetricLieAlgebra:
         L = np.linalg.cholesky(self.metric)
         inv = np.linalg.inv(L)
         c = self.structure
-        if self._parent_scale is None:
-            # a power of two near max|c| first: exact, and then the norm
-            # cannot overflow
-            exponent = int(np.frexp(np.max(np.abs(c), initial=0.0))[1])
-            hat = _bracket_products(np.ldexp(c, -exponent), inv, inv) @ L
+        # a power of two near max|c| first: exact, and then the norm cannot
+        # overflow; a restricted algebra keeps its parent's (scale, exponent)
+        scale, exponent = self._parent_scale or (
+            None, int(np.frexp(np.max(np.abs(c), initial=0.0))[1]))
+        hat = _bracket_products(np.ldexp(c, -exponent), inv, inv) @ L
+        if scale is None:
             scale, shift = math.frexp(float(np.linalg.norm(hat)))
             hat, exponent = np.ldexp(hat, -shift), exponent + shift
-        else:
-            scale, exponent = self._parent_scale
-            hat = _bracket_products(np.ldexp(c, -exponent), inv, inv) @ L
         hat.setflags(write=False)
         return Frame(L, inv, hat, scale or 1.0, exponent)
 
@@ -382,6 +381,7 @@ def _on_rows(alg: MetricLieAlgebra, E: np.ndarray) -> MetricLieAlgebra:
     """The bracket projected onto the span of g-orthonormal rows E, in that
     basis: identity metric, and cut against the parent's sigma."""
     c = _bracket_products(alg.structure, E, E) @ alg.metric @ E.T
+    c.setflags(write=False)
     sub = MetricLieAlgebra(E.shape[0], c, np.eye(E.shape[0]))
     object.__setattr__(sub, "_parent_scale", (alg.frame.scale, alg.frame.exponent))
     return sub
@@ -427,6 +427,8 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
         amenable = True
         derivation = "solvable radical is everything; compact extension trivial"
     else:
+        if not rad.is_ideal(tols.ideal_tol):
+            raise NotAnIdealError("the radical cut is not an ideal; no Levi quotient")
         Q = rad.frame_complement()
         eigs = np.linalg.eigvalsh(_killing(_bracket_products(fr.structure, Q, Q) @ Q.T))
         rank, levi_marginal = _rank(eigs, fr.scale ** 2, tol)

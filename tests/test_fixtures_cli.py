@@ -748,19 +748,29 @@ def _flags(outcomes):
 @pytest.mark.parametrize("name, rotate, t", [
     ("sl2", False, 1e-5), ("so3", False, 1e-5), ("sl2", False, 1e160),
     ("paper_example3", True, 1e20), ("paper_example3", True, 1e-20),
-    ("affine2", True, 1e50),
+    ("affine2", True, 1e50), ("sl2+affine2", False, 1e160),
 ])
 def test_scaled_constants_run_as_the_unscaled_algebra(tmp_path, capsys, name, rotate, t):
-    alg = catalog_fixture(name)
+    parts = [catalog_fixture(part) for part in name.split("+")]
+    n = sum(part.dim for part in parts)
+    c, at = np.zeros((n, n, n)), 0
+    for part in parts:
+        block = slice(at, at + part.dim)
+        c[block, block, block], at = part.structure, at + part.dim
+    alg = MetricLieAlgebra(n, c, np.eye(n))
     if rotate:
         alg = rotate_algebra(alg, np.random.default_rng(5))
     plain, scaled = tmp_path / "plain.lie", tmp_path / "scaled.lie"
     plain.write_text(lie_fixture_text(alg))
     scaled.write_text(lie_fixture_text(MetricLieAlgebra(alg.dim, t * alg.structure,
                                                         alg.metric)))
-    expect = _flags(_outcomes(capsys, plain))
-    assert _flags(_outcomes(capsys, scaled)) == expect
-    if name == "sl2":
+    # sl2 + affine2 is neither amenable nor unimodular: its lambda0 bound,
+    # of scale t^2, overflows at 1e160, and cheeger and quotient print it
+    commands = ("analyze", "lambda0") if len(parts) > 1 else (
+        "analyze", "lambda0", "cheeger", "quotient")
+    expect = _flags(_outcomes(capsys, plain, commands))
+    assert _flags(_outcomes(capsys, scaled, commands)) == expect
+    if name.startswith("sl2"):
         assert expect["lambda0"] == (EXIT_INAPPLICABLE, None)
 
 

@@ -77,9 +77,10 @@ def test_validate_rejects_nan_entries():
     assert not validate(MetricLieAlgebra(3, heisenberg3().structure, g)).ok
 
 
-def test_an_algebra_built_from_a_fresh_array_keeps_it():
+def test_an_algebra_built_from_a_frozen_array_keeps_it():
     n = 40
     c, g = np.zeros((n, n, n)), np.eye(n)
+    c.setflags(write=False)                   # as the parsers hand it over
     tracemalloc.start()
     try:
         alg = MetricLieAlgebra(n, c, g)
@@ -87,12 +88,36 @@ def test_an_algebra_built_from_a_fresh_array_keeps_it():
     finally:
         tracemalloc.stop()
     assert peak < c.nbytes / 8, peak          # no second n^3 block
-    assert alg.structure is c and not c.flags.writeable
+    assert alg.structure is c
+    # a writable array is copied and stays the caller's to write
+    mine = np.zeros((n, n, n))
+    kept = MetricLieAlgebra(n, mine, g)
+    mine[0, 1, 2] = 1.0
+    assert kept.structure[0, 1, 2] == 0.0 and not kept.structure.flags.writeable
     # a view is copied: its owner could still write through it
     base = np.zeros((2, n, n, n))
     view = MetricLieAlgebra(n, base[1], g)
     base[1, 0, 1, 2] = 1.0
     assert view.structure[0, 1, 2] == 0.0 and not view.structure.flags.writeable
+
+
+def test_a_radical_cut_that_is_not_an_ideal_raises(monkeypatch):
+    import specsub.lie_core as lie_core
+    alg, rank, lowered = sl2(), lie_core._rank, []
+
+    def one_short(values, scale, tol):
+        # the first cut against sigma^2 is the radical's: sl2 has radical 0,
+        # one rank short leaves a line of sl2, which no ideal of sl2 is
+        r, marginal = rank(values, scale, tol)
+        if scale == alg.frame.scale ** 2 and not lowered:
+            lowered.append(r)
+            return r - 1, marginal
+        return r, marginal
+
+    monkeypatch.setattr(lie_core, "_rank", one_short)
+    with pytest.raises(NotAnIdealError, match="radical"):
+        classify(alg)
+    assert lowered == [3]
 
 
 # -- bracket / ad / traces ------------------------------------------------------

@@ -64,8 +64,9 @@ def test_classify_and_lambda0_are_basis_invariant(case):
     assert a.numerically_marginal == b.numerically_marginal
     ra, rb = group_spectrum_report(alg, report=a), group_spectrum_report(rot, report=b)
     assert ra.method == rb.method
-    # a non-amenable algebra's lower bound is round-off of the scale t^2
-    assert math.isclose(rb.lambda0, t * t * ra.lambda0, rel_tol=1e-9, abs_tol=1e-12 * t * t)
+    # a unimodular algebra's lambda0 in a rotated basis is the square of the
+    # trace's round-off, about (1e-16 t)^2
+    assert math.isclose(rb.lambda0, t * t * ra.lambda0, rel_tol=1e-9, abs_tol=1e-24 * t * t)
 
 
 @pytest.mark.parametrize("name", ["affine2", "heisenberg3", "paper_example3"])
