@@ -254,8 +254,9 @@ def _cmd_verify_warped(config: RunConfig, fix) -> str:
     cfg = config.solver()
     ineq, eq = warped_spectra.verify_warped(
         spec, config.grid_n, config.tolerances, cfg, config.m_max)
-    rows = [[name, config.grid_n, m, lam, res, lam - ineq.rhs]
-            for m, (lam, res) in enumerate(zip(ineq.lambda0_modes, ineq.residuals))]
+    rows = []
+    for m, (lam, res) in enumerate(zip(ineq.lambda0_modes, ineq.residuals)):
+        rows.append([name, config.grid_n, m, lam, res, lam - ineq.rhs])
     rows.append([name, config.grid_n, -1, ineq.lambda0_schrodinger,
                  ineq.residuals[-1], ineq.slack])
     lines = [f"fixture: {name} (grid {config.grid_n})",

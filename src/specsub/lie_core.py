@@ -399,9 +399,8 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
     sigma^2.
     """
     if alg.dim == 0:
-        rad = zero_ideal(alg)
-        return ClassificationReport(True, True, True, True, True, rad, (0,), False,
-                                    "zero algebra")
+        return ClassificationReport(True, True, True, True, True, zero_ideal(alg), (0,),
+                                    False, "zero algebra")
     fr, tol = alg.frame, tols.rank_tol
     # both series start g, [g, g]
     g = full_ideal(alg)
