@@ -3,7 +3,7 @@
 from .errors import (FixtureParseError, FormulaInapplicableError,
                      NotAnIdealError, SolverConvergenceError, SpecsubError)
 from .tolerances import DEFAULT, PRESETS, STRICT, Tolerances
-from .lie_core import (ClassificationReport, Covector, Ideal, MetricLieAlgebra,
+from .lie_core import (ClassificationReport, Ideal, MetricLieAlgebra,
                        ValidationReport, classify, derived_subalgebra,
                        full_ideal, mean_curvature, quotient_algebra,
                        restrict_to_span, validate, zero_ideal)

@@ -163,8 +163,7 @@ def _cmd_analyze(config: RunConfig, fix) -> str:
 
 def _group_rows(config: RunConfig, alg: MetricLieAlgebra, name: str, exact=False):
     crep = classify(alg, config.tolerances)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = group_spectra.group_spectrum_report(alg, config.tolerances, report=crep)
+    rep = group_spectra.group_spectrum_report(alg, config.tolerances, report=crep)
     if exact and not crep.amenable:
         # exact lambda0 has no closed form here, whether or not a bound overflows
         raise FormulaInapplicableError(
@@ -218,18 +217,17 @@ def _cmd_quotient(config: RunConfig, fix) -> str:
         n_ideal = derived_subalgebra(alg, tols=config.tolerances)
     if n_ideal.dim == 0:
         raise FixtureParseError("the requested ideal is zero; nothing to quotient")
-    tau = alg.trace_covector()
     with np.errstate(over="ignore", invalid="ignore"):
         rep = group_spectra.quotient_bound(alg, n_ideal, config.tolerances)
-        rows = _finite([[name, n_ideal.dim, alg.inner(rep.H, rep.H), tau(rep.H),
-                         rep.lambda0_N, rep.lambda0_quotient, rep.lower_bound,
-                         rep.equality_expected, rep.partial]])
+    rows = _finite([[name, n_ideal.dim, rep.H_norm2, rep.tr_ad_H,
+                     rep.lambda0_N, rep.lambda0_quotient, rep.lower_bound,
+                     rep.equality_expected, rep.partial]])
     if config.fmt == "csv":
         return _csv("quotient", rows)
     lines = [f"fixture: {name}",
              f"ideal dimension: {n_ideal.dim}",
-             f"|H|^2: {alg.inner(rep.H, rep.H)!r}",
-             f"tr(ad H): {tau(rep.H)!r}",
+             f"|H|^2: {rep.H_norm2!r}",
+             f"tr(ad H): {rep.tr_ad_H!r}",
              f"lambda0(N): {_fmt(rep.lambda0_N)}",
              f"lambda0(G/N): {_fmt(rep.lambda0_quotient)}",
              f"lower bound for lambda0(G): {rep.lower_bound!r}",

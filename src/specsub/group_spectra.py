@@ -14,6 +14,7 @@ amenable.  Everything reduces to lie_core linear algebra; no discretization.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +52,8 @@ class GroupSpectrumReport:
 class QuotientBoundReport:
     ideal: Ideal
     H: np.ndarray
+    H_norm2: float                    # |H|^2
+    tr_ad_H: float                    # tr(ad H)
     lower_bound: float
     equality_expected: bool
     lambda0_N: Optional[float]
@@ -58,17 +61,23 @@ class QuotientBoundReport:
     partial: bool                     # a non-amenable factor was replaced by 0
 
 
-def _dual_data(alg: MetricLieAlgebra):
+def _trace_dual(alg: MetricLieAlgebra):
+    """(T, |tau|^2, e) for the trace functional tau = tr(ad .) taken times
+    2**-e, with e the exponent of max |tau| (the scaled maximum lies in
+    [1, 2)): T = g^-1 tau is its metric dual and |tau|^2 = tau(T).  The
+    rescaling is exact, so sup of tau over the unit sphere is
+    sqrt(|tau|^2) 2**e at any scale of the structure constants."""
     tau = alg.trace_covector()
-    T = tau.metric_dual()
-    norm2 = float(tau.components @ T)
-    return tau, T, max(norm2, 0.0)
+    e = math.frexp(float(np.max(np.abs(tau), initial=0.0)))[1] - 1
+    tau = np.ldexp(tau, -e)
+    T = np.linalg.solve(alg.metric, tau)
+    return T, max(float(tau @ T), 0.0), e
 
 
 def cheeger_lower_bound(alg: MetricLieAlgebra) -> float:
     """max(0, sup of tr(ad x) over the unit sphere); valid for any group."""
-    _, _, norm2 = _dual_data(alg)
-    return float(np.sqrt(norm2))
+    _, norm2, e = _trace_dual(alg)
+    return math.sqrt(norm2) * 2.0 ** e
 
 
 def lambda0_amenable(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
@@ -78,32 +87,31 @@ def lambda0_amenable(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
     Raises FormulaInapplicableError when the algebra is not amenable; callers
     can still use cheeger_lower_bound in that case.
     """
-    if alg.dim == 0:
-        return GroupSpectrumReport(0.0, 0.0, None, Method.UNIMODULAR_AMENABLE_ZERO)
     rep = report if report is not None else classify(alg, tols)
     if not rep.amenable:
         raise FormulaInapplicableError(
             "lambda0 formula requires an amenable group; "
             "only the Cheeger lower bound applies")
-    _, T, norm2 = _dual_data(alg)
-    if rep.unimodular:
-        # unimodular + amenable forces exactly zero; drop the round-off noise
-        return GroupSpectrumReport(0.0, 0.0, None, Method.UNIMODULAR_AMENABLE_ZERO)
-    cheeger = float(np.sqrt(norm2))
-    maximizer = T / alg.norm(T)
-    return GroupSpectrumReport(norm2 / 4.0, cheeger, maximizer, Method.AMENABLE_FORMULA)
+    return group_spectrum_report(alg, tols, report=rep)
 
 
 def group_spectrum_report(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
                           report: Optional[ClassificationReport] = None) -> GroupSpectrumReport:
-    """Exact report when amenable, otherwise Cheeger-based lower bounds."""
+    """Exact report when amenable, otherwise Cheeger-based lower bounds.
+
+    The values are Python floats: one that does not fit in a double is inf,
+    and one below the smallest is 0, without a warning.
+    """
     rep = report if report is not None else classify(alg, tols)
-    if rep.amenable:
-        return lambda0_amenable(alg, tols, report=rep)
-    low = cheeger_lower_bound(alg)
-    _, T, norm2 = _dual_data(alg)
+    if rep.amenable and rep.unimodular:
+        # unimodular + amenable forces exactly zero; drop the round-off noise
+        return GroupSpectrumReport(0.0, 0.0, None, Method.UNIMODULAR_AMENABLE_ZERO)
+    T, norm2, e = _trace_dual(alg)
+    unit = 2.0 ** e
     maximizer = T / alg.norm(T) if norm2 > 0 else None
-    return GroupSpectrumReport(low * low / 4.0, low, maximizer, Method.LOWER_BOUND_ONLY)
+    method = Method.AMENABLE_FORMULA if rep.amenable else Method.LOWER_BOUND_ONLY
+    return GroupSpectrumReport(norm2 / 4.0 * unit * unit, math.sqrt(norm2) * unit,
+                               maximizer, method)
 
 
 def quotient_bound(alg: MetricLieAlgebra, n_ideal: Ideal,
@@ -117,9 +125,8 @@ def quotient_bound(alg: MetricLieAlgebra, n_ideal: Ideal,
     value is replaced by 0 and the report is flagged partial.
     """
     H = mean_curvature(alg, n_ideal, tols)
-    tau = alg.trace_covector()
     h_norm2 = alg.inner(H, H)
-    tr_ad_h = tau(H)
+    tr_ad_h = float(alg.trace_covector() @ H)
 
     partial = False
     sub_alg = restrict_to_span(alg, n_ideal, tols)
@@ -143,6 +150,8 @@ def quotient_bound(alg: MetricLieAlgebra, n_ideal: Ideal,
     return QuotientBoundReport(
         ideal=n_ideal,
         H=H,
+        H_norm2=h_norm2,
+        tr_ad_H=tr_ad_h,
         lower_bound=float(bound),
         equality_expected=equality,
         lambda0_N=lambda0_N,
@@ -169,10 +178,9 @@ def radical_commutator_lambda0(alg: MetricLieAlgebra,
     if commutator.dim == 0:
         raise FormulaInapplicableError("radical is abelian; no commutator direction")
     H = mean_curvature(alg, commutator, tols)
-    tau = alg.trace_covector()
-    lam_trace = tau(H) / 4.0
+    lam_trace = float(alg.trace_covector() @ H) / 4.0
     lam_norm = alg.inner(H, H) / 4.0
-    if abs(lam_trace - lam_norm) > tols.identity_tol * max(1.0, abs(lam_trace)):
+    if abs(lam_trace - lam_norm) > tols.identity_tol * max(abs(lam_trace), abs(lam_norm)):
         raise FormulaInapplicableError(
             f"curvature identity violated: tr route {lam_trace} vs norm route {lam_norm}")
     direction = H / alg.norm(H)

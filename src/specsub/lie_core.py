@@ -118,9 +118,11 @@ class MetricLieAlgebra:
     def norm(self, x) -> float:
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
 
-    def trace_covector(self) -> "Covector":
-        """Functional tau with tau(x) = tr(ad x)."""
-        return Covector(self, np.einsum("ijj->i", self.structure))
+    def trace_covector(self) -> np.ndarray:
+        """The trace functional as a read-only vector: tau @ x = tr(ad x)."""
+        tau = np.einsum("ijj->i", self.structure)
+        tau.setflags(write=False)
+        return tau
 
     def is_unimodular(self, tol: float = DEFAULT.unimodular_tol) -> bool:
         """Whether tr(ad x) vanishes, cut at tol relative to sigma on the frame."""
@@ -129,33 +131,6 @@ class MetricLieAlgebra:
 
     def killing_form(self) -> np.ndarray:
         return _killing(self.structure)
-
-
-@dataclass(frozen=True)
-class Covector:
-    """Linear functional in the dual basis; evaluation on e_i gives components[i]."""
-
-    parent: MetricLieAlgebra
-    components: np.ndarray
-
-    def __post_init__(self):
-        comps = np.array(self.components, dtype=float).reshape(-1)
-        if comps.shape != (self.parent.dim,):
-            raise ValueError("component count must match the parent dimension")
-        comps.setflags(write=False)
-        object.__setattr__(self, "components", comps)
-
-    def __call__(self, x) -> float:
-        return float(self.components @ _asvec(x, self.parent.dim))
-
-    def metric_dual(self) -> np.ndarray:
-        """Vector T with <T, x> = tau(x) for all x."""
-        return np.linalg.solve(self.parent.metric, self.components)
-
-    def dual_norm(self) -> float:
-        """sup of tau over the unit sphere of the metric; equals |T|."""
-        val = float(self.components @ self.metric_dual())
-        return float(np.sqrt(max(val, 0.0)))
 
 
 @dataclass(frozen=True)

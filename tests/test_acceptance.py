@@ -75,7 +75,7 @@ def test_criterion_2_lambda0_formula():
         alg = catalog_fixture("affine2", c)
         rep = lambda0_amenable(alg)
         worst_val = max(worst_val, abs(rep.lambda0 - c / 4.0))
-        tau_at_max = alg.trace_covector()(rep.maximizer)
+        tau_at_max = alg.trace_covector() @ rep.maximizer
         worst_val = max(worst_val, abs(rep.lambda0 - tau_at_max ** 2 / 4.0))
         commutator = derived_subalgebra(alg, classify(alg).radical)
         H = mean_curvature(alg, commutator)
@@ -101,8 +101,8 @@ def test_criterion_3_mean_curvature_identity():
         for label, ideal in catalog_ideals(name, alg):
             H = mean_curvature(alg, ideal)
             quot, push = quotient_algebra(alg, ideal)
-            tr_q = quot.trace_covector()(push @ H) if quot.dim else 0.0
-            resid = abs(alg.inner(H, H) - tau(H) + tr_q)
+            tr_q = quot.trace_covector() @ (push @ H) if quot.dim else 0.0
+            resid = abs(alg.inner(H, H) - tau @ H + tr_q)
             worst = max(worst, resid)
             pairs += 1
     ok = pairs >= 8 and worst <= 1e-9

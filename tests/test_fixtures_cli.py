@@ -769,9 +769,13 @@ def test_scaled_constants_run_as_the_unscaled_algebra(tmp_path, capsys, name, ro
     commands = ("analyze", "lambda0") if len(parts) > 1 else (
         "analyze", "lambda0", "cheeger", "quotient")
     expect = _flags(_outcomes(capsys, plain, commands))
-    assert _flags(_outcomes(capsys, scaled, commands)) == expect
+    got = _outcomes(capsys, scaled, commands)
+    assert _flags(got) == expect
     if name.startswith("sl2"):
         assert expect["lambda0"] == (EXIT_INAPPLICABLE, None)
+    if len(parts) > 1:
+        # |tau| = t fits in a double although its square does not
+        assert "Cheeger lower bound 1e+160 (lambda0 >= inf)" in got["lambda0"][1]
 
 
 def test_constants_near_the_largest_double_classify_and_overflow_cleanly(tmp_path, capsys):
@@ -783,6 +787,24 @@ def test_constants_near_the_largest_double_classify_and_overflow_cleanly(tmp_pat
     for command in ("lambda0", "cheeger", "quotient"):
         assert big[command] == (EXIT_VALIDATION, "error: a result overflows a double "
                                                  "at this bracket scale\n")
+
+
+def test_constants_near_the_smallest_double_keep_the_cheeger_constant(tmp_path, capsys):
+    # |tau| = 1e-170 fits in a double, |tau|^2 = lambda0 * 4 underflows to 0
+    path = tmp_path / "tiny.lie"
+    path.write_text("dim 2\nbracket 1 2 2 1e-170\n")
+    printed = {}
+    for command in ("lambda0", "cheeger"):
+        for fmt in ("csv", "text"):
+            code = main([command, str(path), "--format", fmt])
+            printed[command, fmt] = code, capsys.readouterr()
+            assert (code, printed[command, fmt][1].err) == (EXIT_OK, "")
+    for command in ("lambda0", "cheeger"):
+        row = printed[command, "csv"][1].out.splitlines()[-1].split(",")
+        assert row[3:] == ["0.0", "1e-170", "amenable_formula"]
+    text = printed["lambda0", "text"][1].out
+    assert "cheeger: 1e-170\n" in text and "maximizer: [1.0, 0.0]\n" in text
+    assert "cheeger (exact): 1e-170\n" in printed["cheeger", "text"][1].out
 
 
 def test_a_small_metric_is_not_degenerate(tmp_path, capsys):

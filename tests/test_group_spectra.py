@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_algebra
+from specsub import group_spectra
 from specsub.errors import FormulaInapplicableError
 from specsub.fixtures import abelian, affine2, heisenberg3, paper_example3, sl2
 from specsub.group_spectra import (Method, cheeger_lower_bound,
@@ -16,7 +17,7 @@ def sphere_max_trace(alg, samples=200000, seed=0):
     x = rng.standard_normal((samples, alg.dim))
     norms = np.sqrt(np.einsum("si,ij,sj->s", x, alg.metric, x))
     x = x / norms[:, None]
-    tau = alg.trace_covector().components
+    tau = alg.trace_covector()
     return float(np.max(x @ tau))
 
 
@@ -39,7 +40,7 @@ def test_lambda0_affine(c):
     # maximizer is the unit multiple of X with tr(ad .) maximal
     alg = affine2(c)
     assert alg.norm(rep.maximizer) == pytest.approx(1.0, abs=1e-12)
-    assert alg.trace_covector()(rep.maximizer) == pytest.approx(np.sqrt(c), abs=1e-12)
+    assert alg.trace_covector() @ rep.maximizer == pytest.approx(np.sqrt(c), abs=1e-12)
 
 
 def test_lambda0_affine_against_sphere_oracle():
@@ -99,6 +100,16 @@ def test_group_spectrum_report_non_amenable():
     assert rep.cheeger == 0.0  # sl2 is unimodular: trace functional vanishes
 
 
+def test_cheeger_constant_fits_where_its_square_does_not():
+    # |tau| = 1e155 fits in a double, |tau|^2 does not; an overflow warning
+    # fails the test (pyproject's filterwarnings)
+    base = affine2(1.0)
+    rep = group_spectrum_report(MetricLieAlgebra(2, 1e155 * base.structure, base.metric))
+    assert rep.cheeger == 1e155
+    assert rep.lambda0 == float("inf")
+    assert list(rep.maximizer) == [1.0, 0.0]
+
+
 # -- quotient bound -----------------------------------------------------------------
 
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
@@ -107,7 +118,8 @@ def test_quotient_bound_affine(c):
     rep = quotient_bound(alg, Ideal(alg, [[0.0, 1.0]]))
     assert rep.lambda0_N == 0.0
     assert rep.lambda0_quotient == 0.0
-    assert alg.inner(rep.H, rep.H) == pytest.approx(c, abs=1e-12)
+    assert rep.H_norm2 == alg.inner(rep.H, rep.H) == pytest.approx(c, abs=1e-12)
+    assert rep.tr_ad_H == pytest.approx(c, abs=1e-12)
     assert rep.lower_bound == pytest.approx(c / 4.0, abs=1e-12)
     assert rep.equality_expected
     assert not rep.partial
@@ -184,6 +196,18 @@ def test_radical_route_3d_two_route_crosscheck():
     # and the curvature really is 2X
     H = mean_curvature(alg, Ideal(alg, np.eye(3)[1:]))
     assert np.allclose(H, [2.0, 0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e-20, 1.0, 1e20])
+def test_radical_route_cuts_the_identity_relative_to_lambda0(monkeypatch, t):
+    # a mean curvature off by 1e-6 breaks |H|^2 = tr(ad H) by 1e-6 of
+    # lambda0, at every scale of the structure constants
+    exact = group_spectra.mean_curvature
+    monkeypatch.setattr(group_spectra, "mean_curvature",
+                        lambda *args: (1.0 + 1e-6) * exact(*args))
+    base = affine2(1.0)
+    with pytest.raises(FormulaInapplicableError, match="curvature identity"):
+        radical_commutator_lambda0(MetricLieAlgebra(2, t * base.structure, base.metric))
 
 
 def test_radical_route_preconditions():

@@ -14,14 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import change_basis, rotate_algebra
+from conftest import (an_structure, change_basis, heisenberg_type_structure,
+                      rotate_algebra, rotated)
 from specsub import eigensolve
 from specsub.cli import main
 from specsub.eigensolve import SolverConfig, SymmetricForm, lowest_eigenvalue
 from specsub.errors import FixtureParseError
 from specsub.fixtures import (LIE_BUILTINS, _parse_lie_bulk, _parse_lines,
                               catalog_fixture, fixture_text, parse_fixture_text)
-from specsub.group_spectra import group_spectrum_report
+from specsub.group_spectra import Method, group_spectrum_report
 from specsub.lie_core import MetricLieAlgebra, classify, validate
 from specsub.tolerances import DEFAULT
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase, WarpProfile,
@@ -100,10 +101,54 @@ def test_lambda0_scales_inversely_with_the_metric(name, u):
 
 
 @st.composite
+def power_of_two_scaled(draw):
+    """(algebra, the same with constants c 2^k, k): a rotated affine2, AN or
+    Heisenberg-type algebra with a random metric of eigenvalues in
+    [1e-2, 1e2], and k in [-1000, 1000]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    family = draw(st.sampled_from(["affine2", "an", "ht"]))
+    if family == "affine2":
+        c = catalog_fixture("affine2", draw(st.floats(1e-2, 1e2))).structure
+    elif family == "an":
+        c = an_structure(draw(st.integers(1, 6)))
+    else:
+        c = heisenberg_type_structure(draw(st.integers(1, 4)), draw(st.integers(1, 3)), rng)
+    c, n = rotated(c, rng), c.shape[0]
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    g = (q * 10.0 ** rng.uniform(-2.0, 2.0, n)) @ q.T
+    g = np.triu(g) + np.triu(g, 1).T
+    k = draw(st.integers(-1000, 1000))
+    return MetricLieAlgebra(n, c, g), MetricLieAlgebra(n, np.ldexp(c, k), g), k
+
+
+def _times_power_of_two(value, base, power):
+    """Whether value is base 2^power bit for bit where that is a normal
+    double, and inf where it exceeds the largest one."""
+    mantissa, exponent = math.frexp(base)
+    if exponent + power > 1024:
+        return value == math.inf
+    if exponent + power - 1 < -1022:
+        return True                      # subnormal or zero: not asserted
+    return math.frexp(value) == (mantissa, exponent + power)
+
+
+@PROPERTY
+@given(power_of_two_scaled())
+def test_lambda0_and_cheeger_scale_exactly_by_powers_of_two(case):
+    # a numpy warning fails the test (pyproject's filterwarnings)
+    alg, scaled, k = case
+    ra, rs = group_spectrum_report(alg), group_spectrum_report(scaled)
+    assert ra.method == rs.method == Method.AMENABLE_FORMULA
+    assert _times_power_of_two(rs.cheeger, ra.cheeger, k), (rs.cheeger, ra.cheeger)
+    assert _times_power_of_two(rs.lambda0, ra.lambda0, 2 * k), (rs.lambda0, ra.lambda0)
+    assert ra.maximizer.tobytes() == rs.maximizer.tobytes()
+
+
+@st.composite
 def scaled_lie_texts(draw):
     """(.lie text, catalog name or None): a rotated catalog algebra or random
     antisymmetric constants, dimension 1 to 8, scaled by 10^u with u in
-    [-150, 150], with a random metric of eigenvalues in [1e-2, 1e2]."""
+    [-300, 150], with a random metric of eigenvalues in [1e-2, 1e2]."""
     name = draw(st.sampled_from(sorted(LIE_BUILTINS) + [None]))
     n = catalog_fixture(name).dim if name else draw(st.integers(1, 8))
     orthogonal = [np.linalg.qr(draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0))))[0]
@@ -115,7 +160,7 @@ def scaled_lie_texts(draw):
         c = c - c.transpose(1, 0, 2)
     eigs = 10.0 ** draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
     g = (orthogonal[1] * eigs) @ orthogonal[1].T
-    alg = MetricLieAlgebra(n, 10.0 ** draw(st.floats(-150.0, 150.0)) * c,
+    alg = MetricLieAlgebra(n, 10.0 ** draw(st.floats(-300.0, 150.0)) * c,
                            np.triu(g) + np.triu(g, 1).T)
     return fixture_text(alg), name
 
