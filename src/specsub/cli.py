@@ -16,6 +16,7 @@ two-route mismatch (the text report on stderr says which, in both formats),
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -30,6 +31,13 @@ from .fixtures import FIXTURE_DIR_ENV, resolve_fixture
 from .lie_core import Ideal, MetricLieAlgebra, classify, derived_subalgebra, validate
 from .tolerances import DEFAULT, PRESETS, Tolerances
 from .warped_spectra import WarpedProductSpec
+
+# What the imports built (numpy, the dataclasses, about 22k tracked objects)
+# lives until the process ends. Freezing it keeps every later collection,
+# the interpreter's at shutdown included, from traversing it again: a call
+# exits in 10-18 ms instead of 31-51 (2 cores). The library, `import
+# specsub`, leaves the collector alone; only the program entry freezes.
+gc.freeze()
 
 CSV_VERSION = "specsub-csv v1"
 

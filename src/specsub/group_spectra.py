@@ -67,11 +67,24 @@ def _trace_dual(alg: MetricLieAlgebra):
     [1, 2)): T = g^-1 tau is its metric dual and |tau|^2 = tau(T).  The
     rescaling is exact, so sup of tau over the unit sphere is
     sqrt(|tau|^2) 2**e at any scale of the structure constants."""
-    tau = alg.trace_covector()
-    e = math.frexp(float(np.max(np.abs(tau), initial=0.0)))[1] - 1
-    tau = np.ldexp(tau, -e)
+    tau, e = _rescaled(alg.trace_covector())
     T = np.linalg.solve(alg.metric, tau)
     return T, max(float(tau @ T), 0.0), e
+
+
+def _rescaled(*vectors):
+    """The vectors times 2**-e, and e, the exponent of their largest entry
+    (scaled, it lies in [1, 2)): exact at any scale of the entries."""
+    top = max(float(np.max(np.abs(v), initial=0.0)) for v in vectors)
+    e = math.frexp(top)[1] - 1
+    return (*(np.ldexp(v, -e) for v in vectors), e)
+
+
+def _curvature_terms(alg: MetricLieAlgebra, H: np.ndarray):
+    """(H, |H|^2, tr(ad H), unit) with H and tau = tr(ad .) divided by unit,
+    a power of two: each product is the unscaled one over unit^2."""
+    H, tau, e = _rescaled(H, alg.trace_covector())
+    return H, alg.inner(H, H), float(tau @ H), 2.0 ** e
 
 
 def cheeger_lower_bound(alg: MetricLieAlgebra) -> float:
@@ -125,8 +138,8 @@ def quotient_bound(alg: MetricLieAlgebra, n_ideal: Ideal,
     value is replaced by 0 and the report is flagged partial.
     """
     H = mean_curvature(alg, n_ideal, tols)
-    h_norm2 = alg.inner(H, H)
-    tr_ad_h = float(alg.trace_covector() @ H)
+    _, h, t, unit = _curvature_terms(alg, H)
+    h_norm2, tr_ad_h = h * unit * unit, t * unit * unit
 
     partial = False
     sub_alg = restrict_to_span(alg, n_ideal, tols)
@@ -146,6 +159,9 @@ def quotient_bound(alg: MetricLieAlgebra, n_ideal: Ideal,
             lambda0_quotient, partial = 0.0, True
 
     bound = lambda0_quotient + lambda0_N - h_norm2 / 4.0 + tr_ad_h / 2.0
+    if math.isnan(bound):
+        # |H|^2 and tr(ad H) both overflow: take their difference before scaling back
+        bound = lambda0_quotient + lambda0_N + (t / 2.0 - h / 4.0) * unit * unit
     equality = bool(sub_rep.unimodular and sub_rep.amenable)
     return QuotientBoundReport(
         ideal=n_ideal,
@@ -177,12 +193,12 @@ def radical_commutator_lambda0(alg: MetricLieAlgebra,
     commutator = derived_subalgebra(alg, rep.radical, tols)
     if commutator.dim == 0:
         raise FormulaInapplicableError("radical is abelian; no commutator direction")
-    H = mean_curvature(alg, commutator, tols)
-    lam_trace = float(alg.trace_covector() @ H) / 4.0
-    lam_norm = alg.inner(H, H) / 4.0
+    H, h, t, unit = _curvature_terms(alg, mean_curvature(alg, commutator, tols))
+    lam_trace, lam_norm = t / 4.0, h / 4.0      # in units of unit^2
     if abs(lam_trace - lam_norm) > tols.identity_tol * max(abs(lam_trace), abs(lam_norm)):
         raise FormulaInapplicableError(
-            f"curvature identity violated: tr route {lam_trace} vs norm route {lam_norm}")
+            f"curvature identity violated: tr route {lam_trace * unit * unit} "
+            f"vs norm route {lam_norm * unit * unit}")
     direction = H / alg.norm(H)
     formula = lambda0_amenable(alg, tols, report=rep)
     if formula.maximizer is not None:
@@ -191,5 +207,6 @@ def radical_commutator_lambda0(alg: MetricLieAlgebra,
             raise FormulaInapplicableError(
                 f"maximizer direction mismatch ({gap:.2e}) between the trace "
                 "functional and the mean curvature")
-    return GroupSpectrumReport(float(lam_trace), float(2.0 * np.sqrt(max(lam_trace, 0.0))),
+    return GroupSpectrumReport(lam_trace * unit * unit,
+                               2.0 * math.sqrt(max(lam_trace, 0.0)) * unit,
                                direction, Method.AMENABLE_FORMULA)

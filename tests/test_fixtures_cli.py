@@ -562,8 +562,12 @@ def test_main_rejects_a_spacing_without_finite_inverse_square(tmp_path, capsys, 
 def test_run_verify_warped_exp_small_grid(c):
     # the bottom of L_4 sits 1e-3 below the next eigenvalue; the solver must
     # not settle on that one (the dense cross-check at grid 256 would say so)
-    res = run(RunConfig("verify-warped", "exp", c_param=c, grid_n=256))
+    res = run(RunConfig("verify-warped", "exp", c_param=c, grid_n=256, fmt="csv"))
     assert res.exit_code == EXIT_OK, res.text
+    rows = {int(row[2]): [float(v) for v in row[3:]]
+            for row in (line.split(",") for line in res.text.splitlines()[2:])}
+    assert all(slack >= -1e-8 for _, _, slack in rows.values())
+    assert abs(rows[0][0] - rows[-1][0]) <= 1e-6      # L_0 and S: the two routes
 
 
 def test_main_seed_is_accepted_and_ignored(capsys):
@@ -717,6 +721,14 @@ def test_analyze_of_lie_files_writes_nothing_to_stderr(tmp_path):
 
 def test_bare_import_loads_no_scipy():
     assert _python("-c", f"import sys, specsub\nprint({_LOADED_SCIPY})") == "[]\n"
+
+
+def test_only_the_program_freezes_the_import_heap():
+    # the CLI module freezes what its imports built, so that no collection,
+    # at exit or later, traverses it again; the library leaves the collector alone
+    probe = ("import gc, specsub\nprint(gc.get_freeze_count())\n"
+             "import specsub.cli\nprint(gc.get_freeze_count() > 0)")
+    assert _python("-c", probe) == "0\nTrue\n"
 
 
 # -- scale: the algebra with constants t c and the metric t g ------------------

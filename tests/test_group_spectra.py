@@ -210,6 +210,30 @@ def test_radical_route_cuts_the_identity_relative_to_lambda0(monkeypatch, t):
         radical_commutator_lambda0(MetricLieAlgebra(2, t * base.structure, base.metric))
 
 
+INF = float("inf")
+
+
+@pytest.mark.parametrize("t, h_norm2, lam", [
+    (1.0, 1.0, 0.25),
+    (1e150, 9.999999999999999e+299, 2.4999999999999998e+299),
+    (1e160, INF, INF),
+], ids=["1", "1e150", "1e160"])
+def test_curvature_terms_overflow_without_a_warning(t, h_norm2, lam):
+    # |H|^2 = tr(ad H) = t^2 does not fit in a double past t of about 1e154: it
+    # is inf there, with no overflow warning (pyproject's filterwarnings) and
+    # no nan from inf - inf in the bound; below, the values are the products
+    # of the unscaled H, bit for bit
+    base = affine2(1.0)
+    alg = MetricLieAlgebra(2, t * base.structure, base.metric)
+    q = quotient_bound(alg, Ideal(alg, [[0.0, 1.0]]))
+    assert list(q.H) == [t, 0.0]
+    assert (q.H_norm2, q.tr_ad_H, q.lower_bound) == (h_norm2, h_norm2, lam)
+    r = radical_commutator_lambda0(alg)
+    assert (r.lambda0, r.cheeger, list(r.maximizer)) == (lam, t, [1.0, 0.0])
+    report = group_spectrum_report(alg)
+    assert (report.lambda0, report.cheeger) == (r.lambda0, r.cheeger)
+
+
 def test_radical_route_preconditions():
     with pytest.raises(FormulaInapplicableError):
         radical_commutator_lambda0(paper_example3())   # unimodular
