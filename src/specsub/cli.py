@@ -225,8 +225,7 @@ def _cmd_quotient(config: RunConfig, fix) -> str:
         n_ideal = derived_subalgebra(alg, tols=config.tolerances)
     if n_ideal.dim == 0:
         raise FixtureParseError("the requested ideal is zero; nothing to quotient")
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = group_spectra.quotient_bound(alg, n_ideal, config.tolerances)
+    rep = group_spectra.quotient_bound(alg, n_ideal, config.tolerances)
     rows = _finite([[name, n_ideal.dim, rep.H_norm2, rep.tr_ad_H,
                      rep.lambda0_N, rep.lambda0_quotient, rep.lower_bound,
                      rep.equality_expected, rep.partial]])

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._pow2 import exponent, times_pow2
 from .errors import SolverConvergenceError
 
 # scipy is loaded by _lapack on the first solve, so that the algebra commands,
@@ -127,7 +128,7 @@ def _scaled(form: SymmetricForm):
     unit (exact) that brings it into [1/2, 1), so that no shift gap, solve or
     residual can under- or overflow."""
     scale = float(np.max(np.abs(form.diag) + _radii(form)))
-    unit = math.ldexp(1.0, -math.frexp(scale)[1])
+    unit = times_pow2(1.0, -exponent(scale, "the operator's row sums overflow a double"))
     return SymmetricForm(form.diag * unit, form.off * unit, form.corner * unit,
                          form.weights), unit, scale
 

@@ -7,8 +7,11 @@ For quotients by a closed connected normal subgroup N there is a lower bound
 
     lambda0(G) >= lambda0(G/N) + lambda0(N) - |H|^2/4 + tr(ad H)/2
 
-with H the mean curvature of N, and equality exactly when N is unimodular and
-amenable.  Everything reduces to lie_core linear algebra; no discretization.
+with H the mean curvature of N.  For amenable G it is an equality for every
+such N (tau is tau_N on N and <H, .> + tau_{G/N} on the orthogonal
+complement); ``equality_expected`` keeps the frozen CSV column's narrower
+flag, N unimodular and amenable.  tau and H are taken on the normalized
+frame (lie_core.Frame), and a value that does not fit in a double is inf.
 """
 
 from __future__ import annotations
@@ -20,17 +23,11 @@ from typing import Optional
 
 import numpy as np
 
+from ._pow2 import times_pow2
 from .errors import FormulaInapplicableError
-from .lie_core import (
-    ClassificationReport,
-    Ideal,
-    MetricLieAlgebra,
-    classify,
-    derived_subalgebra,
-    mean_curvature,
-    quotient_algebra,
-    restrict_to_span,
-)
+from .lie_core import (ClassificationReport, Ideal, MetricLieAlgebra, classify,
+                       derived_subalgebra, frame_mean_curvature, quotient_algebra,
+                       restrict_to_span)
 from .tolerances import Tolerances, DEFAULT
 
 
@@ -61,36 +58,23 @@ class QuotientBoundReport:
     partial: bool                     # a non-amenable factor was replaced by 0
 
 
-def _trace_dual(alg: MetricLieAlgebra):
-    """(T, |tau|^2, e) for the trace functional tau = tr(ad .) taken times
-    2**-e, with e the exponent of max |tau| (the scaled maximum lies in
-    [1, 2)): T = g^-1 tau is its metric dual and |tau|^2 = tau(T).  The
-    rescaling is exact, so sup of tau over the unit sphere is
-    sqrt(|tau|^2) 2**e at any scale of the structure constants."""
-    tau, e = _rescaled(alg.trace_covector())
-    T = np.linalg.solve(alg.metric, tau)
-    return T, max(float(tau @ T), 0.0), e
+def _spectrum(norm2: float, e: int, maximizer, method: Method) -> GroupSpectrumReport:
+    """lambda0 = |tau|^2/4 and the Cheeger constant |tau| from the frame's |tau|^2."""
+    return GroupSpectrumReport(times_pow2(norm2 / 4.0, 2 * e),
+                               times_pow2(math.sqrt(max(norm2, 0.0)), e), maximizer, method)
 
 
-def _rescaled(*vectors):
-    """The vectors times 2**-e, and e, the exponent of their largest entry
-    (scaled, it lies in [1, 2)): exact at any scale of the entries."""
-    top = max(float(np.max(np.abs(v), initial=0.0)) for v in vectors)
-    e = math.frexp(top)[1] - 1
-    return (*(np.ldexp(v, -e) for v in vectors), e)
-
-
-def _curvature_terms(alg: MetricLieAlgebra, H: np.ndarray):
-    """(H, |H|^2, tr(ad H), unit) with H and tau = tr(ad .) divided by unit,
-    a power of two: each product is the unscaled one over unit^2."""
-    H, tau, e = _rescaled(H, alg.trace_covector())
-    return H, alg.inner(H, H), float(tau @ H), 2.0 ** e
+def _lambda0_or_zero(alg: MetricLieAlgebra, tols: Tolerances,
+                     rep: Optional[ClassificationReport] = None):
+    """(lambda0, False) for an amenable algebra, else (0.0, True): partial."""
+    rep = rep or classify(alg, tols)
+    return (group_spectrum_report(alg, tols, rep).lambda0, False) if rep.amenable else (0.0, True)
 
 
 def cheeger_lower_bound(alg: MetricLieAlgebra) -> float:
     """max(0, sup of tr(ad x) over the unit sphere); valid for any group."""
-    _, norm2, e = _trace_dual(alg)
-    return math.sqrt(norm2) * 2.0 ** e
+    tau = alg.frame.trace
+    return times_pow2(math.sqrt(float(tau @ tau)), alg.frame.exponent)
 
 
 def lambda0_amenable(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
@@ -119,12 +103,12 @@ def group_spectrum_report(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
     if rep.amenable and rep.unimodular:
         # unimodular + amenable forces exactly zero; drop the round-off noise
         return GroupSpectrumReport(0.0, 0.0, None, Method.UNIMODULAR_AMENABLE_ZERO)
-    T, norm2, e = _trace_dual(alg)
-    unit = 2.0 ** e
-    maximizer = T / alg.norm(T) if norm2 > 0 else None
-    method = Method.AMENABLE_FORMULA if rep.amenable else Method.LOWER_BOUND_ONLY
-    return GroupSpectrumReport(norm2 / 4.0 * unit * unit, math.sqrt(norm2) * unit,
-                               maximizer, method)
+    fr = alg.frame
+    tau = fr.trace
+    norm2 = float(tau @ tau)
+    maximizer = tau / math.sqrt(norm2) @ fr.inv_chol if norm2 > 0 else None
+    return _spectrum(norm2, fr.exponent, maximizer,
+                     Method.AMENABLE_FORMULA if rep.amenable else Method.LOWER_BOUND_ONLY)
 
 
 def quotient_bound(alg: MetricLieAlgebra, n_ideal: Ideal,
@@ -137,42 +121,31 @@ def quotient_bound(alg: MetricLieAlgebra, n_ideal: Ideal,
     formula when applicable; a non-amenable factor without a caller-supplied
     value is replaced by 0 and the report is flagged partial.
     """
-    H = mean_curvature(alg, n_ideal, tols)
-    _, h, t, unit = _curvature_terms(alg, H)
-    h_norm2, tr_ad_h = h * unit * unit, t * unit * unit
+    fr = alg.frame
+    H = frame_mean_curvature(alg, n_ideal, tols)
+    h, t = float(H @ H), float(fr.trace @ H)          # in units of 4**exponent
 
-    partial = False
     sub_alg = restrict_to_span(alg, n_ideal, tols)
     sub_rep = classify(sub_alg, tols)
+    partial_N = partial_quotient = False
     if lambda0_N is None:
-        if sub_rep.amenable:
-            lambda0_N = lambda0_amenable(sub_alg, tols, report=sub_rep).lambda0
-        else:
-            lambda0_N, partial = 0.0, True
-
-    quot_alg, _ = quotient_algebra(alg, n_ideal, tols)
+        lambda0_N, partial_N = _lambda0_or_zero(sub_alg, tols, sub_rep)
     if lambda0_quotient is None:
-        quot_rep = classify(quot_alg, tols)
-        if quot_rep.amenable:
-            lambda0_quotient = lambda0_amenable(quot_alg, tols, report=quot_rep).lambda0
-        else:
-            lambda0_quotient, partial = 0.0, True
-
-    bound = lambda0_quotient + lambda0_N - h_norm2 / 4.0 + tr_ad_h / 2.0
-    if math.isnan(bound):
-        # |H|^2 and tr(ad H) both overflow: take their difference before scaling back
-        bound = lambda0_quotient + lambda0_N + (t / 2.0 - h / 4.0) * unit * unit
+        lambda0_quotient, partial_quotient = _lambda0_or_zero(
+            quotient_algebra(alg, n_ideal, tols)[0], tols)
+    # the difference at unit scale: |H|^2 and tr(ad H) can overflow when it does not
+    bound = lambda0_quotient + lambda0_N + times_pow2(t / 2.0 - h / 4.0, 2 * fr.exponent)
     equality = bool(sub_rep.unimodular and sub_rep.amenable)
     return QuotientBoundReport(
         ideal=n_ideal,
-        H=H,
-        H_norm2=h_norm2,
-        tr_ad_H=tr_ad_h,
+        H=times_pow2(H @ fr.inv_chol, fr.exponent),
+        H_norm2=times_pow2(h, 2 * fr.exponent),
+        tr_ad_H=times_pow2(t, 2 * fr.exponent),
         lower_bound=float(bound),
         equality_expected=equality,
         lambda0_N=lambda0_N,
         lambda0_quotient=lambda0_quotient,
-        partial=partial,
+        partial=partial_N or partial_quotient,
     )
 
 
@@ -193,20 +166,18 @@ def radical_commutator_lambda0(alg: MetricLieAlgebra,
     commutator = derived_subalgebra(alg, rep.radical, tols)
     if commutator.dim == 0:
         raise FormulaInapplicableError("radical is abelian; no commutator direction")
-    H, h, t, unit = _curvature_terms(alg, mean_curvature(alg, commutator, tols))
-    lam_trace, lam_norm = t / 4.0, h / 4.0      # in units of unit^2
-    if abs(lam_trace - lam_norm) > tols.identity_tol * max(abs(lam_trace), abs(lam_norm)):
+    fr = alg.frame
+    H = frame_mean_curvature(alg, commutator, tols)
+    h, t = float(H @ H), float(fr.trace @ H)          # in units of 4**exponent
+    if abs(t - h) > tols.identity_tol * max(abs(t), abs(h)):
         raise FormulaInapplicableError(
-            f"curvature identity violated: tr route {lam_trace * unit * unit} "
-            f"vs norm route {lam_norm * unit * unit}")
-    direction = H / alg.norm(H)
-    formula = lambda0_amenable(alg, tols, report=rep)
-    if formula.maximizer is not None:
-        gap = alg.norm(direction - formula.maximizer)
-        if gap > 1e-6:
-            raise FormulaInapplicableError(
-                f"maximizer direction mismatch ({gap:.2e}) between the trace "
-                "functional and the mean curvature")
-    return GroupSpectrumReport(lam_trace * unit * unit,
-                               2.0 * math.sqrt(max(lam_trace, 0.0)) * unit,
-                               direction, Method.AMENABLE_FORMULA)
+            f"curvature identity violated: tr route {times_pow2(t / 4.0, 2 * fr.exponent)} "
+            f"vs norm route {times_pow2(h / 4.0, 2 * fr.exponent)}")
+    direction = H / math.sqrt(h) @ fr.inv_chol
+    # not unimodular, so tau and its maximizer are not zero
+    gap = alg.norm(direction - group_spectrum_report(alg, tols, rep).maximizer)
+    if gap > 1e-6:
+        raise FormulaInapplicableError(
+            f"maximizer direction mismatch ({gap:.2e}) between the trace "
+            "functional and the mean curvature")
+    return _spectrum(t, fr.exponent, direction, Method.AMENABLE_FORMULA)

@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._pow2 import exponent, times_pow2
 from .errors import NotAnIdealError
 from .tolerances import Tolerances, DEFAULT
 
@@ -52,6 +53,11 @@ class Frame(NamedTuple):
     scale: float
     exponent: int
 
+    @property
+    def trace(self) -> np.ndarray:
+        """The trace functional on the frame: tr(ad f_i) * 2**-exponent."""
+        return np.einsum("ijj->i", self.structure)
+
 
 @dataclass(frozen=True)
 class MetricLieAlgebra:
@@ -73,9 +79,6 @@ class MetricLieAlgebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "structure", c)
         object.__setattr__(self, "metric", g)
-        # (scale, exponent) of a parent's Frame, not a field: _on_rows sets it
-        # so that round-off is cut against the parent's sigma
-        object.__setattr__(self, "_parent_scale", None)
         if self.basis_labels is not None:
             labels = tuple(str(s) for s in self.basis_labels)
             if len(labels) != n:
@@ -87,17 +90,14 @@ class MetricLieAlgebra:
         """The normalized frame, built once: every decision is taken on it."""
         L = np.linalg.cholesky(self.metric)
         inv = np.linalg.inv(L)
-        c = self.structure
-        # a power of two near max|c| first: exact, and then the norm cannot
-        # overflow; a restricted algebra keeps its parent's (scale, exponent)
-        scale, exponent = self._parent_scale or (
-            None, int(np.frexp(np.max(np.abs(c), initial=0.0))[1]))
-        hat = _bracket_products(np.ldexp(c, -exponent), inv, inv) @ L
-        if scale is None:
-            scale, shift = math.frexp(float(np.linalg.norm(hat)))
-            hat, exponent = np.ldexp(hat, -shift), exponent + shift
+        # a power of two near max|c| first: exact, and then the norm cannot overflow
+        e = exponent(np.max(np.abs(self.structure), initial=0.0), "non-finite structure constants")
+        hat = _bracket_products(times_pow2(self.structure, -e), inv, inv) @ L
+        sigma = float(np.linalg.norm(hat))
+        shift = exponent(sigma, "the bracket in a g-orthonormal basis overflows a double")
+        hat = times_pow2(hat, -shift)
         hat.setflags(write=False)
-        return Frame(L, inv, hat, scale or 1.0, exponent)
+        return Frame(L, inv, hat, times_pow2(sigma, -shift) or 1.0, e + shift)
 
     # -- basic linear algebra -------------------------------------------------
 
@@ -126,8 +126,7 @@ class MetricLieAlgebra:
 
     def is_unimodular(self, tol: float = DEFAULT.unimodular_tol) -> bool:
         """Whether tr(ad x) vanishes, cut at tol relative to sigma on the frame."""
-        trace = np.einsum("ijj->i", self.frame.structure)
-        return bool(np.max(np.abs(trace), initial=0.0) < tol * self.frame.scale)
+        return bool(np.max(np.abs(self.frame.trace), initial=0.0) < tol * self.frame.scale)
 
     def killing_form(self) -> np.ndarray:
         return _killing(self.structure)
@@ -236,12 +235,13 @@ def metric_definiteness(g: np.ndarray, tol: float):
 
 def validate(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ValidationReport:
     """Check antisymmetry and the Jacobi identity on the normalized frame,
-    relative to sigma and sigma^2, and the metric relative to its own size.
-    Without a positive definite metric there is no frame: NaN residuals."""
+    relative to sigma and sigma^2, and the metric relative to its own size;
+    without finite constants and a definite metric, no frame: NaN residuals."""
     g = alg.metric
     gsym = float(np.max(np.abs(g - g.T), initial=0.0))
     min_eig, definite = metric_definiteness(g, tols.spd_tol)
-    if not (definite and gsym <= tols.antisym_tol * np.max(np.abs(g))):
+    if not (definite and gsym <= tols.antisym_tol * np.max(np.abs(g))
+            and np.isfinite(alg.structure).all()):
         return ValidationReport(math.nan, math.nan, gsym, min_eig, False)
     fr, n = alg.frame, alg.dim
     c = fr.structure
@@ -340,8 +340,8 @@ def quotient_algebra(alg: MetricLieAlgebra, n_ideal: Ideal,
     """
     if n_ideal.dim > 0 and not n_ideal.is_ideal(tols.ideal_tol):
         raise NotAnIdealError("span is not an ideal; quotient bracket undefined")
-    Q = n_ideal.complement_onb()
-    return _on_rows(alg, Q), Q @ alg.metric
+    F = n_ideal.frame_complement()
+    return _on_rows(alg, F), F @ alg.frame.inv_chol @ alg.metric
 
 
 def restrict_to_span(alg: MetricLieAlgebra, sub: Ideal,
@@ -349,16 +349,19 @@ def restrict_to_span(alg: MetricLieAlgebra, sub: Ideal,
     """The subalgebra spanned by ``sub`` with the restricted metric."""
     if sub.dim > 0 and not sub.is_subalgebra(tols.ideal_tol):
         raise NotAnIdealError("span is not closed under the bracket")
-    return _on_rows(alg, sub.onb)
+    return _on_rows(alg, sub.frame_onb)
 
 
-def _on_rows(alg: MetricLieAlgebra, E: np.ndarray) -> MetricLieAlgebra:
-    """The bracket projected onto the span of g-orthonormal rows E, in that
-    basis: identity metric, and cut against the parent's sigma."""
-    c = _bracket_products(alg.structure, E, E) @ alg.metric @ E.T
+def _on_rows(alg: MetricLieAlgebra, F: np.ndarray) -> MetricLieAlgebra:
+    """The bracket on the span of orthonormal frame rows F, in the basis
+    F @ inv_chol: identity metric, and the parent's frame sigma and exponent."""
+    fr, n = alg.frame, F.shape[0]
+    hat = _bracket_products(fr.structure, F, F) @ F.T
+    hat.setflags(write=False)
+    c = times_pow2(hat, fr.exponent)
     c.setflags(write=False)
-    sub = MetricLieAlgebra(E.shape[0], c, np.eye(E.shape[0]))
-    object.__setattr__(sub, "_parent_scale", (alg.frame.scale, alg.frame.exponent))
+    sub = MetricLieAlgebra(n, c, np.eye(n))
+    object.__setattr__(sub, "frame", Frame(np.eye(n), np.eye(n), hat, fr.scale, fr.exponent))
     return sub
 
 
@@ -422,10 +425,19 @@ def mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal,
     The complement part of the sum of nabla_E E over a g-orthonormal basis
     {E} of the ideal.  The Koszul formula with x = y = E gives
     <nabla_E E, z> = <[z, E], E>, so <H, z> is the trace of ad z restricted
-    to the ideal (Milnor, Adv. Math. 21, 1976): one contraction with E^T E.
+    to the ideal (Milnor, Adv. Math. 21, 1976): one contraction on the frame.
+    Coordinates that do not fit in a double are inf, without a warning.
     """
+    fr = alg.frame
+    return times_pow2(frame_mean_curvature(alg, n_ideal, tols) @ fr.inv_chol, fr.exponent)
+
+
+def frame_mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal,
+                         tols: Tolerances = DEFAULT) -> np.ndarray:
+    """``mean_curvature`` in frame components times 2**-exponent: <H, f_k> is
+    tr(P ad f_k) with P = F^T F for the ideal's frame rows F, less its F part."""
     if n_ideal.dim > 0 and not n_ideal.is_ideal(tols.ideal_tol):
         raise NotAnIdealError("mean curvature needs an ideal")
-    E, g = n_ideal.onb, alg.metric
-    H = np.linalg.solve(g, np.einsum("kim,mi->k", alg.structure, g @ E.T @ E))
-    return H - (E @ (g @ H)) @ E
+    F = n_ideal.frame_onb
+    H = np.einsum("kim,mi->k", alg.frame.structure, F.T @ F)
+    return H - (H @ F.T) @ F

@@ -28,6 +28,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._pow2 import exponent, times_pow2
 from .eigensolve import (DEFAULT_SOLVER, SolverConfig, SpectrumEstimate,
                          SymmetricForm, lowest_eigenvalue)
 from .tolerances import Tolerances, DEFAULT
@@ -509,14 +510,10 @@ def _grid_function(psi: np.ndarray, f2d) -> np.ndarray:
 
 
 def _rescaled(f2d: np.ndarray) -> Tuple[np.ndarray, int]:
-    """(f2d * 2**-e, e) with the e that brings max |f2d| into [0.5, 1)
-    (0 for the zero function): an exact rescaling for sums of squares that
-    overflow or underflow."""
-    top = float(np.max(np.abs(f2d)))
-    if not math.isfinite(top):
-        raise ValueError("f2d has non-finite entries")
-    e = math.frexp(top)[1]
-    return np.ldexp(f2d, -e), e
+    """(f2d * 2**-e, e) with the e that brings max |f2d| into [0.5, 1):
+    an exact rescaling for sums of squares that overflow or underflow."""
+    e = exponent(np.max(np.abs(f2d)), "f2d has non-finite entries")
+    return times_pow2(f2d, -e), e
 
 
 def _fiber_sums(psi: np.ndarray, f2d: np.ndarray) -> Tuple[np.ndarray, float]:
@@ -531,16 +528,11 @@ def _pushdown(psi: np.ndarray, rows: np.ndarray, n_theta: int) -> np.ndarray:
 
 
 def pushdown(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> np.ndarray:
-    """h(x_i) = sqrt of the fiber integral of f^2 with the warped fiber measure."""
+    """h(x_i) = sqrt of the fiber integral of f^2 with the warped fiber
+    measure, taken on f2d rescaled by a power of two: h scales with it."""
     _, psi, _ = _sample(spec, grid_n)
-    f2d = _grid_function(psi, f2d)
-    rows, total = _fiber_sums(psi, f2d)
-    e = 0
-    # total * h_theta bounds every h^2, so h^2 is finite when it is
-    if not _SUMSQ_MIN <= total * (2.0 * np.pi / f2d.shape[1]) < math.inf:
-        f2d, e = _rescaled(f2d)
-        rows = _fiber_sums(psi, f2d)[0]
-    return np.ldexp(_pushdown(psi, rows, f2d.shape[1]), e)
+    f2d, e = _rescaled(_grid_function(psi, f2d))
+    return times_pow2(_pushdown(psi, _fiber_sums(psi, f2d)[0], f2d.shape[1]), e)
 
 
 def _quotient_terms(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,

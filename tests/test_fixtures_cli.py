@@ -801,6 +801,23 @@ def test_constants_near_the_largest_double_classify_and_overflow_cleanly(tmp_pat
                                                  "at this bracket scale\n")
 
 
+@pytest.mark.parametrize("t, metric, command, seed", [
+    (1e308, 1.0, "lambda0", 0), (1e308, 1.0, "cheeger", 0), (1e308, 1.0, "quotient", 0),
+    *[(1e307, 0.01, "quotient", seed) for seed in range(12)],
+])
+def test_a_rotated_an_algebra_near_the_largest_double_overflows_cleanly(
+        tmp_path, capsys, t, metric, command, seed):
+    # the trace functional in stored coordinates overflows at 1e308 (a numpy
+    # warning), and at 1e307 with a small metric so do the constants of the
+    # quotient in a g-orthonormal basis (an SVD that did not converge); on the
+    # frame only lambda0 and |H|^2 do
+    c = rotated(an_structure(3), np.random.default_rng(seed))
+    path = tmp_path / "big.lie"
+    path.write_text(lie_fixture_text(MetricLieAlgebra(4, t * c, metric * np.eye(4))))
+    assert main([command, str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: a result overflows a double at this bracket scale\n"
+
+
 def test_constants_near_the_smallest_double_keep_the_cheeger_constant(tmp_path, capsys):
     # |tau| = 1e-170 fits in a double, |tau|^2 = lambda0 * 4 underflows to 0
     path = tmp_path / "tiny.lie"

@@ -202,8 +202,8 @@ def test_radical_route_3d_two_route_crosscheck():
 def test_radical_route_cuts_the_identity_relative_to_lambda0(monkeypatch, t):
     # a mean curvature off by 1e-6 breaks |H|^2 = tr(ad H) by 1e-6 of
     # lambda0, at every scale of the structure constants
-    exact = group_spectra.mean_curvature
-    monkeypatch.setattr(group_spectra, "mean_curvature",
+    exact = group_spectra.frame_mean_curvature
+    monkeypatch.setattr(group_spectra, "frame_mean_curvature",
                         lambda *args: (1.0 + 1e-6) * exact(*args))
     base = affine2(1.0)
     with pytest.raises(FormulaInapplicableError, match="curvature identity"):
@@ -232,6 +232,18 @@ def test_curvature_terms_overflow_without_a_warning(t, h_norm2, lam):
     assert (r.lambda0, r.cheeger, list(r.maximizer)) == (lam, t, [1.0, 0.0])
     report = group_spectrum_report(alg)
     assert (report.lambda0, report.cheeger) == (r.lambda0, r.cheeger)
+
+
+def test_radical_route_takes_the_curvature_on_the_frame():
+    # with the metric 0.01 I a g-orthonormal X is 10 X: tau and H are 1e308
+    # there, and their coordinates 1e309 do not fit in a double; on the frame
+    # both routes give lambda0 = inf and the Cheeger constant, with no warning
+    base = affine2(1.0)
+    alg = MetricLieAlgebra(2, 1e307 * base.structure, 0.01 * base.metric)
+    r, report = radical_commutator_lambda0(alg), group_spectrum_report(alg)
+    assert (r.lambda0, r.cheeger) == (report.lambda0, report.cheeger) == (INF, 1e308)
+    assert list(r.maximizer) == list(report.maximizer) == [10.0, 0.0]
+    assert list(mean_curvature(alg, Ideal(alg, [[0.0, 1.0]]))) == [INF, 0.0]
 
 
 def test_radical_route_preconditions():
