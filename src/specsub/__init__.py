@@ -11,16 +11,14 @@ from .group_spectra import (GroupSpectrumReport, Method, QuotientBoundReport,
                             cheeger_lower_bound, group_spectrum_report,
                             lambda0_amenable, quotient_bound,
                             radical_commutator_lambda0)
-from .eigensolve import (SolverConfig, SpectrumEstimate, SymmetricForm,
-                         dense_lowest, lowest_eigenvalue)
+from .eigensolve import (SpectrumEstimate, SymmetricForm, dense_lowest,
+                         lowest_eigenvalue)
 from .warped_spectra import (Boundary, CircleBase, DiscreteOperator,
-                             EqualityReport, InequalityReport, IntervalBase,
-                             TailReport, WarpProfile, WarpedProductSpec,
-                             build_schrodinger, build_warped_mode,
-                             drift_bound_lambda0, lambda0_ess_tail, mode_scan,
-                             pushdown, pushdown_slack, rayleigh_2d,
-                             solve_lowest, verify_closed_fiber_equality,
-                             verify_warped_inequality)
+                             IntervalBase, TailReport, WarpProfile,
+                             WarpedProductSpec, WarpedReport, build_schrodinger,
+                             build_warped_mode, drift_bound_lambda0,
+                             lambda0_ess_tail, mode_scan, pushdown,
+                             pushdown_slack, rayleigh_2d, verify_warped)
 from .fixtures import (catalog_fixture, catalog_ideals, fixture_text,
                        parse_fixture, parse_fixture_text, resolve_fixture)
 

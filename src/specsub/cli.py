@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import group_spectra, warped_spectra
-from .eigensolve import SolverConfig
 from .errors import (FixtureParseError, FormulaInapplicableError,
                      NotAnIdealError, SolverConvergenceError)
 from .fixtures import FIXTURE_DIR_ENV, resolve_fixture
@@ -74,9 +73,6 @@ class RunConfig:
     ideal: Optional[tuple] = None       # 1-based basis indices spanning the ideal
     m_max: int = 8
     cutoffs: Optional[tuple] = None
-
-    def solver(self) -> SolverConfig:
-        return SolverConfig(tol=self.tolerances.solver_tol)
 
 
 @dataclass
@@ -256,24 +252,23 @@ def _cmd_verify_warped(config: RunConfig, fix) -> str:
     spec = _need_warp(fix)
     _check_grid(config)
     name = _fixture_name(config, fix)
-    cfg = config.solver()
-    ineq, eq = warped_spectra.verify_warped(
-        spec, config.grid_n, config.tolerances, cfg, config.m_max)
+    rep = warped_spectra.verify_warped(spec, config.grid_n, config.tolerances,
+                                       m_max=config.m_max)
     rows = []
-    for m, (lam, res) in enumerate(zip(ineq.lambda0_modes, ineq.residuals)):
-        rows.append([name, config.grid_n, m, lam, res, lam - ineq.rhs])
-    rows.append([name, config.grid_n, -1, ineq.lambda0_schrodinger,
-                 ineq.residuals[-1], ineq.slack])
+    for m, (lam, res) in enumerate(zip(rep.lambda0_modes, rep.residuals)):
+        rows.append([name, config.grid_n, m, lam, res, lam - rep.rhs])
+    rows.append([name, config.grid_n, -1, rep.lambda0_schrodinger,
+                 rep.residuals[-1], rep.slack])
     lines = [f"fixture: {name} (grid {config.grid_n})",
-             "mode lambda0s: " + ", ".join(repr(v) for v in ineq.lambda0_modes),
-             f"lambda0 total space (min over modes): {ineq.lhs!r}",
-             f"lambda0 Schrodinger route: {ineq.lambda0_schrodinger!r}",
-             f"inequality rhs: {ineq.rhs!r}",
-             f"inequality slack: {ineq.slack!r} "
-             f"({'ok' if ineq.passed else 'VIOLATED'})",
-             f"two-route difference |lambda0(L_0) - lambda0(S)|: {eq.difference!r} "
-             f"({'ok' if eq.passed else 'MISMATCH'})"]
-    if not (ineq.passed and eq.passed):
+             "mode lambda0s: " + ", ".join(repr(v) for v in rep.lambda0_modes),
+             f"lambda0 total space (min over modes): {rep.lambda0_total!r}",
+             f"lambda0 Schrodinger route: {rep.lambda0_schrodinger!r}",
+             f"inequality rhs: {rep.rhs!r}",
+             f"inequality slack: {rep.slack!r} "
+             f"({'ok' if rep.inequality_passed else 'VIOLATED'})",
+             f"two-route difference |lambda0(L_0) - lambda0(S)|: {rep.difference!r} "
+             f"({'ok' if rep.equality_passed else 'MISMATCH'})"]
+    if not (rep.inequality_passed and rep.equality_passed):
         raise SolverConvergenceError("\n".join(lines))
     if config.fmt == "csv":
         return _csv("verify-warped", rows)
@@ -293,7 +288,7 @@ def _cmd_tail_ess(config: RunConfig, fix) -> str:
         span = b - a
         cutoffs = list(np.linspace(a + span / 3.0, a + 2.0 * span / 3.0, 9))
     rep = warped_spectra.lambda0_ess_tail(spec, cutoffs, config.grid_n,
-                                          config.solver())
+                                          config.tolerances)
     rows = [[name, config.grid_n, c, v, r]
             for c, v, r in zip(rep.cutoffs, rep.values, rep.residuals)]
     if config.fmt == "csv":

@@ -28,6 +28,7 @@ import numpy as np
 
 from ._pow2 import exponent, times_pow2
 from .errors import SolverConvergenceError
+from .tolerances import DEFAULT, Tolerances
 
 # scipy is loaded by _lapack on the first solve, so that the algebra commands,
 # which build and solve no grid operator, never load it; and of scipy the
@@ -37,15 +38,6 @@ REFINE_STEPS = 2    # inverse-iteration steps after the bracket
 ULPS = 64           # bracket width, shift gap, certification slack: eps * ||M|| units
 DENSE_LIMIT = 512   # largest n that the dense cross-check covers
 DENSE_TOL = 1e-9    # its agreement, or ULPS * eps * ||M|| if that is larger
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-10            # residual target |Mv - lambda v| / |v|
-    dense_check: bool = True
-
-
-DEFAULT_SOLVER = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -259,19 +251,21 @@ def dense_lowest(form: SymmetricForm, grid_n: Optional[int] = None,
     return _estimate(Mu, unit, v, form.n if grid_n is None else grid_n, mode)
 
 
-def lowest_eigenvalue(form: SymmetricForm, cfg: SolverConfig = DEFAULT_SOLVER,
-                      grid_n: Optional[int] = None,
+def lowest_eigenvalue(form: SymmetricForm, tols: Tolerances = DEFAULT,
+                      dense_check: bool = True, grid_n: Optional[int] = None,
                       mode: Optional[int] = None) -> SpectrumEstimate:
-    """Smallest eigenvalue of the weighted operator with symmetric form ``form``.
+    """Smallest eigenvalue of the weighted operator with symmetric form ``form``,
+    to the residual target ``tols.solver_tol``, |Mv - lambda v| / |v|.
 
     Raises SolverConvergenceError (with the best iterate attached) when the
-    result fails certification or the automatic dense cross-check disagrees.
+    result fails certification or, with ``dense_check`` and n <= DENSE_LIMIT,
+    the dense cross-check disagrees.
     """
     gn = form.n if grid_n is None else grid_n
     Mu, unit, scale = _scaled(form)
     if form.n == 1:                     # M is its own eigenvalue
         return _estimate(Mu, unit, np.ones(1), gn, mode)
-    tol_eff = max(cfg.tol, 40 * np.finfo(float).eps * (1.0 + scale))
+    tol_eff = max(tols.solver_tol, 40 * np.finfo(float).eps * (1.0 + scale))
     slack = ULPS * np.finfo(float).eps * scale * unit
     lo, hi, v = _bracket(Mu, slack)
     shift = lo - (slack or 1.0)         # slack is 0 only for M = 0
@@ -288,7 +282,7 @@ def lowest_eigenvalue(form: SymmetricForm, cfg: SolverConfig = DEFAULT_SOLVER,
             f"bracket [{lo!r}, {hi!r}], residual {est.residual:.3e} "
             f"(target {tol_eff:.3e}), M - {shift / unit!r} positive definite: "
             f"{definite}", best=est)
-    if cfg.dense_check and form.n <= DENSE_LIMIT:
+    if dense_check and form.n <= DENSE_LIMIT:
         # values only: LAPACK dsbev, independent of the bracket and known to
         # a few eps * ||M||
         ref = _banded_lowest(Mu)[0] / unit

@@ -29,8 +29,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._pow2 import exponent, times_pow2
-from .eigensolve import (DEFAULT_SOLVER, SolverConfig, SpectrumEstimate,
-                         SymmetricForm, lowest_eigenvalue)
+from .eigensolve import SymmetricForm, lowest_eigenvalue
 from .tolerances import Tolerances, DEFAULT
 
 
@@ -101,10 +100,12 @@ class WarpedProductSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.fiber_dim < 1:
-            raise ValueError("fiber dimension must be positive")
-        if self.fiber_lambda0 < 0:
+        if not (isinstance(self.fiber_dim, (int, np.integer)) and self.fiber_dim >= 1):
+            raise ValueError(f"fiber dimension must be a positive integer: {self.fiber_dim!r}")
+        if not self.fiber_lambda0 >= 0:          # NaN too
             raise ValueError("fiber lambda0 must be nonnegative")
+        if self.fiber_lambda0 == math.inf:
+            raise ValueError("fiber lambda0 must be finite")
         # the samples and S per grid size (see _sample): not a field, so eq,
         # hash, repr and replace never see it; the fields are frozen, so it
         # cannot go stale
@@ -256,7 +257,6 @@ class DiscreteOperator(SymmetricForm):
     diagonals and a circle's corner, see eigensolve.SymmetricForm): the
     quadratic form f.W A f is g.M g for g = W^{1/2} f."""
 
-    label: str
     grid: Grid
 
     def quadratic_form(self, f: np.ndarray) -> float:
@@ -270,7 +270,7 @@ class DiscreteOperator(SymmetricForm):
     def rayleigh(self, f: np.ndarray) -> float:
         return self.quadratic_form(f) / self.norm2(f)
 
-    def restricted(self, mask: np.ndarray, label: Optional[str] = None) -> "DiscreteOperator":
+    def restricted(self, mask: np.ndarray) -> "DiscreteOperator":
         """Principal submatrix on the masked nodes, which must be consecutive:
         the Dirichlet restriction to a sub-interval (a circle's wrap edge is cut)."""
         idx = np.flatnonzero(mask)
@@ -279,11 +279,10 @@ class DiscreteOperator(SymmetricForm):
         lo, hi = int(idx[0]), int(idx[-1]) + 1
         g = Grid(self.grid.x[lo:hi], self.grid.h, False, Boundary.DIRICHLET)
         return DiscreteOperator(self.diag[lo:hi], self.off[lo:hi - 1], 0.0,
-                                self.weights[lo:hi], label or self.label, g)
+                                self.weights[lo:hi], g)
 
 
-def _operator(grid: Grid, conduct: np.ndarray, potential, psi: np.ndarray,
-              label: str) -> DiscreteOperator:
+def _operator(grid: Grid, conduct: np.ndarray, potential, psi: np.ndarray) -> DiscreteOperator:
     """A f = -(conduct f')'/psi + potential f, with the conductances on the
     edges of ``Grid.pad`` (an edge to a Dirichlet ghost, where f = 0, adds to
     the diagonal only), held as the symmetric form W^{-1/2} K W^{-1/2} of its
@@ -292,7 +291,7 @@ def _operator(grid: Grid, conduct: np.ndarray, potential, psi: np.ndarray,
     psi_pad = grid.pad(psi, 1.0, 1.0)
     off, corner = grid.chain(-(conduct / np.sqrt(psi_pad[:-1] * psi_pad[1:])) / h2)
     return DiscreteOperator(grid.fold(conduct, conduct) / psi / h2 + potential, off,
-                            corner, psi * grid.h, label, grid)
+                            corner, psi * grid.h, grid)
 
 
 def _potential(grid: Grid, psi_pad: np.ndarray, k_half: float) -> np.ndarray:
@@ -313,7 +312,7 @@ def _schrodinger(spec: WarpedProductSpec, grid_n: int) -> DiscreteOperator:
     if key not in spec._memo:
         grid, _, psi_pad = _sample(spec, grid_n)
         V = _potential(grid, psi_pad, spec.fiber_dim / 2.0)
-        op = _operator(grid, np.ones(psi_pad.size - 1), V, np.ones(grid.x.size), "S")
+        op = _operator(grid, np.ones(psi_pad.size - 1), V, np.ones(grid.x.size))
         _freeze(op.diag, op.off, op.weights)
         spec._memo[key] = op
     return spec._memo[key]
@@ -330,9 +329,9 @@ def _mode_operators(spec: WarpedProductSpec, grid_n: int, modes):
     if spec.fiber_dim != 1:
         raise ValueError("mode operators are only defined for a circle fiber (k = 1)")
     grid, psi, psi_pad = _sample(spec, grid_n)
-    op = _operator(grid, np.sqrt(psi_pad[:-1] * psi_pad[1:]), 0.0, psi, "L_0")
+    op = _operator(grid, np.sqrt(psi_pad[:-1] * psi_pad[1:]), 0.0, psi)
     for m in modes:
-        yield replace(op, diag=op.diag + (m * m) / (psi * psi), label=f"L_{m}")
+        yield replace(op, diag=op.diag + (m * m) / (psi * psi))
 
 
 def build_warped_mode(spec: WarpedProductSpec, m: int, grid_n: int) -> DiscreteOperator:
@@ -342,31 +341,21 @@ def build_warped_mode(spec: WarpedProductSpec, m: int, grid_n: int) -> DiscreteO
     return next(_mode_operators(spec, grid_n, (m,)))
 
 
-# -- verification reports -----------------------------------------------------
+# -- verification -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EqualityReport:
+class WarpedReport:
     fixture: str
     grid_n: int
     lambda0_modes: tuple          # lambda0 of L_0, L_1, ..., L_mmax
-    lambda0_total: float          # min over modes
-    lambda0_schrodinger: float
-    residuals: tuple
-    difference: float
-    passed: bool
-
-
-@dataclass(frozen=True)
-class InequalityReport:
-    fixture: str
-    grid_n: int
-    lambda0_modes: tuple
-    lhs: float                    # lambda0 of the total space (min over modes)
+    lambda0_total: float          # of the total space: min over modes
     lambda0_schrodinger: float
     rhs: float                    # lambda0(S) + fiber term
-    slack: float
-    residuals: tuple
-    passed: bool
+    slack: float                  # lambda0_total - rhs
+    residuals: tuple              # of the modes, then of S
+    inequality_passed: bool
+    difference: float             # |lambda0(L_0) - lambda0(S)|
+    equality_passed: bool
 
 
 @dataclass(frozen=True)
@@ -379,26 +368,21 @@ class TailReport:
     monotone: bool
 
 
-def solve_lowest(op: DiscreteOperator, cfg: SolverConfig = DEFAULT_SOLVER,
-                 mode: Optional[int] = None) -> SpectrumEstimate:
-    """Lowest eigenvalue of a DiscreteOperator (see eigensolve for the contract)."""
-    return lowest_eigenvalue(op, cfg, grid_n=op.n, mode=mode)
-
-
 def mode_scan(spec: WarpedProductSpec, grid_n: int, m_max: int = 8,
-              cfg: SolverConfig = DEFAULT_SOLVER):
+              tols: Tolerances = DEFAULT, dense_check: bool = True):
     """Lowest eigenvalues of L_0, ..., L_{m_max}, one SpectrumEstimate each."""
     if m_max < 0:
         raise ValueError("the largest mode must be nonnegative")
     ops = _mode_operators(spec, grid_n, range(m_max + 1))
-    return [solve_lowest(op, cfg, mode=m) for m, op in enumerate(ops)]
+    return [lowest_eigenvalue(op, tols, dense_check, grid_n=grid_n, mode=m)
+            for m, op in enumerate(ops)]
 
 
 def verify_warped(spec: WarpedProductSpec, grid_n: int,
-                  tols: Tolerances = DEFAULT,
-                  cfg: SolverConfig = DEFAULT_SOLVER,
-                  m_max: int = 8):
-    """(InequalityReport, EqualityReport) from one mode scan and one S solve.
+                  tols: Tolerances = DEFAULT, dense_check: bool = True,
+                  m_max: int = 8) -> WarpedReport:
+    """The inequality and the two-route equality from one mode scan and one
+    S solve, each solve to the residual target ``tols.solver_tol``.
 
     Inequality: total-space bottom (min over modes) >= base Schrodinger
     bottom + fiber term.  Equality: the two routes to the bottom of the
@@ -406,40 +390,23 @@ def verify_warped(spec: WarpedProductSpec, grid_n: int,
     multiplication map by sqrt(psi) identifies the two problems), agree,
     and the mode scan attains its minimum at m = 0.
     """
-    ests = mode_scan(spec, grid_n, m_max, cfg)
+    ests = mode_scan(spec, grid_n, m_max, tols, dense_check)
     lams = tuple(e.lambda0 for e in ests)
     psi_pad = _sample(spec, grid_n)[2]
-    s_est = solve_lowest(_schrodinger(spec, grid_n), cfg)
-    residuals = tuple(e.residual for e in ests) + (s_est.residual,)
+    s_est = lowest_eigenvalue(_schrodinger(spec, grid_n), tols, dense_check, grid_n=grid_n)
     total = min(lams)
     rhs = s_est.lambda0 + spec.fiber_lambda0 * float(np.min(1.0 / psi_pad ** 2))
-    ineq = InequalityReport(spec.name, grid_n, lams, total, s_est.lambda0, rhs,
-                            total - rhs, residuals, total - rhs >= -tols.ineq_tol)
     diff = abs(lams[0] - s_est.lambda0)
     slack = 10.0 * max(ests[0].residual, s_est.residual, 1e-15)
-    eq = EqualityReport(spec.name, grid_n, lams, total, s_est.lambda0, residuals,
-                        diff, diff <= tols.unitary_tol and total >= lams[0] - slack)
-    return ineq, eq
-
-
-def verify_closed_fiber_equality(spec: WarpedProductSpec, grid_n: int,
-                                 tols: Tolerances = DEFAULT,
-                                 cfg: SolverConfig = DEFAULT_SOLVER,
-                                 m_max: int = 8) -> EqualityReport:
-    """Two routes to the bottom of the warped-product spectrum must agree."""
-    return verify_warped(spec, grid_n, tols, cfg, m_max)[1]
-
-
-def verify_warped_inequality(spec: WarpedProductSpec, grid_n: int,
-                             tols: Tolerances = DEFAULT,
-                             cfg: SolverConfig = DEFAULT_SOLVER,
-                             m_max: int = 8) -> InequalityReport:
-    """Total-space bottom >= base Schrodinger bottom + fiber term, on the grid."""
-    return verify_warped(spec, grid_n, tols, cfg, m_max)[0]
+    return WarpedReport(spec.name, grid_n, lams, total, s_est.lambda0, rhs, total - rhs,
+                        tuple(e.residual for e in ests) + (s_est.residual,),
+                        total - rhs >= -tols.ineq_tol, diff,
+                        diff <= tols.unitary_tol and total >= lams[0] - slack)
 
 
 def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
-                     grid_n: int, cfg: SolverConfig = DEFAULT_SOLVER) -> TailReport:
+                     grid_n: int, tols: Tolerances = DEFAULT,
+                     dense_check: bool = True) -> TailReport:
     """Bottom of S restricted (Dirichlet) beyond each cutoff, as a tail estimate.
 
     Restriction is the principal submatrix on nodes past the cutoff, so the
@@ -459,8 +426,7 @@ def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
         mask = op.grid.x > c
         if np.count_nonzero(mask) < 4:
             raise ValueError(f"cutoff {c} leaves too few grid nodes")
-        sub = op.restricted(mask, label=f"S|x>{c:g}")
-        est = lowest_eigenvalue(sub, cfg, grid_n=grid_n)
+        est = lowest_eigenvalue(op.restricted(mask), tols, dense_check, grid_n=grid_n)
         values.append(est.lambda0)
         residuals.append(est.residual)
     mono = all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
@@ -469,14 +435,15 @@ def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
 
 
 def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int,
-                        tols: Tolerances = DEFAULT,
-                        cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+                        tols: Tolerances = DEFAULT, dense_check: bool = True) -> float:
     """Lower bound (sqrt(lambda0(base)) - C/2)^2 for lambda0(S).
 
     Requires k |psi'/psi| <= C at every grid node (psi' as the mean slope
     of the node's edges: a centered difference, one-sided at a Neumann end)
-    and C <= 2 sqrt(lambda0 of the plain base Laplacian).
+    and 0 <= C <= 2 sqrt(lambda0 of the plain base Laplacian).
     """
+    if not 0.0 <= C < math.inf:
+        raise ValueError(f"the drift bound C must be finite and nonnegative, got {C!r}")
     grid, psi, psi_pad = _sample(spec, grid_n)
     slope = (psi_pad[1:] - psi_pad[:-1]) / grid.h
     ones = np.ones_like(slope)
@@ -488,7 +455,8 @@ def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int,
             f"|H| bound violated at node {worst} (x = {grid.x[worst]:.6g}): "
             f"{drift[worst]:.6g} > {C:.6g}")
     flat = replace(spec, warp=WarpProfile("const", (1.0,)))
-    lam_base = max(solve_lowest(build_schrodinger(flat, grid_n), cfg).lambda0, 0.0)
+    lam_base = max(lowest_eigenvalue(build_schrodinger(flat, grid_n), tols, dense_check,
+                                     grid_n=grid_n).lambda0, 0.0)
     if C > 2.0 * np.sqrt(lam_base) + tols.ineq_tol:
         raise ValueError(
             f"need C <= 2 sqrt(lambda0(base)) = {2*np.sqrt(lam_base):.6g}, got {C:.6g}")

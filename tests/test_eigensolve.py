@@ -4,8 +4,7 @@ import scipy.linalg
 
 from conftest import smoothed_random_warp
 from specsub import eigensolve
-from specsub.eigensolve import (SolverConfig, SymmetricForm, dense_lowest,
-                                lowest_eigenvalue)
+from specsub.eigensolve import SymmetricForm, dense_lowest, lowest_eigenvalue
 from specsub.errors import SolverConvergenceError
 from specsub.fixtures import warp_const
 from specsub.warped_spectra import (CircleBase, WarpedProductSpec, WarpProfile,
@@ -74,8 +73,7 @@ def test_methods_agree_with_dense(method):
         off = rng.uniform(-1.0, 1.0, n - 1)
         w = rng.uniform(0.5, 2.0, n)
         form = weighted_form(diag, off, 0.0, w)
-        cfg = SolverConfig(dense_check=False)
-        est = lowest_eigenvalue(form, cfg)
+        est = lowest_eigenvalue(form, dense_check=False)
         ref = dense_lowest(form)
         assert est.lambda0 == pytest.approx(ref.lambda0, abs=1e-9)
         # eigenvectors agree up to sign, in the weighted norm
@@ -129,7 +127,7 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_bracket", shifted)
     with pytest.raises(SolverConvergenceError, match="not certified") as info:
-        lowest_eigenvalue(form, SolverConfig(dense_check=False))
+        lowest_eigenvalue(form, dense_check=False)
     best = info.value.best
     assert best is not None
     assert np.isfinite(best.lambda0)
@@ -149,10 +147,9 @@ def test_determinism():
 @pytest.mark.parametrize("n", [3, 4, 17, 200])
 def test_cyclic_tridiagonal_matches_dense(n, corner_sign):
     rng = np.random.default_rng(n + (corner_sign > 0))
-    cfg = SolverConfig(dense_check=False)
     for _ in range(10):
         form = cyclic_tridiagonal(rng, n, corner_sign)
-        est = lowest_eigenvalue(form, cfg)
+        est = lowest_eigenvalue(form, dense_check=False)
         ref = dense_lowest(form)
         assert est.lambda0 == pytest.approx(ref.lambda0, abs=1e-12)
         dot = abs(est.eigvec @ (form.weights * ref.eigvec))
@@ -166,7 +163,7 @@ def test_localized_circle_ground_state(seed, corner_sign):
     # live far from where the constant start vector's inverse iterates first
     # gather, near the wrap edge or away from it
     form = cyclic_tridiagonal(np.random.default_rng(seed), 200, corner_sign)
-    est = lowest_eigenvalue(form, SolverConfig(dense_check=False))
+    est = lowest_eigenvalue(form, dense_check=False)
     assert est.lambda0 == pytest.approx(dense_lowest(form).lambda0, abs=1e-12)
 
 
@@ -176,10 +173,9 @@ def test_tiny_norm(circle):
     # solve at that gap overflows, unless the solver rescales M first
     form = (cyclic_tridiagonal(np.random.default_rng(6), 64, -1.0) if circle
             else dirichlet_laplacian(64)[0])
-    cfg = SolverConfig(dense_check=False)
-    tiny = lowest_eigenvalue(times(form, 2.0 ** -1000), cfg)
+    tiny = lowest_eigenvalue(times(form, 2.0 ** -1000), dense_check=False)
     assert tiny.lambda0 * 2.0 ** 1000 == pytest.approx(
-        lowest_eigenvalue(form, cfg).lambda0, rel=1e-12)
+        lowest_eigenvalue(form, dense_check=False).lambda0, rel=1e-12)
 
 
 def test_deflated_circle():
@@ -187,7 +183,7 @@ def test_deflated_circle():
     # the constant vector, which is the bracket's start: the Gershgorin bound
     # and its Rayleigh quotient close the bracket before any factorization
     op = build_schrodinger(warp_const(1.0), 256)
-    est = lowest_eigenvalue(op, SolverConfig(dense_check=False))
+    est = lowest_eigenvalue(op, dense_check=False)
     assert est.lambda0 == pytest.approx(0.0, abs=1e-12)
     assert np.ptp(est.eigvec) <= 1e-9 * np.max(np.abs(est.eigvec))
 
@@ -202,7 +198,7 @@ def test_start_orthogonal_to_the_ground_state(n, circle):
     if not circle:
         diag[[0, -1]] = -1.0
     form = SymmetricForm(diag, np.ones(n - 1), 1.0 if circle else 0.0, np.ones(n))
-    est = lowest_eigenvalue(form, SolverConfig(dense_check=False))
+    est = lowest_eigenvalue(form, dense_check=False)
     exact = -4.0 if circle else -2.0 - 2.0 * np.cos(np.pi / n)
     assert est.lambda0 == pytest.approx(exact, abs=64 * EPS * 4.0)
     if n <= 256:
@@ -231,7 +227,7 @@ def test_factorizations_per_solve(monkeypatch, warp, most):
     for op in [build_schrodinger(spec, n)] + [build_warped_mode(spec, m, n)
                                               for m in range(9)]:
         counts.append(0)
-        lowest_eigenvalue(op, SolverConfig(dense_check=False))
+        lowest_eigenvalue(op, dense_check=False)
     assert max(counts) <= most, counts
 
 

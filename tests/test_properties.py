@@ -8,6 +8,7 @@ stays deterministic and fast.
 import contextlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,12 +19,13 @@ from conftest import (an_structure, change_basis, heisenberg_type_structure,
                       rotate_algebra, rotated)
 from specsub import eigensolve
 from specsub.cli import main
-from specsub.eigensolve import SolverConfig, SymmetricForm, lowest_eigenvalue
+from specsub.eigensolve import SymmetricForm, lowest_eigenvalue
 from specsub.errors import FixtureParseError
 from specsub.fixtures import (LIE_BUILTINS, _parse_lie_bulk, _parse_lines,
                               catalog_fixture, fixture_text, parse_fixture_text)
 from specsub.group_spectra import Method, group_spectrum_report, quotient_bound
-from specsub.lie_core import Ideal, MetricLieAlgebra, classify, validate
+from specsub.lie_core import (Ideal, MetricLieAlgebra, classify, derived_subalgebra,
+                              full_ideal, validate)
 from specsub.tolerances import DEFAULT
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase, WarpProfile,
                                     WarpedProductSpec, build_schrodinger,
@@ -166,8 +168,28 @@ def amenable_ideals(draw):
     return MetricLieAlgebra(n, c, A @ A.T + 0.5 * np.eye(n)), span
 
 
-@settings(PROPERTY, max_examples=200)
-@given(amenable_ideals())
+@st.composite
+def heisenberg_type_ideals(draw):
+    """(algebra, rows spanning an ideal N): HT(p, q) of conftest with p in
+    1..4 and q in 1..3, plain or rotated, with the metric A A^T + I/2; N a
+    nonzero member of its derived or lower central series."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = heisenberg_type_structure(draw(st.integers(1, 4)), draw(st.integers(1, 3)), rng)
+    if draw(st.booleans()):
+        c = rotated(c, rng)
+    n = c.shape[0]
+    A = rng.standard_normal((n, n))
+    alg = MetricLieAlgebra(n, c, A @ A.T + 0.5 * np.eye(n))
+    derived, lower = [full_ideal(alg)], [full_ideal(alg)]
+    for _ in range(n):
+        derived.append(derived_subalgebra(alg, derived[-1]))
+        # [g, N]: the brackets of the basis with N's orthonormal rows
+        lower.append(Ideal(alg, np.einsum("vj,ijk->ivk", lower[-1].onb, c).reshape(-1, n)))
+    return alg, draw(st.sampled_from([i.span for i in derived + lower if i.dim]))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(amenable_ideals(), heisenberg_type_ideals()))
 def test_quotient_bound_is_an_identity_on_amenable_groups(case):
     # tau restricted to N is tau_N and, on the complement, <H, .> + tau_{G/N};
     # the parts are orthogonal, so the bound is |tau|^2/4 = lambda0(G) for
@@ -175,6 +197,7 @@ def test_quotient_bound_is_an_identity_on_amenable_groups(case):
     # is a sum of terms up to sigma, good to some eps sigma, and lambda0 to
     # |tau| times that: 1e-12 lambda0 unless tau nearly cancels
     alg, span = case
+    assert Ideal(alg, span).is_ideal()
     lam = group_spectrum_report(alg).lambda0
     rep = quotient_bound(alg, Ideal(alg, span))
     sigma = alg.frame.scale * 2.0 ** alg.frame.exponent
@@ -236,10 +259,47 @@ def test_every_lie_command_exits_cleanly_at_any_scale(tmp_path_factory, case):
                         ref[1].splitlines()[-1].split(",")[1:]
 
 
+@st.composite
+def wide_warp_texts(draw):
+    """(.warp text, grid size): a circle, or an interval of either boundary
+    that starts up to two lengths either side of 0, its length and the
+    warp's parameter of size 10^u with u in [-300, 300] (the parameter of
+    either sign), fiber_dim 1 (the mode scan's) or up to 100 and a fiber
+    lambda0 of 0 or up to 1e300, on a grid of 16 to 64 nodes."""
+    wide = st.floats(-300.0, 300.0).map(lambda u: 10.0 ** u)
+    length = draw(wide)
+    if draw(st.booleans()):
+        base = f"circle {length!r}"
+    else:
+        a = length * draw(st.floats(-2.0, 2.0))
+        base = f"interval {a!r} {a + length!r} {draw(st.sampled_from(list(Boundary))).value}"
+    kind = draw(st.sampled_from(["const", "exp", "sinshift"]))
+    param = draw(st.sampled_from([1.0, -1.0])) * draw(wide)
+    fiber_lambda0 = draw(st.sampled_from([0.0]) | wide)
+    fiber_dim = draw(st.sampled_from([1]) | st.integers(1, 100))
+    return (f"base {base}\nfiber_dim {fiber_dim}\n"
+            f"fiber_lambda0 {fiber_lambda0!r}\nwarp {kind} {param!r}\n",
+            draw(st.sampled_from([16, 32, 64])))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(wide_warp_texts())
+def test_every_warp_command_exits_cleanly_at_any_scale(tmp_path_factory, case):
+    # a traceback would escape main, and any warning is an error here
+    text, grid = case
+    path = tmp_path_factory.mktemp("warp") / "wide.warp"
+    path.write_text(text)
+    for command in ("verify-warped", "tail-ess"):
+        for fmt in ("csv", "text"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = _cli([command, str(path), "--grid", str(grid),
+                                       "--format", fmt])
+            assert code in (0, 1, 2, 3), (command, fmt, code, err)
+            assert (err == "") == (code == 0), err
+
+
 # -- the warped solver ----------------------------------------------------------
-
-UNCHECKED = SolverConfig(dense_check=False)
-
 
 @st.composite
 def symmetric_forms(draw):
@@ -257,7 +317,7 @@ def symmetric_forms(draw):
 @PROPERTY
 @given(symmetric_forms())
 def test_lowest_eigenvalue_certifies_and_matches_the_dense_spectrum(form):
-    est = lowest_eigenvalue(form, UNCHECKED)
+    est = lowest_eigenvalue(form, dense_check=False)
     M = form.dense()
     norm = np.max(np.sum(np.abs(M), axis=1))
     assert abs(est.lambda0 - np.linalg.eigvalsh(M)[0]) <= 64 * EPS * norm
@@ -308,7 +368,7 @@ def test_tail_is_non_decreasing(case):
     # the bottoms interlace
     spec, n = case
     cutoffs = np.linspace(0.0, 0.8, 9) * spec.base.b
-    rep = lambda0_ess_tail(spec, cutoffs, n, UNCHECKED)
+    rep = lambda0_ess_tail(spec, cutoffs, n, dense_check=False)
     norm = np.max(np.sum(np.abs(build_schrodinger(spec, n).dense()), axis=1))
     assert rep.monotone
     assert all(b >= a - 64 * EPS * norm for a, b in zip(rep.values, rep.values[1:]))
@@ -323,7 +383,7 @@ def test_schrodinger_operator_is_positive_semidefinite(case):
                              WarpProfile("samples", (), samples=np.array(samples)))
     op = build_schrodinger(spec, len(samples))
     norm = np.max(np.sum(np.abs(op.dense()), axis=1))
-    assert lowest_eigenvalue(op, UNCHECKED).lambda0 >= -64 * EPS * norm
+    assert lowest_eigenvalue(op, dense_check=False).lambda0 >= -64 * EPS * norm
 
 
 @st.composite

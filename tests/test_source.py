@@ -1,4 +1,5 @@
-"""Guards on the source itself: the package keeps one power-of-two rescaling."""
+"""Guards on the source itself: the package keeps one power-of-two rescaling,
+and every warped solve names its grid."""
 
 import ast
 from pathlib import Path
@@ -22,3 +23,14 @@ def test_frexp_and_ldexp_live_only_in_the_shared_helper():
              if isinstance(fn, ast.FunctionDef)
              for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
     assert ("exponent", "frexp") in calls and ("times_pow2", "ldexp") in calls
+
+
+def test_every_warped_solve_names_its_grid_by_keyword():
+    # the benchmark's spans read the grid class of a solve from the grid_n
+    # keyword; a solve without it reads as 0 calls at n256, n2048 and n16384
+    calls = [node for node in ast.walk(ast.parse((SRC / "warped_spectra.py").read_text()))
+             if isinstance(node, ast.Call) and "lowest_eigenvalue" in
+             (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert len(calls) >= 4
+    for call in calls:
+        assert "grid_n" in {kw.arg for kw in call.keywords}, f"line {call.lineno}"

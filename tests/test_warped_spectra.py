@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 import specsub.warped_spectra
-from specsub.eigensolve import SolverConfig
+from specsub.eigensolve import lowest_eigenvalue
 from specsub.fixtures import warp_const, warp_exp, warp_sinshift
+from specsub.tolerances import STRICT
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase,
                                     WarpProfile, WarpedProductSpec, base_grid,
                                     build_schrodinger, build_warped_mode,
-                                    drift_bound_lambda0, lambda0_ess_tail,
+                                    drift_bound_lambda0, lambda0_ess_tail, mode_scan,
                                     pushdown, pushdown_slack, rayleigh_2d,
-                                    solve_lowest, verify_closed_fiber_equality,
-                                    verify_warped_inequality, warp_values)
-
-FAST = SolverConfig(dense_check=False)
+                                    verify_warped, warp_values)
 
 
 def exp_interval(a, b, boundary=Boundary.DIRICHLET):
@@ -60,6 +58,22 @@ def test_nonpositive_warp_rejected():
     spec = WarpedProductSpec(CircleBase(2 * np.pi), WarpProfile("samples", (), samples=samples))
     with pytest.raises(ValueError):
         build_schrodinger(spec, 32)
+
+
+@pytest.mark.parametrize("fiber_dim, fiber_lambda0", [
+    (1, np.nan), (1, np.inf), (1, -1.0), (1.5, 0.0), (0, 0.0), (np.nan, 0.0), (2.0, 0.0)])
+def test_spec_rejects_a_bad_fiber(fiber_dim, fiber_lambda0):
+    # a NaN or infinite lambda0 of the fiber used to give rhs = nan or
+    # slack = -inf from verify_warped, with no error
+    with pytest.raises(ValueError, match="fiber"):
+        WarpedProductSpec(CircleBase(2 * np.pi), WarpProfile("sinshift", (1.0,)),
+                          fiber_dim=fiber_dim, fiber_lambda0=fiber_lambda0)
+
+
+def test_spec_takes_numpy_integers_and_finite_values():
+    spec = WarpedProductSpec(CircleBase(2 * np.pi), WarpProfile("sinshift", (1.0,)),
+                             fiber_dim=np.int64(3), fiber_lambda0=1e300)
+    assert spec.fiber_dim == 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -135,7 +149,7 @@ def test_unitary_equivalence_exact():
 def test_schrodinger_nonnegative():
     for spec in ALL_FIXTURES:
         op = build_schrodinger(spec, 256)
-        est = solve_lowest(op, FAST)
+        est = lowest_eigenvalue(op, dense_check=False)
         assert est.lambda0 >= -1e-8
 
 
@@ -144,7 +158,7 @@ def test_mode_monotonicity():
         lams = []
         for m in range(4):
             op = build_warped_mode(spec, m, 128)
-            lams.append(solve_lowest(op, FAST).lambda0)
+            lams.append(lowest_eigenvalue(op, dense_check=False).lambda0)
         assert all(b >= a - 1e-10 for a, b in zip(lams, lams[1:]))
         # the added diagonal is nonnegative at the matrix level
         d0 = build_warped_mode(spec, 0, 128).diag
@@ -179,31 +193,53 @@ def test_mode_form_matches_edge_sum(base):
 
 def test_const_mode_one_exact():
     op = build_warped_mode(warp_const(1.0), 1, 64)
-    est = solve_lowest(op)
+    est = lowest_eigenvalue(op)
     assert est.lambda0 == pytest.approx(1.0, abs=1e-10)
 
 
 # -- verification ops ---------------------------------------------------------------
 
 def test_equality_const_trivial():
-    rep = verify_closed_fiber_equality(warp_const(1.0), 64)
-    assert rep.passed
+    rep = verify_warped(warp_const(1.0), 64)
+    assert rep.equality_passed
     assert abs(rep.lambda0_total) < 1e-10
     assert abs(rep.lambda0_schrodinger) < 1e-10
 
 
 def test_equality_sinshift_and_exp():
     for spec in (warp_sinshift(1.0), exp_interval(0.5, 20.0)):
-        rep = verify_closed_fiber_equality(spec, 256)
-        assert rep.passed
+        rep = verify_warped(spec, 256)
+        assert rep.equality_passed
         assert rep.difference <= 1e-6
         assert rep.lambda0_total == rep.lambda0_modes[0]
 
 
+def test_every_solve_takes_the_callers_tolerances(monkeypatch):
+    # the residual target is Tolerances.solver_tol, so a strict preset must
+    # reach every solve, not only the CLI's
+    seen = []
+    real = specsub.warped_spectra.lowest_eigenvalue
+
+    def recording(form, tols, *args, **kwargs):
+        seen.append(tols)
+        return real(form, tols, *args, **kwargs)
+
+    monkeypatch.setattr(specsub.warped_spectra, "lowest_eigenvalue", recording)
+    spec = exp_interval(0.1, 20.0)
+    calls = {"verify_warped": (lambda: verify_warped(warp_sinshift(1.0), 64, STRICT), 10),
+             "mode_scan": (lambda: mode_scan(warp_sinshift(1.0), 64, 3, STRICT), 4),
+             "lambda0_ess_tail": (lambda: lambda0_ess_tail(spec, [5.0, 10.0], 64, STRICT), 2),
+             "drift_bound_lambda0": (lambda: drift_bound_lambda0(spec, 0.2, 64, STRICT), 1)}
+    for name, (call, solves) in calls.items():
+        seen.clear()
+        call()
+        assert len(seen) == solves and all(t is STRICT for t in seen), name
+
+
 def test_inequality_reports():
     for spec in ALL_FIXTURES:
-        rep = verify_warped_inequality(spec, 128, cfg=FAST)
-        assert rep.passed
+        rep = verify_warped(spec, 128, dense_check=False)
+        assert rep.inequality_passed
         assert rep.slack >= -1e-8
 
 
@@ -212,7 +248,7 @@ def test_exp_dirichlet_lambda0_value():
     a, b, n = 0.5, 20.0, 512
     spec = exp_interval(a, b)
     op = build_schrodinger(spec, n)
-    est = solve_lowest(op, FAST)
+    est = lowest_eigenvalue(op, dense_check=False)
     h = op.grid.h
     box = 4.0 * np.sin(np.pi * h / (2.0 * b)) ** 2 / h**2
     analytic = a * a / 4.0 + box
@@ -224,7 +260,7 @@ def test_grid_convergence_second_order():
     lam = {}
     for n in (256, 512, 1024):
         op = build_warped_mode(spec, 1, n)
-        lam[n] = solve_lowest(op, FAST).lambda0
+        lam[n] = lowest_eigenvalue(op, dense_check=False).lambda0
     d1 = abs(lam[256] - lam[512])
     d2 = abs(lam[512] - lam[1024])
     assert d1 <= 4.0 * d2 * 1.3 + 1e-12
@@ -287,7 +323,7 @@ def test_pushdown_slack_samples_once(monkeypatch):
         pushdown_slack(spec, np.ones((32, 8)), 32)
     assert len(calls) == 1
     # the mode scan and the S solve of a verification share the sample too
-    verify_closed_fiber_equality(spec, 32, cfg=FAST)
+    verify_warped(spec, 32, dense_check=False)
     assert len(calls) == 1
 
 
@@ -330,7 +366,7 @@ def test_pushdown_slack_tight_at_ground_state():
     for spec in (warp_sinshift(1.0), exp_interval(0.5, 10.0)):
         n = 64
         op = build_warped_mode(spec, 0, n)
-        u = solve_lowest(op, FAST).eigvec
+        u = lowest_eigenvalue(op, dense_check=False).eigvec
         f2d = np.tile(u[:, None], (1, 16))
         s = pushdown_slack(spec, f2d, n)
         assert -1e-10 <= s <= 1e-8
@@ -418,7 +454,7 @@ def test_tail_flat_warp_closed_form():
     spec = WarpedProductSpec(IntervalBase(0.0, b, Boundary.DIRICHLET),
                              WarpProfile("const", (1.0,)), name="flat")
     cutoffs = [2.0, 4.0, 6.0]
-    rep = lambda0_ess_tail(spec, cutoffs, n, FAST)
+    rep = lambda0_ess_tail(spec, cutoffs, n, dense_check=False)
     op = build_schrodinger(spec, n)
     for c, v in zip(rep.cutoffs, rep.values):
         m = int(np.count_nonzero(op.grid.x > c))
@@ -432,7 +468,7 @@ def test_tail_exp_plateau():
     spec = warp_exp(a)   # [0, 60] dirichlet
     b = spec.base.b
     cutoffs = np.linspace(b / 3, 2 * b / 3, 5)
-    rep = lambda0_ess_tail(spec, cutoffs, 1024, FAST)
+    rep = lambda0_ess_tail(spec, cutoffs, 1024, dense_check=False)
     assert rep.monotone
     target = a * a / 4.0
     rels = [abs(v - target) / target for v in rep.values]
@@ -450,21 +486,21 @@ def test_tail_growing_potential_strictly_increasing():
                              WarpProfile("samples", (), samples=samples),
                              name="gauss")
     cutoffs = np.linspace(0.5, 4.0, 8)
-    rep = lambda0_ess_tail(spec, cutoffs, 512, FAST)
+    rep = lambda0_ess_tail(spec, cutoffs, 512, dense_check=False)
     assert all(b > a for a, b in zip(rep.values, rep.values[1:]))
 
 
 def test_tail_requires_interval():
     with pytest.raises(ValueError):
-        lambda0_ess_tail(warp_const(1.0), [0.5], 64, FAST)
+        lambda0_ess_tail(warp_const(1.0), [0.5], 64, dense_check=False)
 
 
 def test_tail_rejects_bad_cutoffs():
     spec = exp_interval(0.5, 10.0)
     with pytest.raises(ValueError):
-        lambda0_ess_tail(spec, [4.0, 2.0], 64, FAST)
+        lambda0_ess_tail(spec, [4.0, 2.0], 64, dense_check=False)
     with pytest.raises(ValueError):
-        lambda0_ess_tail(spec, [11.0], 64, FAST)
+        lambda0_ess_tail(spec, [11.0], 64, dense_check=False)
 
 
 # -- drift bound ----------------------------------------------------------------------
@@ -488,7 +524,7 @@ def test_drift_bound_flat():
                              WarpProfile("const", (1.0,)), name="flat")
     bound = drift_bound_lambda0(spec, 0.0, 64)
     op = build_schrodinger(spec, 64)
-    lam = solve_lowest(op, FAST).lambda0
+    lam = lowest_eigenvalue(op, dense_check=False).lambda0
     assert bound == pytest.approx(lam, abs=1e-10)
 
 
@@ -499,7 +535,7 @@ def test_drift_bound_exp_small_slope():
     drift = np.abs((psi[2:] - psi[:-2]) / (2 * grid.h) / psi[1:-1])
     C = float(np.max(drift))
     bound = drift_bound_lambda0(spec, C, 512)
-    lam = solve_lowest(build_schrodinger(spec, 512), FAST).lambda0
+    lam = lowest_eigenvalue(build_schrodinger(spec, 512), dense_check=False).lambda0
     assert lam >= bound - 1e-8
     assert bound > 0.0
 
@@ -508,10 +544,20 @@ def test_drift_bound_at_threshold_is_zero():
     spec = WarpedProductSpec(IntervalBase(0.0, 1.0, Boundary.DIRICHLET),
                              WarpProfile("const", (2.0,)), name="flat2")
     op = build_schrodinger(spec, 128)
-    lam = solve_lowest(op, FAST).lambda0
+    lam = lowest_eigenvalue(op, dense_check=False).lambda0
     C = 2.0 * np.sqrt(lam)
     assert drift_bound_lambda0(spec, C, 128) == pytest.approx(0.0, abs=1e-9)
     assert lam >= -1e-8
+
+
+@pytest.mark.parametrize("C", [np.nan, -5e-9, -1.0, np.inf])
+def test_drift_bound_rejects_a_negative_or_non_finite_C(C):
+    # C = -5e-9 used to give 0.0986768342, above lambda0(S) = 0.0986768327
+    # of this interval, and C = nan a nan bound
+    spec = WarpedProductSpec(IntervalBase(0.0, 10.0, Boundary.DIRICHLET),
+                             WarpProfile("const", (1.0,)), name="flat")
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        drift_bound_lambda0(spec, C, 64)
 
 
 def test_drift_bound_violations_report_node():
@@ -526,7 +572,7 @@ def test_drift_bound_neumann():
     # a flat Neumann base has lambda0 = 0, so only C = 0 is admissible
     flat = WarpedProductSpec(IntervalBase(0.0, 1.0, Boundary.NEUMANN),
                              WarpProfile("const", (1.0,)), name="flat")
-    lam = solve_lowest(build_schrodinger(flat, 64), FAST).lambda0
+    lam = lowest_eigenvalue(build_schrodinger(flat, 64), dense_check=False).lambda0
     assert drift_bound_lambda0(flat, 0.0, 64) == pytest.approx(lam, abs=1e-10)
     assert abs(lam) < 1e-10
     # psi = e^t: the one-sided slope at the Neumann end x = h/2 is the largest,
