@@ -58,7 +58,6 @@ HEADERS = {
     "verify-warped": ("fixture", "grid_n", "mode", "lambda0", "residual", "slack"),
     "tail-ess": ("fixture", "grid_n", "cutoff", "lambda0", "residual"),
 }
-COMMANDS = tuple(HEADERS)
 
 
 @dataclass
@@ -104,18 +103,6 @@ def _fixture_name(config: RunConfig, fix) -> str:
     return name
 
 
-def _need_lie(fix) -> MetricLieAlgebra:
-    if not isinstance(fix, MetricLieAlgebra):
-        raise FixtureParseError("this command needs a Lie algebra fixture")
-    return fix
-
-
-def _need_warp(fix) -> WarpedProductSpec:
-    if not isinstance(fix, WarpedProductSpec):
-        raise FixtureParseError("this command needs a warped-product fixture")
-    return fix
-
-
 def _validated(alg: MetricLieAlgebra, tols: Tolerances):
     rep = validate(alg, tols)
     if not rep.ok:
@@ -135,9 +122,7 @@ def _finite(rows):
     return rows
 
 
-def _cmd_analyze(config: RunConfig, fix) -> str:
-    alg = _need_lie(fix)
-    name = _fixture_name(config, fix)
+def _cmd_analyze(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
     if config.fmt == "csv":
         # the frozen contract: an invalid algebra is a valid=false row, exit 0
         vrep = validate(alg, config.tolerances)
@@ -177,10 +162,7 @@ def _group_rows(config: RunConfig, alg: MetricLieAlgebra, name: str, exact=False
                                 rep.cheeger, rep.method.value]])
 
 
-def _cmd_lambda0(config: RunConfig, fix) -> str:
-    alg = _need_lie(fix)
-    _validated(alg, config.tolerances)
-    name = _fixture_name(config, fix)
+def _cmd_lambda0(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
     crep, rep, rows = _group_rows(config, alg, name, exact=True)
     if config.fmt == "csv":
         return _csv("lambda0", rows)
@@ -196,10 +178,7 @@ def _cmd_lambda0(config: RunConfig, fix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_cheeger(config: RunConfig, fix) -> str:
-    alg = _need_lie(fix)
-    _validated(alg, config.tolerances)
-    name = _fixture_name(config, fix)
+def _cmd_cheeger(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
     crep, rep, rows = _group_rows(config, alg, name)
     if config.fmt == "csv":
         return _csv("cheeger", rows)
@@ -208,10 +187,7 @@ def _cmd_cheeger(config: RunConfig, fix) -> str:
             f"lambda0 ({kind}): {rep.lambda0!r}\nmethod: {rep.method.value}\n")
 
 
-def _cmd_quotient(config: RunConfig, fix) -> str:
-    alg = _need_lie(fix)
-    _validated(alg, config.tolerances)
-    name = _fixture_name(config, fix)
+def _cmd_quotient(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
     if config.ideal:
         idx = [i - 1 for i in config.ideal]
         if any(i < 0 or i >= alg.dim for i in idx):
@@ -248,10 +224,7 @@ def _check_grid(config: RunConfig):
         raise FixtureParseError("--modes must be nonnegative")
 
 
-def _cmd_verify_warped(config: RunConfig, fix) -> str:
-    spec = _need_warp(fix)
-    _check_grid(config)
-    name = _fixture_name(config, fix)
+def _cmd_verify_warped(config: RunConfig, spec: WarpedProductSpec, name: str) -> str:
     rep = warped_spectra.verify_warped(spec, config.grid_n, config.tolerances,
                                        m_max=config.m_max)
     rows = []
@@ -275,10 +248,7 @@ def _cmd_verify_warped(config: RunConfig, fix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_tail_ess(config: RunConfig, fix) -> str:
-    spec = _need_warp(fix)
-    _check_grid(config)
-    name = _fixture_name(config, fix)
+def _cmd_tail_ess(config: RunConfig, spec: WarpedProductSpec, name: str) -> str:
     if not isinstance(spec.base, warped_spectra.IntervalBase):
         raise FixtureParseError("tail-ess needs an interval (truncated ray) fixture")
     if config.cutoffs:
@@ -299,22 +269,40 @@ def _cmd_tail_ess(config: RunConfig, fix) -> str:
     return "\n".join(lines) + "\n"
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "lambda0": _cmd_lambda0,
-    "cheeger": _cmd_cheeger,
-    "quotient": _cmd_quotient,
-    "verify-warped": _cmd_verify_warped,
-    "tail-ess": _cmd_tail_ess,
+# each command's handler, its --help line and the fixture it needs
+COMMANDS = {
+    "analyze": (_cmd_analyze, "validate and classify a Lie algebra fixture",
+                MetricLieAlgebra),
+    "lambda0": (_cmd_lambda0, "bottom of the spectrum of an amenable group",
+                MetricLieAlgebra),
+    "cheeger": (_cmd_cheeger, "Cheeger constant (exact when amenable, else lower bound)",
+                MetricLieAlgebra),
+    "quotient": (_cmd_quotient, "quotient lower bound through an ideal's mean curvature",
+                 MetricLieAlgebra),
+    "verify-warped": (_cmd_verify_warped, "warped-product inequality and two-route equality",
+                      WarpedProductSpec),
+    "tail-ess": (_cmd_tail_ess, "essential-spectrum tail estimates on a truncated ray",
+                 WarpedProductSpec),
 }
 
 
 def run(config: RunConfig) -> RunResult:
-    """Dispatch a parsed configuration; never raises, reports via exit code."""
+    """Dispatch a parsed configuration; never raises, reports via exit code.
+
+    The checks every command shares run here, in this order: the fixture
+    kind, then the grid (warped commands) or the algebra's validity (the Lie
+    commands but analyze, which reports an invalid algebra itself)."""
+    handler, _, kind = COMMANDS[config.command]
     try:
         fix = resolve_fixture(config.input, config.c_param, config.tolerances)
-        text = _HANDLERS[config.command](config, fix)
-        return RunResult(EXIT_OK, text)
+        if not isinstance(fix, kind):
+            noun = "warped-product" if kind is WarpedProductSpec else "Lie algebra"
+            raise FixtureParseError(f"this command needs a {noun} fixture")
+        if kind is WarpedProductSpec:
+            _check_grid(config)
+        elif config.command != "analyze":
+            _validated(fix, config.tolerances)
+        return RunResult(EXIT_OK, handler(config, fix, _fixture_name(config, fix)))
     except (FixtureParseError, NotAnIdealError, ValueError) as exc:
         return RunResult(EXIT_VALIDATION, f"error: {exc}\n")
     except SolverConvergenceError as exc:
@@ -324,6 +312,9 @@ def run(config: RunConfig) -> RunResult:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each option's dest is the RunConfig field it sets (config_from_args
+    converts --tol-preset, --ideal and --cutoffs and drops --seed); an option
+    left out sets nothing, so every default is RunConfig's."""
     columns = "".join(
         f"  {name:<15}{','.join(header)}"
         f"{'  (mode -1 = Schrodinger row)' if name == 'verify-warped' else ''}\n"
@@ -341,57 +332,38 @@ def build_parser() -> argparse.ArgumentParser:
                "solver result or a\nviolated inequality or two-route mismatch "
                "in verify-warped, 3 formula inapplicable.")
     sub = p.add_subparsers(dest="command", required=True)
-    specs = {
-        "analyze": "validate and classify a Lie algebra fixture",
-        "lambda0": "bottom of the spectrum of an amenable group",
-        "cheeger": "Cheeger constant (exact when amenable, else lower bound)",
-        "quotient": "quotient lower bound through an ideal's mean curvature",
-        "verify-warped": "warped-product inequality and two-route equality",
-        "tail-ess": "essential-spectrum tail estimates on a truncated ray",
-    }
-    for name, help_text in specs.items():
-        q = sub.add_parser(name, help=help_text)
-        q.add_argument("fixture", help="catalog name or fixture file path")
-        q.add_argument("--c", type=float, default=None, dest="c_param",
+    for name, (_, help_text, kind) in COMMANDS.items():
+        q = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        q.add_argument("input", metavar="fixture", help="catalog name or fixture file path")
+        q.add_argument("--c", type=float, dest="c_param",
                        help="parameter for parameterized catalog fixtures")
-        q.add_argument("--format", choices=("text", "csv"), default="text")
-        q.add_argument("--out", default=None, help="write the report here")
-        q.add_argument("--tol-preset", choices=sorted(PRESETS), default="default")
+        q.add_argument("--format", choices=("text", "csv"), dest="fmt")
+        q.add_argument("--out", dest="output", metavar="OUT", help="write the report here")
+        q.add_argument("--tol-preset", choices=sorted(PRESETS))
         q.add_argument("--seed", type=int, help="accepted and ignored")
-        if name in ("verify-warped", "tail-ess"):
-            q.add_argument("--grid", type=int, default=256,
+        if kind is WarpedProductSpec:
+            q.add_argument("--grid", type=int, dest="grid_n", metavar="GRID",
                            help="grid size (power of two, 16 to 2^20)")
-            q.add_argument("--modes", type=int, default=8,
+            q.add_argument("--modes", type=int, dest="m_max", metavar="MODES",
                            help="largest fiber mode to scan (>= 0)")
         if name == "quotient":
-            q.add_argument("--ideal", default=None,
-                           help="comma-separated 1-based basis indices spanning "
-                                "the ideal (default: derived subalgebra)")
+            q.add_argument("--ideal", help="comma-separated 1-based basis indices spanning "
+                                           "the ideal (default: derived subalgebra)")
         if name == "tail-ess":
-            q.add_argument("--cutoffs", default=None,
-                           help="comma-separated cutoffs (default: middle third)")
+            q.add_argument("--cutoffs", help="comma-separated cutoffs (default: middle third)")
     return p
 
 
 def config_from_args(args) -> RunConfig:
-    ideal = None
-    if getattr(args, "ideal", None):
-        ideal = tuple(int(t) for t in args.ideal.split(","))
-    cutoffs = None
-    if getattr(args, "cutoffs", None):
-        cutoffs = tuple(float(t) for t in args.cutoffs.split(","))
-    return RunConfig(
-        command=args.command,
-        input=args.fixture,
-        grid_n=getattr(args, "grid", 256),
-        tolerances=PRESETS[args.tol_preset],
-        output=args.out,
-        fmt=args.format,
-        c_param=args.c_param,
-        ideal=ideal,
-        m_max=getattr(args, "modes", 8),
-        cutoffs=cutoffs,
-    )
+    opts = dict(vars(args))
+    opts.pop("seed", None)
+    if "tol_preset" in opts:
+        opts["tolerances"] = PRESETS[opts.pop("tol_preset")]
+    for key, parse in (("ideal", int), ("cutoffs", float)):
+        text = opts.pop(key, None)
+        if text:
+            opts[key] = tuple(parse(t) for t in text.split(","))
+    return RunConfig(**opts)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

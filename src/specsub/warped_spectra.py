@@ -9,10 +9,13 @@ circle or an interval).  Three operator families are discretized:
   form, weighted by psi;
 * the full 2D quadratic form on base x fiber, used for pushdown checks.
 
-Half-node fluxes use geometric means sqrt(psi_i psi_{i+1}).  With that choice
-diag(sqrt(psi)) conjugates the discrete L_0 exactly into the discrete S, so
-the two routes to the bottom of the spectrum agree at the matrix level, S is
-exactly non-negative, and the discrete pushdown inequality holds with no
+Half-node fluxes use geometric means sqrt(psi_i psi_{i+1}).  That is the
+geometric mean of the weights psi h at the edge's ends over h, so in the
+symmetric form W^{-1/2} K W^{-1/2} every off-diagonal entry of every
+operator is -1/h^2 (S has unit weights and fluxes), and diag(sqrt(psi))
+conjugates the discrete L_0 exactly into the discrete S: the two routes to
+the bottom of the spectrum agree at the matrix level, S is exactly
+non-negative, and the discrete pushdown inequality holds with no
 discretization slack (reverse triangle inequality on fiber columns).  All of
 this needs every operator to use the same boundary closure, so the closure
 lives in one place, ``Grid``.
@@ -163,14 +166,6 @@ class Grid:
         owner = self.pad(np.arange(self.x.size), -1, -1) + 1     # 0: a ghost
         return np.bincount(owner, per_pad, minlength=self.x.size + 1)[1:]
 
-    def chain(self, per_edge):
-        """Per-edge values split into the off-diagonal of the open chain
-        (edges (k, k+1) between two nodes) and the circle's wrap edge
-        (n-1, 0), 0 elsewhere.  Edges to a Dirichlet ghost are dropped."""
-        node = self.pad(np.arange(self.x.size), -1, -1)
-        inner = (node[:-1] >= 0) & (node[1:] > node[:-1])
-        return per_edge[inner], (float(per_edge[-1]) if self.periodic else 0.0)
-
 
 def base_grid(spec: WarpedProductSpec, grid_n: int) -> Grid:
     if grid_n < 16:
@@ -226,16 +221,27 @@ def warp_values(spec: WarpedProductSpec, grid: Grid) -> np.ndarray:
 
 
 def _sample(spec: WarpedProductSpec, grid_n: int):
-    """The base grid, psi at its nodes and psi laid out by ``Grid.pad``,
-    read-only and taken once per spec and grid size."""
+    """The base grid, psi at its nodes, psi laid out by ``Grid.pad`` and the
+    edge conductances, read-only and taken once per spec and grid size."""
     key = ("sample", grid_n)
     if key not in spec._memo:
         grid = base_grid(spec, grid_n)
         psi, ends = _warp(spec, grid)
         psi_pad = grid.pad(psi, *ends)
-        _freeze(grid.x, psi, psi_pad)
-        spec._memo[key] = grid, psi, psi_pad
+        cond = _conductance(psi_pad)
+        _freeze(grid.x, psi, psi_pad, cond)
+        spec._memo[key] = grid, psi, psi_pad, cond
     return spec._memo[key]
+
+
+def _conductance(psi_pad: np.ndarray) -> np.ndarray:
+    """sqrt(psi_k psi_{k+1}) on every edge of ``Grid.pad``, taken on psi * 2**-e
+    with e mid-way in psi's exponent range: the plain product's bits wherever
+    that is normal, and finite where it is not while psi spans under 2**1000."""
+    e = sum(exponent(end(psi_pad), "warp must be finite") for end in (np.max, np.min)) // 2
+    p = times_pow2(psi_pad, -e)
+    with np.errstate(over="ignore"):     # inf is rejected by the operator's check
+        return times_pow2(np.sqrt(p[:-1] * p[1:]), e)
 
 
 def _freeze(*arrays):
@@ -286,12 +292,15 @@ def _operator(grid: Grid, conduct: np.ndarray, potential, psi: np.ndarray) -> Di
     """A f = -(conduct f')'/psi + potential f, with the conductances on the
     edges of ``Grid.pad`` (an edge to a Dirichlet ghost, where f = 0, adds to
     the diagonal only), held as the symmetric form W^{-1/2} K W^{-1/2} of its
-    weights W = psi h, in which A = W^{-1} K with K symmetric."""
+    weights W = psi h, in which A = W^{-1} K with K symmetric.  Each
+    conductance is the geometric mean of its edge's psi, so the form has
+    -1/h^2 off the diagonal and at a circle's corner (module docstring)."""
     h2 = grid.h * grid.h
-    psi_pad = grid.pad(psi, 1.0, 1.0)
-    off, corner = grid.chain(-(conduct / np.sqrt(psi_pad[:-1] * psi_pad[1:])) / h2)
-    return DiscreteOperator(grid.fold(conduct, conduct) / psi / h2 + potential, off,
-                            corner, psi * grid.h, grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected by the form's check
+        diag = grid.fold(conduct, conduct) / psi / h2 + potential
+        weights = psi * grid.h
+    return DiscreteOperator(diag, np.full(grid.x.size - 1, -1.0 / h2),
+                            -1.0 / h2 if grid.periodic else 0.0, weights, grid)
 
 
 def _potential(grid: Grid, psi_pad: np.ndarray, k_half: float) -> np.ndarray:
@@ -310,7 +319,7 @@ def _schrodinger(spec: WarpedProductSpec, grid_n: int) -> DiscreteOperator:
     grid size."""
     key = ("S", grid_n)
     if key not in spec._memo:
-        grid, _, psi_pad = _sample(spec, grid_n)
+        grid, _, psi_pad, _ = _sample(spec, grid_n)
         V = _potential(grid, psi_pad, spec.fiber_dim / 2.0)
         op = _operator(grid, np.ones(psi_pad.size - 1), V, np.ones(grid.x.size))
         _freeze(op.diag, op.off, op.weights)
@@ -328,10 +337,13 @@ def _mode_operators(spec: WarpedProductSpec, grid_n: int, modes):
     on the diagonal."""
     if spec.fiber_dim != 1:
         raise ValueError("mode operators are only defined for a circle fiber (k = 1)")
-    grid, psi, psi_pad = _sample(spec, grid_n)
-    op = _operator(grid, np.sqrt(psi_pad[:-1] * psi_pad[1:]), 0.0, psi)
+    grid, psi, _, cond = _sample(spec, grid_n)
+    op = _operator(grid, cond, 0.0, psi)
     for m in modes:
-        yield replace(op, diag=op.diag + (m * m) / (psi * psi))
+        # inf fails the form's check; a yield inside errstate would leak it
+        with np.errstate(over="ignore", divide="ignore"):
+            diag = op.diag + (m * m) / (psi * psi) if m else op.diag
+        yield replace(op, diag=diag)
 
 
 def build_warped_mode(spec: WarpedProductSpec, m: int, grid_n: int) -> DiscreteOperator:
@@ -392,10 +404,12 @@ def verify_warped(spec: WarpedProductSpec, grid_n: int,
     """
     ests = mode_scan(spec, grid_n, m_max, tols, dense_check)
     lams = tuple(e.lambda0 for e in ests)
-    psi_pad = _sample(spec, grid_n)[2]
+    top = np.max(_sample(spec, grid_n)[2])
     s_est = lowest_eigenvalue(_schrodinger(spec, grid_n), tols, dense_check, grid_n=grid_n)
     total = min(lams)
-    rhs = s_est.lambda0 + spec.fiber_lambda0 * float(np.min(1.0 / psi_pad ** 2))
+    with np.errstate(over="ignore", divide="ignore"):     # 1/max(psi)^2 may not fit
+        fiber = spec.fiber_lambda0 * float(1.0 / (top * top)) if spec.fiber_lambda0 else 0.0
+    rhs = s_est.lambda0 + fiber
     diff = abs(lams[0] - s_est.lambda0)
     slack = 10.0 * max(ests[0].residual, s_est.residual, 1e-15)
     return WarpedReport(spec.name, grid_n, lams, total, s_est.lambda0, rhs, total - rhs,
@@ -444,7 +458,7 @@ def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int,
     """
     if not 0.0 <= C < math.inf:
         raise ValueError(f"the drift bound C must be finite and nonnegative, got {C!r}")
-    grid, psi, psi_pad = _sample(spec, grid_n)
+    grid, psi, psi_pad, _ = _sample(spec, grid_n)
     slope = (psi_pad[1:] - psi_pad[:-1]) / grid.h
     ones = np.ones_like(slope)
     deriv = grid.fold(slope, slope) / grid.fold(ones, ones)
@@ -498,19 +512,18 @@ def _pushdown(psi: np.ndarray, rows: np.ndarray, n_theta: int) -> np.ndarray:
 def pushdown(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> np.ndarray:
     """h(x_i) = sqrt of the fiber integral of f^2 with the warped fiber
     measure, taken on f2d rescaled by a power of two: h scales with it."""
-    _, psi, _ = _sample(spec, grid_n)
+    psi = _sample(spec, grid_n)[1]
     f2d, e = _rescaled(_grid_function(psi, f2d))
     return times_pow2(_pushdown(psi, _fiber_sums(psi, f2d)[0], f2d.shape[1]), e)
 
 
-def _quotient_terms(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
+def _quotient_terms(grid: Grid, psi: np.ndarray, cond: np.ndarray,
                     f2d: np.ndarray) -> Tuple[float, float, np.ndarray]:
     """(numerator, denominator) of the discrete Rayleigh quotient of f2d, and
     the sums of f2d^2 along the fiber."""
     h_theta = 2.0 * np.pi / f2d.shape[1]
     h = grid.h
-    # base-direction differences on the same edges as the operators
-    cond = np.sqrt(psi_pad[:-1] * psi_pad[1:])
+    # base-direction differences on the same edges and conductances as L_m
     f_pad = grid.pad(f2d)
     with np.errstate(over="ignore", invalid="ignore"):
         dx = f_pad[1:] - f_pad[:-1]
@@ -524,7 +537,7 @@ def _quotient_terms(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
     return (num_x + num_th) * h * h_theta, total * h * h_theta, rows
 
 
-def _rayleigh_2d(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
+def _rayleigh_2d(grid: Grid, psi: np.ndarray, cond: np.ndarray,
                  f2d: np.ndarray) -> Tuple[float, np.ndarray]:
     """-> (R(f2d), the sums of f2d^2 along the fiber, up to a power of two).
 
@@ -533,9 +546,9 @@ def _rayleigh_2d(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
     two (``_rescaled``), whose sums go to the caller's other scale-invariant
     terms.
     """
-    num, den, rows = _quotient_terms(grid, psi, psi_pad, f2d)
+    num, den, rows = _quotient_terms(grid, psi, cond, f2d)
     if not (math.isfinite(num) and _SUMSQ_MIN <= den < math.inf):
-        num, den, rows = _quotient_terms(grid, psi, psi_pad, _rescaled(f2d)[0])
+        num, den, rows = _quotient_terms(grid, psi, cond, _rescaled(f2d)[0])
     if not den > 0.0:
         raise ValueError("f2d has zero norm: it has no Rayleigh quotient")
     return num / den, rows
@@ -543,8 +556,8 @@ def _rayleigh_2d(grid: Grid, psi: np.ndarray, psi_pad: np.ndarray,
 
 def rayleigh_2d(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
     """Discrete Rayleigh quotient of the warped metric on base x S^1."""
-    grid, psi, psi_pad = _sample(spec, grid_n)
-    return _rayleigh_2d(grid, psi, psi_pad, _grid_function(psi, f2d))[0]
+    grid, psi, _, cond = _sample(spec, grid_n)
+    return _rayleigh_2d(grid, psi, cond, _grid_function(psi, f2d))[0]
 
 
 def pushdown_slack(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
@@ -552,9 +565,9 @@ def pushdown_slack(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> flo
 
     Nonnegative up to round-off for a circle fiber by construction.
     """
-    grid, psi, psi_pad = _sample(spec, grid_n)
+    grid, psi, _, cond = _sample(spec, grid_n)
     f2d = _grid_function(psi, f2d)
-    r2, rows = _rayleigh_2d(grid, psi, psi_pad, f2d)
+    r2, rows = _rayleigh_2d(grid, psi, cond, f2d)
     h = _pushdown(psi, rows, f2d.shape[1])
     s_op = _schrodinger(spec, grid_n)
     rs = s_op.rayleigh(h)

@@ -436,6 +436,24 @@ def test_run_rejects_non_finite_lie_entries(tmp_path, text, line):
     assert f"line {line}: expected a finite number" in res.text
 
 
+@pytest.mark.parametrize("base, c, modes, code", [
+    ("circle 6.283185307179586", "1e200", [], EXIT_OK),
+    ("circle 6.283185307179586", "1e-160", ["--modes", "0"], EXIT_OK),
+    ("interval 0.0 1.0 neumann", "3.8e-237", ["--modes", "0"], EXIT_OK),
+    # m^2/psi^2 does not fit in a double
+    ("circle 6.283185307179586", "1e-160", [], EXIT_VALIDATION),
+    ("interval 0.0 1.0 neumann", "3.8e-237", [], EXIT_VALIDATION),
+])
+def test_verify_warped_at_extreme_constant_warps(tmp_path, capsys, base, c, modes, code):
+    f = tmp_path / "extreme.warp"
+    f.write_text(f"base {base}\nwarp const {c}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify-warped", str(f), "--grid", "64", *modes]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if code == EXIT_OK else "error: operator has non-finite entries\n")
+
+
 _ONES = " ".join("1.0" for _ in range(16))
 
 
@@ -643,6 +661,27 @@ def test_csv_header_is_the_headers_entry(command):
     res = run(RunConfig(command, fixture, grid_n=64, fmt="csv"))
     assert res.exit_code == EXIT_OK, res.text
     assert res.text.splitlines()[1] == ",".join(specsub.cli.HEADERS[command])
+
+
+@pytest.mark.parametrize("command", list(specsub.cli.HEADERS))
+def test_an_option_left_out_takes_the_run_config_default(command):
+    args = specsub.cli.build_parser().parse_args([command, "x"])
+    assert specsub.cli.config_from_args(args) == RunConfig(command, "x")
+
+
+def test_the_command_table_follows_the_frozen_headers():
+    assert list(specsub.cli.COMMANDS) == list(specsub.cli.HEADERS)
+
+
+def test_verify_warped_usage_names_each_option_as_before(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        main(["verify-warped", "--help"])
+    assert capsys.readouterr().out.startswith(
+        "usage: specsub verify-warped [-h] [--c C_PARAM] [--format {text,csv}]\n"
+        "                             [--out OUT] [--tol-preset {default,strict}]\n"
+        "                             [--seed SEED] [--grid GRID] [--modes MODES]\n"
+        "                             fixture\n")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -23,9 +23,10 @@ from specsub.eigensolve import SymmetricForm, lowest_eigenvalue
 from specsub.errors import FixtureParseError
 from specsub.fixtures import (LIE_BUILTINS, _parse_lie_bulk, _parse_lines,
                               catalog_fixture, fixture_text, parse_fixture_text)
-from specsub.group_spectra import Method, group_spectrum_report, quotient_bound
+from specsub.group_spectra import (Method, group_spectrum_report, quotient_bound,
+                                   radical_commutator_lambda0)
 from specsub.lie_core import (Ideal, MetricLieAlgebra, classify, derived_subalgebra,
-                              full_ideal, validate)
+                              full_ideal, mean_curvature, quotient_algebra, validate)
 from specsub.tolerances import DEFAULT
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase, WarpProfile,
                                     WarpedProductSpec, build_schrodinger,
@@ -202,8 +203,15 @@ def test_quotient_bound_is_an_identity_on_amenable_groups(case):
     rep = quotient_bound(alg, Ideal(alg, span))
     sigma = alg.frame.scale * 2.0 ** alg.frame.exponent
     assert not rep.partial
-    assert abs(rep.lower_bound - lam) <= 1e-12 * lam + 64 * EPS * sigma * math.sqrt(lam), \
-        (rep.lower_bound, lam)
+    tol = 1e-12 * lam + 64 * EPS * sigma * math.sqrt(lam)
+    assert abs(rep.lower_bound - lam) <= tol, (rep.lower_bound, lam)
+    # criterion 3, each term of size up to sigma^2: |H|^2 - tr(ad H) + tr(ad_q p_* H) = 0
+    H = mean_curvature(alg, rep.ideal)
+    quot, push = quotient_algebra(alg, rep.ideal)
+    tr_q = quot.trace_covector() @ (push @ H) if quot.dim else 0.0
+    assert abs(alg.inner(H, H) - alg.trace_covector() @ H + tr_q) <= 64 * EPS * sigma ** 2
+    # the same lambda0 through the mean curvature of the radical's commutator
+    assert abs(radical_commutator_lambda0(alg).lambda0 - lam) <= tol
 
 
 @st.composite

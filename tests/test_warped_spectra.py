@@ -191,6 +191,32 @@ def test_mode_form_matches_edge_sum(base):
     assert op.quadratic_form(f) == pytest.approx(oracle, rel=1e-12)
 
 
+@pytest.mark.parametrize("base", [CircleBase(3.0),
+                                  IntervalBase(-1.0, 2.0, Boundary.DIRICHLET),
+                                  IntervalBase(-1.0, 2.0, Boundary.NEUMANN)],
+                         ids=["circle", "dirichlet", "neumann"])
+def test_every_operator_is_minus_one_over_h2_off_the_diagonal(base):
+    # an edge's conductance is the geometric mean of the weights psi h of its
+    # ends over h (1 and h for S), so the symmetric form's edges are -1/h^2
+    n = 40
+    for warp in (WarpProfile("samples", (), samples=np.exp(np.sin(np.linspace(0.0, 4.0, n)))),
+                 WarpProfile("exp", (0.7,))):
+        spec = WarpedProductSpec(base, warp)
+        ops = [build_schrodinger(spec, n)] + [build_warped_mode(spec, m, n) for m in (0, 1, 3)]
+        for op in ops + [op.restricted(np.arange(n) >= 10) for op in ops]:
+            edge = -1.0 / (op.grid.h * op.grid.h)
+            assert np.all(op.off == edge) and op.off.size == op.n - 1
+            assert op.corner == (edge if op.grid.periodic else 0.0)
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e200, 1e300])
+def test_mode_zero_of_a_constant_warp_does_not_see_its_scale(c):
+    # -(psi f')'/psi is -f'' for every constant psi, even where psi^2 does
+    # not fit in a double
+    assert np.array_equal(build_warped_mode(warp_const(c), 0, 64).diag,
+                          build_warped_mode(warp_const(1.0), 0, 64).diag)
+
+
 def test_const_mode_one_exact():
     op = build_warped_mode(warp_const(1.0), 1, 64)
     est = lowest_eigenvalue(op)
@@ -341,10 +367,10 @@ def test_memoized_spec_gives_the_bits_of_a_fresh_one():
 
 def test_memoized_arrays_are_read_only():
     spec = exp_interval(0.4, 8.0)
-    grid, psi, psi_pad = specsub.warped_spectra._sample(spec, 32)
+    grid, psi, psi_pad, cond = specsub.warped_spectra._sample(spec, 32)
     op = build_schrodinger(spec, 32)
     assert build_schrodinger(spec, 32) is op
-    for a in (grid.x, psi, psi_pad, op.diag, op.off, op.weights):
+    for a in (grid.x, psi, psi_pad, cond, op.diag, op.off, op.weights):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
 
