@@ -8,8 +8,7 @@ from .lie_core import (ClassificationReport, Ideal, MetricLieAlgebra,
                        full_ideal, mean_curvature, quotient_algebra,
                        restrict_to_span, validate, zero_ideal)
 from .group_spectra import (GroupSpectrumReport, Method, QuotientBoundReport,
-                            cheeger_lower_bound, group_spectrum_report,
-                            lambda0_amenable, quotient_bound,
+                            group_spectrum_report, quotient_bound,
                             radical_commutator_lambda0)
 from .eigensolve import (SpectrumEstimate, SymmetricForm, dense_lowest,
                          lowest_eigenvalue)

@@ -39,18 +39,18 @@ Fixture = Union[MetricLieAlgebra, WarpedProductSpec]
 
 # -- built-in Lie algebras -----------------------------------------------------
 
-def _algebra(n, brackets, metric=None, labels=None):
+def _algebra(n, brackets, metric=None):
     c = np.zeros((n, n, n))
     for i, j, k, v in brackets:
         c[i, j, k] = v
         c[j, i, k] = -v
     g = np.eye(n) if metric is None else np.asarray(metric, dtype=float)
-    return MetricLieAlgebra(n, c, g, basis_labels=labels)
+    return MetricLieAlgebra(n, c, g)
 
 
 def heisenberg3() -> MetricLieAlgebra:
     """[e1,e2] = e3, all else zero; nilpotent, unimodular."""
-    return _algebra(3, [(0, 1, 2, 1.0)], labels=("e1", "e2", "e3"))
+    return _algebra(3, [(0, 1, 2, 1.0)])
 
 
 def affine2(c: float = 1.0) -> MetricLieAlgebra:
@@ -64,8 +64,7 @@ def affine2(c: float = 1.0) -> MetricLieAlgebra:
     """
     if not (math.isfinite(c) and c > 0):
         raise ValueError(f"affine2 needs a finite c > 0 (--c), got {c!r}")
-    return _algebra(2, [(0, 1, 1, 1.0)], metric=np.diag([1.0 / c, c]),
-                    labels=("X", "Y"))
+    return _algebra(2, [(0, 1, 1, 1.0)], metric=np.diag([1.0 / c, c]))
 
 
 def so3() -> MetricLieAlgebra:
@@ -75,13 +74,12 @@ def so3() -> MetricLieAlgebra:
 
 def sl2() -> MetricLieAlgebra:
     """Split simple algebra in the (H, E, F) basis."""
-    return _algebra(3, [(0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0)],
-                    labels=("H", "E", "F"))
+    return _algebra(3, [(0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0)])
 
 
 def paper_example3() -> MetricLieAlgebra:
     """[X,Y] = Y, [X,Z] = -Z, [Y,Z] = 0; unimodular solvable, orthonormal basis."""
-    return _algebra(3, [(0, 1, 1, 1.0), (0, 2, 2, -1.0)], labels=("X", "Y", "Z"))
+    return _algebra(3, [(0, 1, 1, 1.0), (0, 2, 2, -1.0)])
 
 
 def abelian(n: int) -> MetricLieAlgebra:

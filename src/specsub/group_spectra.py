@@ -71,27 +71,6 @@ def _lambda0_or_zero(alg: MetricLieAlgebra, tols: Tolerances,
     return (group_spectrum_report(alg, tols, rep).lambda0, False) if rep.amenable else (0.0, True)
 
 
-def cheeger_lower_bound(alg: MetricLieAlgebra) -> float:
-    """max(0, sup of tr(ad x) over the unit sphere); valid for any group."""
-    tau = alg.frame.trace
-    return times_pow2(math.sqrt(float(tau @ tau)), alg.frame.exponent)
-
-
-def lambda0_amenable(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
-                     report: Optional[ClassificationReport] = None) -> GroupSpectrumReport:
-    """Exact lambda0 and Cheeger constant of an amenable group.
-
-    Raises FormulaInapplicableError when the algebra is not amenable; callers
-    can still use cheeger_lower_bound in that case.
-    """
-    rep = report if report is not None else classify(alg, tols)
-    if not rep.amenable:
-        raise FormulaInapplicableError(
-            "lambda0 formula requires an amenable group; "
-            "only the Cheeger lower bound applies")
-    return group_spectrum_report(alg, tols, report=rep)
-
-
 def group_spectrum_report(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
                           report: Optional[ClassificationReport] = None) -> GroupSpectrumReport:
     """Exact report when amenable, otherwise Cheeger-based lower bounds.

@@ -66,7 +66,6 @@ class MetricLieAlgebra:
     dim: int
     structure: np.ndarray          # (n, n, n), [e_i, e_j] = structure[i, j, :]
     metric: np.ndarray             # (n, n) symmetric positive definite
-    basis_labels: Optional[tuple] = None
 
     def __post_init__(self):
         c = _frozen(self.structure)
@@ -79,11 +78,6 @@ class MetricLieAlgebra:
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "structure", c)
         object.__setattr__(self, "metric", g)
-        if self.basis_labels is not None:
-            labels = tuple(str(s) for s in self.basis_labels)
-            if len(labels) != n:
-                raise ValueError("need one label per basis vector")
-            object.__setattr__(self, "basis_labels", labels)
 
     @cached_property
     def frame(self) -> Frame:
@@ -117,12 +111,6 @@ class MetricLieAlgebra:
 
     def norm(self, x) -> float:
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
-
-    def trace_covector(self) -> np.ndarray:
-        """The trace functional as a read-only vector: tau @ x = tr(ad x)."""
-        tau = np.einsum("ijj->i", self.structure)
-        tau.setflags(write=False)
-        return tau
 
     def is_unimodular(self, tol: float = DEFAULT.unimodular_tol) -> bool:
         """Whether tr(ad x) vanishes, cut at tol relative to sigma on the frame."""
@@ -195,10 +183,6 @@ class Ideal:
         if comp.shape[0] != n - self.dim:
             raise RuntimeError("complement rank detection failed")
         return comp
-
-    def complement_onb(self) -> np.ndarray:
-        """g-orthonormal basis of the orthogonal complement of the span."""
-        return self.frame_complement() @ self.parent.frame.inv_chol
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ fully determined by (fixture, grid, tolerances).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -27,9 +27,6 @@ class Tolerances:
     ineq_tol: float = 1e-8       # allowed slack violation for inequalities
     unitary_tol: float = 1e-6    # agreement of the two Schrodinger routes
     identity_tol: float = 1e-9   # algebraic identities (mean curvature etc.)
-
-    def with_(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
 
 
 DEFAULT = Tolerances()

@@ -137,13 +137,6 @@ class Grid:
             raise ValueError(f"grid spacing {self.h!r} is out of range: "
                              "h^2 and 1/h^2 must be finite")
 
-    def with_ends(self, f, lo=0.0, hi=0.0):
-        """f with lo and hi at the two ghosts of a Dirichlet interval, else f."""
-        if self.boundary != Boundary.DIRICHLET:
-            return f
-        ghost = (1,) + f.shape[1:]
-        return np.concatenate((np.full(ghost, lo), f, np.full(ghost, hi)))
-
     def pad(self, f, lo=0.0, hi=0.0):
         """f (nodes along the first axis) with the closure's ghost values.
 
@@ -152,7 +145,9 @@ class Grid:
         hi at its ends (0 for grid functions), a Neumann interval adds
         nothing (no flux crosses its ends).
         """
-        f = self.with_ends(f, lo, hi)
+        if self.boundary == Boundary.DIRICHLET:
+            ghost = (1,) + f.shape[1:]
+            f = np.concatenate((np.full(ghost, lo), f, np.full(ghost, hi)))
         return np.concatenate((f, f[:1])) if self.periodic else f
 
     def fold(self, to_left, to_right):
@@ -208,16 +203,6 @@ def _warp(spec: WarpedProductSpec, grid: Grid):
             if not (np.isfinite(value) and value > 0.0):
                 raise ValueError(f"warp must be finite and positive ({where})")
     return psi, ends
-
-
-def warp_values(spec: WarpedProductSpec, grid: Grid) -> np.ndarray:
-    """psi at the grid nodes plus, for Dirichlet intervals, at both endpoints.
-
-    Returns an array of length n (circle, Neumann) or n + 2 (Dirichlet, with
-    psi(a) first and psi(b) last).
-    """
-    psi, ends = _warp(spec, grid)
-    return grid.with_ends(psi, *ends)
 
 
 def _sample(spec: WarpedProductSpec, grid_n: int):

@@ -3,14 +3,19 @@ import numpy as np
 from specsub.lie_core import MetricLieAlgebra
 
 
-def make_algebra(n, brackets, metric=None, labels=None):
+def make_algebra(n, brackets, metric=None):
     """Build an algebra from (i, j, k, v) bracket entries, 0-based, i < j."""
     c = np.zeros((n, n, n))
     for i, j, k, v in brackets:
         c[i, j, k] = v
         c[j, i, k] = -v
     g = np.eye(n) if metric is None else np.asarray(metric, dtype=float)
-    return MetricLieAlgebra(n, c, g, basis_labels=labels)
+    return MetricLieAlgebra(n, c, g)
+
+
+def trace_functional(alg):
+    """The coordinate oracle for the trace functional: tau @ x = tr(ad x)."""
+    return np.einsum("ijj->i", alg.structure)
 
 
 def change_basis(alg, q):

@@ -12,11 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import smoothed_random_warp
+from conftest import smoothed_random_warp, trace_functional
 from specsub.eigensolve import dense_lowest, lowest_eigenvalue
 from specsub.fixtures import (LIE_BUILTINS, catalog_fixture, catalog_ideals,
                               warp_const, warp_exp, warp_sinshift)
-from specsub.group_spectra import lambda0_amenable, quotient_bound
+from specsub.group_spectra import group_spectrum_report, quotient_bound
 from specsub.lie_core import (classify, derived_subalgebra, mean_curvature,
                               quotient_algebra)
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase,
@@ -70,9 +70,9 @@ def test_criterion_2_lambda0_formula():
     worst_dir = 0.0
     for c in (0.25, 1.0, 4.0):
         alg = catalog_fixture("affine2", c)
-        rep = lambda0_amenable(alg)
+        rep = group_spectrum_report(alg)
         worst_val = max(worst_val, abs(rep.lambda0 - c / 4.0))
-        tau_at_max = alg.trace_covector() @ rep.maximizer
+        tau_at_max = trace_functional(alg) @ rep.maximizer
         worst_val = max(worst_val, abs(rep.lambda0 - tau_at_max ** 2 / 4.0))
         commutator = derived_subalgebra(alg, classify(alg).radical)
         H = mean_curvature(alg, commutator)
@@ -94,11 +94,11 @@ def test_criterion_3_mean_curvature_identity():
     worst = 0.0
     for name in LIE_BUILTINS:
         alg = catalog_fixture(name)
-        tau = alg.trace_covector()
+        tau = trace_functional(alg)
         for label, ideal in catalog_ideals(name, alg):
             H = mean_curvature(alg, ideal)
             quot, push = quotient_algebra(alg, ideal)
-            tr_q = quot.trace_covector() @ (push @ H) if quot.dim else 0.0
+            tr_q = trace_functional(quot) @ (push @ H) if quot.dim else 0.0
             resid = abs(alg.inner(H, H) - tau @ H + tr_q)
             worst = max(worst, resid)
             pairs += 1
@@ -114,7 +114,7 @@ def test_criterion_4_quotient_equality():
     cases = 0
     for name in ("affine2", "paper_example3"):
         alg = catalog_fixture(name)
-        lam = lambda0_amenable(alg).lambda0
+        lam = group_spectrum_report(alg).lambda0
         for label, ideal in catalog_ideals(name, alg):
             rep = quotient_bound(alg, ideal)
             assert rep.equality_expected, (name, label)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_algebra
+from conftest import make_algebra, trace_functional
 from specsub import group_spectra
 from specsub.errors import FormulaInapplicableError
 from specsub.fixtures import abelian, affine2, heisenberg3, paper_example3, sl2
-from specsub.group_spectra import (Method, cheeger_lower_bound,
-                                   group_spectrum_report, lambda0_amenable,
-                                   quotient_bound, radical_commutator_lambda0)
+from specsub.group_spectra import (Method, group_spectrum_report, quotient_bound,
+                                   radical_commutator_lambda0)
 from specsub.lie_core import Ideal, MetricLieAlgebra, mean_curvature
 
 
@@ -17,15 +16,15 @@ def sphere_max_trace(alg, samples=200000, seed=0):
     x = rng.standard_normal((samples, alg.dim))
     norms = np.sqrt(np.einsum("si,ij,sj->s", x, alg.metric, x))
     x = x / norms[:, None]
-    tau = alg.trace_covector()
+    tau = trace_functional(alg)
     return float(np.max(x @ tau))
 
 
-# -- lambda0_amenable -----------------------------------------------------------
+# -- lambda0 of amenable groups ---------------------------------------------------
 
 def test_lambda0_unimodular_cases():
     for alg in (paper_example3(), heisenberg3(), abelian(2)):
-        rep = lambda0_amenable(alg)
+        rep = group_spectrum_report(alg)
         assert rep.lambda0 == 0.0
         assert rep.cheeger == 0.0
         assert rep.method is Method.UNIMODULAR_AMENABLE_ZERO
@@ -33,35 +32,30 @@ def test_lambda0_unimodular_cases():
 
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
 def test_lambda0_affine(c):
-    rep = lambda0_amenable(affine2(c))
+    rep = group_spectrum_report(affine2(c))
     assert rep.lambda0 == pytest.approx(c / 4.0, abs=1e-12)
     assert rep.cheeger == pytest.approx(np.sqrt(c), abs=1e-12)
     assert rep.method is Method.AMENABLE_FORMULA
     # maximizer is the unit multiple of X with tr(ad .) maximal
     alg = affine2(c)
     assert alg.norm(rep.maximizer) == pytest.approx(1.0, abs=1e-12)
-    assert alg.trace_covector() @ rep.maximizer == pytest.approx(np.sqrt(c), abs=1e-12)
+    assert trace_functional(alg) @ rep.maximizer == pytest.approx(np.sqrt(c), abs=1e-12)
 
 
 def test_lambda0_affine_against_sphere_oracle():
     for c in (0.5, 2.0):
         alg = affine2(c)
         best = sphere_max_trace(alg)
-        rep = lambda0_amenable(alg)
+        rep = group_spectrum_report(alg)
         # dense sampling approaches the dual norm from below
         assert best <= rep.cheeger + 1e-9
         assert best == pytest.approx(rep.cheeger, rel=1e-3)
 
 
-def test_lambda0_requires_amenable():
-    with pytest.raises(FormulaInapplicableError):
-        lambda0_amenable(sl2())
-
-
 def test_lambda0_zero_iff_unimodular_given_amenable():
     for alg in (heisenberg3(), paper_example3(), abelian(3), affine2(1.0),
                 make_algebra(3, [(0, 1, 1, 1.0), (0, 2, 2, 1.0)])):
-        rep = lambda0_amenable(alg)
+        rep = group_spectrum_report(alg)
         assert (rep.lambda0 == 0.0) == alg.is_unimodular()
 
 
@@ -71,27 +65,29 @@ def test_lambda0_scale_covariance():
     for _ in range(5):
         t = float(rng.uniform(0.2, 5.0))
         scaled = MetricLieAlgebra(base.dim, base.structure, t * base.metric)
-        a = lambda0_amenable(base)
-        b = lambda0_amenable(scaled)
+        a = group_spectrum_report(base)
+        b = group_spectrum_report(scaled)
         assert b.lambda0 == pytest.approx(a.lambda0 / t, rel=1e-12)
         assert b.cheeger == pytest.approx(a.cheeger / np.sqrt(t), rel=1e-12)
         cross = a.maximizer[0] * b.maximizer[1] - a.maximizer[1] * b.maximizer[0]
         assert abs(cross) < 1e-12  # same ray
 
 
-# -- cheeger lower bound -----------------------------------------------------------
+# -- Cheeger constant ------------------------------------------------------------
 
 def test_cheeger_lower_bound_values():
-    assert cheeger_lower_bound(paper_example3()) == pytest.approx(0.0, abs=1e-12)
-    assert cheeger_lower_bound(affine2(1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert group_spectrum_report(paper_example3()).cheeger == pytest.approx(0.0, abs=1e-12)
+    assert group_spectrum_report(affine2(1.0)).cheeger == pytest.approx(1.0, abs=1e-12)
     for c in (0.25, 4.0):
-        assert cheeger_lower_bound(affine2(c)) == pytest.approx(np.sqrt(c), abs=1e-12)
+        assert group_spectrum_report(affine2(c)).cheeger == pytest.approx(np.sqrt(c), abs=1e-12)
 
 
 def test_cheeger_lower_bound_le_exact():
     for alg in (affine2(0.7), heisenberg3(), paper_example3()):
-        rep = lambda0_amenable(alg)
-        assert cheeger_lower_bound(alg) <= rep.cheeger + 1e-12
+        # the dual norm of the trace functional, in coordinates
+        tau = trace_functional(alg)
+        coordinate = np.sqrt(tau @ np.linalg.solve(alg.metric, tau))
+        assert group_spectrum_report(alg).cheeger == pytest.approx(coordinate, abs=1e-12)
 
 
 def test_group_spectrum_report_non_amenable():
@@ -123,7 +119,7 @@ def test_quotient_bound_affine(c):
     assert rep.lower_bound == pytest.approx(c / 4.0, abs=1e-12)
     assert rep.equality_expected
     assert not rep.partial
-    assert rep.lower_bound == pytest.approx(lambda0_amenable(alg).lambda0, abs=1e-12)
+    assert rep.lower_bound == pytest.approx(group_spectrum_report(alg).lambda0, abs=1e-12)
 
 
 def test_quotient_bound_minimal_ideal_curvature_free():
@@ -182,7 +178,7 @@ def test_radical_route_agrees_with_formula():
                           metric=np.diag([2.0, 1.0, 0.5]))]
     for alg in cases:
         a = radical_commutator_lambda0(alg)
-        b = lambda0_amenable(alg)
+        b = group_spectrum_report(alg)
         assert a.lambda0 == pytest.approx(b.lambda0, abs=1e-9)
         assert np.allclose(a.maximizer, b.maximizer, atol=1e-9)
 
@@ -190,7 +186,7 @@ def test_radical_route_agrees_with_formula():
 def test_radical_route_3d_two_route_crosscheck():
     alg = make_algebra(3, [(0, 1, 1, 1.0), (0, 2, 2, 1.0)])
     # trace functional is (2, 0, 0): formula gives 1; H route must agree
-    assert lambda0_amenable(alg).lambda0 == pytest.approx(1.0, abs=1e-12)
+    assert group_spectrum_report(alg).lambda0 == pytest.approx(1.0, abs=1e-12)
     rep = radical_commutator_lambda0(alg)
     assert rep.lambda0 == pytest.approx(1.0, abs=1e-12)
     # and the curvature really is 2X

@@ -11,7 +11,7 @@ span(Y, Z) is nilpotent, so the quotient bound through it is an equality.
 import numpy as np
 import pytest
 
-from specsub.group_spectra import lambda0_amenable, quotient_bound
+from specsub.group_spectra import group_spectrum_report, quotient_bound
 from specsub.lie_core import (Ideal, MetricLieAlgebra, _bracket_products,
                               classify, derived_subalgebra, validate)
 
@@ -105,7 +105,7 @@ def test_symmetric_space_oracles(family, sizes, rotate):
     assert not rep.numerically_marginal
 
     expected = trace_x * trace_x / 4.0
-    assert lambda0_amenable(alg, report=rep).lambda0 == pytest.approx(expected, rel=1e-12)
+    assert group_spectrum_report(alg, report=rep).lambda0 == pytest.approx(expected, rel=1e-12)
 
     derived = derived_subalgebra(alg)
     assert derived.dim == dim - 1

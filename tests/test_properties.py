@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (an_structure, change_basis, heisenberg_type_structure,
-                      rotate_algebra, rotated)
+                      rotate_algebra, rotated, trace_functional)
 from specsub import eigensolve
 from specsub.cli import main
 from specsub.eigensolve import SymmetricForm, lowest_eigenvalue
@@ -208,8 +208,8 @@ def test_quotient_bound_is_an_identity_on_amenable_groups(case):
     # criterion 3, each term of size up to sigma^2: |H|^2 - tr(ad H) + tr(ad_q p_* H) = 0
     H = mean_curvature(alg, rep.ideal)
     quot, push = quotient_algebra(alg, rep.ideal)
-    tr_q = quot.trace_covector() @ (push @ H) if quot.dim else 0.0
-    assert abs(alg.inner(H, H) - alg.trace_covector() @ H + tr_q) <= 64 * EPS * sigma ** 2
+    tr_q = trace_functional(quot) @ (push @ H) if quot.dim else 0.0
+    assert abs(alg.inner(H, H) - trace_functional(alg) @ H + tr_q) <= 64 * EPS * sigma ** 2
     # the same lambda0 through the mean curvature of the radical's commutator
     assert abs(radical_commutator_lambda0(alg).lambda0 - lam) <= tol
 

@@ -8,11 +8,11 @@ from specsub.eigensolve import lowest_eigenvalue
 from specsub.fixtures import warp_const, warp_exp, warp_sinshift
 from specsub.tolerances import STRICT
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase,
-                                    WarpProfile, WarpedProductSpec, base_grid,
+                                    WarpProfile, WarpedProductSpec, _sample, base_grid,
                                     build_schrodinger, build_warped_mode,
                                     drift_bound_lambda0, lambda0_ess_tail, mode_scan,
                                     pushdown, pushdown_slack, rayleigh_2d,
-                                    verify_warped, warp_values)
+                                    verify_warped)
 
 
 def exp_interval(a, b, boundary=Boundary.DIRICHLET):
@@ -122,7 +122,7 @@ def test_weights_positive_and_uniform_for_s():
     op = build_schrodinger(warp_sinshift(1.0), 64)
     assert np.allclose(op.weights, op.grid.h)
     opm = build_warped_mode(warp_sinshift(1.0), 0, 64)
-    psi = warp_values(warp_sinshift(1.0), base_grid(warp_sinshift(1.0), 64))
+    psi = _sample(warp_sinshift(1.0), 64)[1]
     assert np.allclose(opm.weights, psi * opm.grid.h)
 
 
@@ -176,7 +176,7 @@ def test_mode_form_matches_edge_sum(base):
     n = 37
     rng = np.random.default_rng(5)
     spec = WarpedProductSpec(base, WarpProfile("samples", (), samples=rng.uniform(0.5, 2.0, n)))
-    psi = warp_values(spec, base_grid(spec, n))
+    psi = _sample(spec, n)[2]       # a Dirichlet interval's ghosts included
     f = rng.standard_normal(n)
     if isinstance(base, CircleBase):
         edges = [(psi[i], psi[(i + 1) % n], f[i], f[(i + 1) % n]) for i in range(n)]
@@ -302,8 +302,7 @@ def test_pushdown_constant_function():
 def test_pushdown_fiber_constant_factorizes():
     spec = warp_sinshift(0.5)
     n = 64
-    grid = base_grid(spec, n)
-    psi = warp_values(spec, grid)
+    psi = _sample(spec, n)[1]
     rng = np.random.default_rng(0)
     u = rng.standard_normal(n)
     f2d = np.tile(u[:, None], (1, 32))
@@ -318,8 +317,7 @@ def test_pushdown_preserves_norm():
     f2d = rng.standard_normal((n, 32))
     h = pushdown(spec, f2d, n)
     s_op = build_schrodinger(spec, n)
-    grid = base_grid(spec, n)
-    psi = warp_values(spec, grid)
+    grid, psi = _sample(spec, n)[:2]
     norm_2d = np.sum(psi[:, None] * f2d**2) * grid.h * (2 * np.pi / 32)
     assert s_op.norm2(h) == pytest.approx(norm_2d, rel=1e-12)
 
@@ -539,8 +537,7 @@ def test_group_curvature_matches_warp_gradient():
         alg = affine2(c)
         H = mean_curvature(alg, Ideal(alg, [[0.0, 1.0]]))
         spec = exp_interval(np.sqrt(c), 10.0)
-        grid = base_grid(spec, 256)
-        psi = warp_values(spec, grid)
+        grid, _, psi = _sample(spec, 256)[:3]
         grad_ln = (np.log(psi[2:]) - np.log(psi[:-2])) / (2 * grid.h)
         assert np.allclose(grad_ln ** 2, alg.inner(H, H), rtol=1e-10)
 
@@ -556,8 +553,7 @@ def test_drift_bound_flat():
 
 def test_drift_bound_exp_small_slope():
     spec = exp_interval(0.1, 40.0)
-    grid = base_grid(spec, 512)
-    psi = warp_values(spec, grid)
+    grid, _, psi = _sample(spec, 512)[:3]
     drift = np.abs((psi[2:] - psi[:-2]) / (2 * grid.h) / psi[1:-1])
     C = float(np.max(drift))
     bound = drift_bound_lambda0(spec, C, 512)
