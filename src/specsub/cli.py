@@ -305,6 +305,9 @@ def run(config: RunConfig) -> RunResult:
         return RunResult(EXIT_OK, handler(config, fix, _fixture_name(config, fix)))
     except (FixtureParseError, NotAnIdealError, ValueError) as exc:
         return RunResult(EXIT_VALIDATION, f"error: {exc}\n")
+    except OSError as exc:              # the fixture file, the only one run reads
+        return RunResult(EXIT_VALIDATION, f"error: cannot read {config.input!r}: "
+                                          f"{exc.strerror or exc}\n")
     except SolverConvergenceError as exc:
         return RunResult(EXIT_SOLVER, f"error: {exc}\n")
     except FormulaInapplicableError as exc:
@@ -375,8 +378,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_VALIDATION
     result = run(config)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(result.text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(result.text)
+        except OSError as exc:
+            print(f"error: cannot write {config.output!r}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_VALIDATION
     else:
         stream = sys.stdout if result.exit_code == EXIT_OK else sys.stderr
         stream.write(result.text)

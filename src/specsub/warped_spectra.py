@@ -555,7 +555,14 @@ def pushdown_slack(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> flo
     r2, rows = _rayleigh_2d(grid, psi, cond, f2d)
     h = _pushdown(psi, rows, f2d.shape[1])
     s_op = _schrodinger(spec, grid_n)
-    rs = s_op.rayleigh(h)
+    slack = r2 - s_op.rayleigh(h)
+    if not spec.fiber_lambda0:
+        return slack
+    # psi^-2 on psi * 2**-e, e from min(psi): the terms that dominate the
+    # mean stay normal, and a square that overflows is a term that rounds to 0
+    e = exponent(np.min(psi), "warp must be finite")
+    p = times_pow2(psi, -e)
     wh2 = s_op.weights * h * h
-    fiber_term = spec.fiber_lambda0 * float(np.sum(wh2 / psi ** 2) / np.sum(wh2))
-    return r2 - rs - fiber_term
+    with np.errstate(over="ignore"):
+        mean = float(np.sum(wh2 / (p * p)) / np.sum(wh2))
+    return slack - spec.fiber_lambda0 * times_pow2(mean, -2 * e)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import specsub.cli
+import specsub.fixtures
 import specsub.group_spectra
 from conftest import (an_structure, heisenberg_type_structure, rotate_algebra,
                       rotated)
@@ -353,6 +354,29 @@ def test_main_writes_output_file(tmp_path, capsys):
     text = out.read_text()
     assert text.startswith("# specsub-csv v1")
     assert text.strip().splitlines()[-1].split(",")[3] == "1.0"
+
+
+def test_main_reports_an_output_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.txt"
+    assert main(["analyze", "heisenberg3", "--out", str(out)]) == EXIT_VALIDATION
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr == f"error: cannot write {str(out)!r}: No such file or directory\n"
+
+
+def test_main_reports_a_fixture_it_cannot_read(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "h.lie"
+    path.write_text("dim 3\nbracket 1 2 3 1\n")
+
+    def unreadable(*args, **kwargs):
+        raise OSError(5, "Input/output error")
+
+    # parse_fixture's open: the file exists, its read fails
+    monkeypatch.setattr(specsub.fixtures, "open", unreadable, raising=False)
+    assert main(["analyze", str(path)]) == EXIT_VALIDATION
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr == f"error: cannot read {str(path)!r}: Input/output error\n"
 
 
 def test_main_exit_codes(capsys):

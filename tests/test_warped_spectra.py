@@ -333,6 +333,16 @@ def test_pushdown_slack_nonnegative_random():
         assert worst >= -1e-8
 
 
+@pytest.mark.parametrize("c, fiber_lambda0", [(1e-170, 0.0), (1e170, 0.0),
+                                               (1e-150, 0.3), (1e150, 0.3)])
+def test_pushdown_slack_at_extreme_constant_warps(c, fiber_lambda0):
+    # f = 1 has R(f) = R_S(pushdown f) = 0, so the slack is -fiber_lambda0 / c^2;
+    # psi^2 does not fit in a double at 1e+-170, and no warning may escape
+    spec = replace(warp_const(c), fiber_lambda0=fiber_lambda0)
+    assert pushdown_slack(spec, np.ones((32, 8)), 32) == pytest.approx(
+        -fiber_lambda0 / c / c, rel=1e-12, abs=0.0)
+
+
 def test_pushdown_slack_samples_once(monkeypatch):
     calls = []
     real = specsub.warped_spectra.base_grid
