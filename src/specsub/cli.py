@@ -6,10 +6,11 @@ every CSV.  In the verify-warped CSV, mode -1 is the Schrodinger operator
 row; slack is lambda0 of a mode row minus the inequality right-hand side, and
 on the S row the minimum over modes minus the right-hand side.
 
-Exit codes: 0 success, 1 validation or parse failure, 2 a solver result
-that fails certification or, for verify-warped, a violated inequality or a
-two-route mismatch (the text report on stderr says which, in both formats),
-3 closed-form formula inapplicable.
+Exit codes: 0 success, 1 validation or parse failure, an unreadable fixture
+or an unwritable --out, 2 a solver result that fails certification or, for
+verify-warped, a violated inequality or a two-route mismatch (the text
+report on stderr says which, in both formats), 3 closed-form formula
+inapplicable.
 --seed is accepted and ignored: no computation is random.
 """
 
@@ -294,7 +295,10 @@ def run(config: RunConfig) -> RunResult:
     commands but analyze, which reports an invalid algebra itself)."""
     handler, _, kind = COMMANDS[config.command]
     try:
-        fix = resolve_fixture(config.input, config.c_param, config.tolerances)
+        try:
+            fix = resolve_fixture(config.input, config.c_param, config.tolerances)
+        except OSError as exc:          # a fixture file that cannot be read
+            raise FixtureParseError(f"cannot read {config.input!r}: {exc.strerror or exc}")
         if not isinstance(fix, kind):
             noun = "warped-product" if kind is WarpedProductSpec else "Lie algebra"
             raise FixtureParseError(f"this command needs a {noun} fixture")
@@ -305,9 +309,6 @@ def run(config: RunConfig) -> RunResult:
         return RunResult(EXIT_OK, handler(config, fix, _fixture_name(config, fix)))
     except (FixtureParseError, NotAnIdealError, ValueError) as exc:
         return RunResult(EXIT_VALIDATION, f"error: {exc}\n")
-    except OSError as exc:              # the fixture file, the only one run reads
-        return RunResult(EXIT_VALIDATION, f"error: cannot read {config.input!r}: "
-                                          f"{exc.strerror or exc}\n")
     except SolverConvergenceError as exc:
         return RunResult(EXIT_SOLVER, f"error: {exc}\n")
     except FormulaInapplicableError as exc:
