@@ -6,11 +6,11 @@ every CSV.  In the verify-warped CSV, mode -1 is the Schrodinger operator
 row; slack is lambda0 of a mode row minus the inequality right-hand side, and
 on the S row the minimum over modes minus the right-hand side.
 
-Exit codes: 0 success, 1 validation or parse failure, an unreadable fixture
-or an unwritable --out, 2 a solver result that fails certification or, for
-verify-warped, a violated inequality or a two-route mismatch (the text
-report on stderr says which, in both formats), 3 closed-form formula
-inapplicable.
+Exit codes: 0 success, 1 usage, validation or parse failure, an unreadable
+fixture or an unwritable --out, 2 a solver result that fails certification
+or, for verify-warped, a violated inequality or a two-route mismatch (the
+text report on stderr says which, in both formats), 3 closed-form formula
+inapplicable.  A failed run writes its error to stderr, never to --out.
 --seed is accepted and ignored: no computation is random.
 """
 
@@ -296,7 +296,7 @@ def run(config: RunConfig) -> RunResult:
     handler, _, kind = COMMANDS[config.command]
     try:
         try:
-            fix = resolve_fixture(config.input, config.c_param, config.tolerances)
+            fix = resolve_fixture(config.input, config.c_param)
         except OSError as exc:          # a fixture file that cannot be read
             raise FixtureParseError(f"cannot read {config.input!r}: {exc.strerror or exc}")
         if not isinstance(fix, kind):
@@ -315,6 +315,14 @@ def run(config: RunConfig) -> RunResult:
         return RunResult(EXIT_INAPPLICABLE, f"error: {exc}\n")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error exits 1: exit 2 is a solver result."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each option's dest is the RunConfig field it sets (config_from_args
     converts --tol-preset, --ideal and --cutoffs and drops --seed); an option
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"  {name:<15}{','.join(header)}"
         f"{'  (mode -1 = Schrodinger row)' if name == 'verify-warped' else ''}\n"
         for name, header in HEADERS.items())
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="specsub",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Spectral invariants of metric Lie algebras and "
@@ -378,18 +386,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     result = run(config)
-    if config.output:
-        try:
-            with open(config.output, "w", encoding="utf-8") as fh:
-                fh.write(result.text)
-        except OSError as exc:
-            print(f"error: cannot write {config.output!r}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-    else:
-        stream = sys.stdout if result.exit_code == EXIT_OK else sys.stderr
-        stream.write(result.text)
-    return result.exit_code
+    if result.exit_code != EXIT_OK or not config.output:
+        (sys.stdout if result.exit_code == EXIT_OK else sys.stderr).write(result.text)
+        return result.exit_code
+    try:
+        with open(config.output, "w", encoding="utf-8") as fh:
+            fh.write(result.text)
+    except OSError as exc:
+        print(f"error: cannot write {config.output!r}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -252,14 +252,14 @@ def dense_lowest(form: SymmetricForm, grid_n: Optional[int] = None,
 
 
 def lowest_eigenvalue(form: SymmetricForm, tols: Tolerances = DEFAULT,
-                      dense_check: bool = True, grid_n: Optional[int] = None,
+                      grid_n: Optional[int] = None,
                       mode: Optional[int] = None) -> SpectrumEstimate:
     """Smallest eigenvalue of the weighted operator with symmetric form ``form``,
     to the residual target ``tols.solver_tol``, |Mv - lambda v| / |v|.
 
     Raises SolverConvergenceError (with the best iterate attached) when the
-    result fails certification or, with ``dense_check`` and n <= DENSE_LIMIT,
-    the dense cross-check disagrees.
+    result fails certification or, for n <= DENSE_LIMIT, the dense
+    cross-check disagrees.
     """
     gn = form.n if grid_n is None else grid_n
     Mu, unit, scale = _scaled(form)
@@ -282,7 +282,7 @@ def lowest_eigenvalue(form: SymmetricForm, tols: Tolerances = DEFAULT,
             f"bracket [{lo!r}, {hi!r}], residual {est.residual:.3e} "
             f"(target {tol_eff:.3e}), M - {shift / unit!r} positive definite: "
             f"{definite}", best=est)
-    if dense_check and form.n <= DENSE_LIMIT:
+    if form.n <= DENSE_LIMIT:
         # values only: LAPACK dsbev, independent of the bracket and known to
         # a few eps * ||M||
         ref = _banded_lowest(Mu)[0] / unit

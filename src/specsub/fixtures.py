@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import FixtureParseError
 from .lie_core import Ideal, MetricLieAlgebra, metric_definiteness
-from .tolerances import Tolerances, DEFAULT
 from .warped_spectra import (Boundary, CircleBase, IntervalBase, WarpProfile,
                              WarpedProductSpec)
 
@@ -219,14 +218,14 @@ def _parse_int(tok, lineno):
         raise FixtureParseError(f"expected an integer, got {tok!r}", lineno) from None
 
 
-def parse_fixture_text(text: str, tols: Tolerances = DEFAULT) -> Fixture:
+def parse_fixture_text(text: str) -> Fixture:
     lie = _parse_lie_bulk(text)
     if lie is not None:
-        return _lie_algebra(*lie, tols)
-    return _parse_lines(text, tols)
+        return _lie_algebra(*lie)
+    return _parse_lines(text)
 
 
-def _parse_lines(text: str, tols: Tolerances = DEFAULT) -> Fixture:
+def _parse_lines(text: str) -> Fixture:
     """The per-line parser: every file the bulk path does not accept, and the
     source of every FixtureParseError."""
     rows = list(_tokens(text))
@@ -234,15 +233,14 @@ def _parse_lines(text: str, tols: Tolerances = DEFAULT) -> Fixture:
         raise FixtureParseError("empty fixture file")
     head = rows[0][1][0]
     if head == "dim":
-        return _lie_algebra(*_parse_lie(rows), tols)
+        return _lie_algebra(*_parse_lie(rows))
     if head in ("base", "fiber_dim", "fiber_lambda0", "warp"):
         return _parse_warp(rows)
     raise FixtureParseError(f"unknown directive {head!r}", rows[0][0])
 
 
-def _lie_algebra(n: int, c: np.ndarray, g: np.ndarray,
-                 tols: Tolerances) -> MetricLieAlgebra:
-    min_eig, definite = metric_definiteness(g, tols.spd_tol)
+def _lie_algebra(n: int, c: np.ndarray, g: np.ndarray) -> MetricLieAlgebra:
+    min_eig, definite = metric_definiteness(g)
     if not definite:
         raise FixtureParseError(
             f"metric is not positive definite (min eigenvalue {min_eig:.3e})")
@@ -441,10 +439,10 @@ def _parse_warp(rows) -> WarpedProductSpec:
                              fiber_lambda0=fiber_lambda0 if fiber_lambda0 is not None else 0.0)
 
 
-def parse_fixture(path: str, tols: Tolerances = DEFAULT) -> Fixture:
+def parse_fixture(path: str) -> Fixture:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    fix = parse_fixture_text(text, tols)
+    fix = parse_fixture_text(text)
     if isinstance(fix, WarpedProductSpec):
         name = os.path.splitext(os.path.basename(path))[0]
         fix = WarpedProductSpec(fix.base, fix.warp, fix.fiber_dim,
@@ -452,17 +450,16 @@ def parse_fixture(path: str, tols: Tolerances = DEFAULT) -> Fixture:
     return fix
 
 
-def resolve_fixture(name_or_path: str, c: Optional[float] = None,
-                    tols: Tolerances = DEFAULT) -> Fixture:
+def resolve_fixture(name_or_path: str, c: Optional[float] = None) -> Fixture:
     """Resolve a CLI input: override directory, then a path, then the catalog."""
     override = os.environ.get(FIXTURE_DIR_ENV)
     if override:
         for cand in (name_or_path, name_or_path + ".lie", name_or_path + ".warp"):
             p = os.path.join(override, cand)
             if os.path.isfile(p):
-                return parse_fixture(p, tols)
+                return parse_fixture(p)
     if os.path.isfile(name_or_path):
-        return parse_fixture(name_or_path, tols)
+        return parse_fixture(name_or_path)
     try:
         return catalog_fixture(name_or_path, c)
     except KeyError:

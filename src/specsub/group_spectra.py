@@ -148,7 +148,7 @@ def radical_commutator_lambda0(alg: MetricLieAlgebra,
     fr = alg.frame
     H = frame_mean_curvature(alg, commutator, tols)
     h, t = float(H @ H), float(fr.trace @ H)          # in units of 4**exponent
-    if abs(t - h) > tols.identity_tol * max(abs(t), abs(h)):
+    if abs(t - h) > tols.rank_tol * max(abs(t), abs(h)):
         raise FormulaInapplicableError(
             f"curvature identity violated: tr route {times_pow2(t / 4.0, 2 * fr.exponent)} "
             f"vs norm route {times_pow2(h / 4.0, 2 * fr.exponent)}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._pow2 import exponent, times_pow2
 from .errors import NotAnIdealError
-from .tolerances import Tolerances, DEFAULT
+from .tolerances import ANTISYM_TOL, DEFAULT, SPD_TOL, Tolerances
 
 
 def _asvec(x, n: int) -> np.ndarray:
@@ -112,7 +112,7 @@ class MetricLieAlgebra:
     def norm(self, x) -> float:
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
 
-    def is_unimodular(self, tol: float = DEFAULT.unimodular_tol) -> bool:
+    def is_unimodular(self, tol: float = DEFAULT.rank_tol) -> bool:
         """Whether tr(ad x) vanishes, cut at tol relative to sigma on the frame."""
         return bool(np.max(np.abs(self.frame.trace), initial=0.0) < tol * self.frame.scale)
 
@@ -167,10 +167,10 @@ class Ideal:
         return self._max_residual_off(
             np.tensordot(self.frame_onb, self.parent.frame.structure, axes=(1, 1)))
 
-    def is_subalgebra(self, tol: float = DEFAULT.ideal_tol) -> bool:
+    def is_subalgebra(self, tol: float = DEFAULT.rank_tol) -> bool:
         return self.subalgebra_residual() < tol
 
-    def is_ideal(self, tol: float = DEFAULT.ideal_tol) -> bool:
+    def is_ideal(self, tol: float = DEFAULT.rank_tol) -> bool:
         return self.ideal_residual() < tol
 
     def frame_complement(self) -> np.ndarray:
@@ -207,14 +207,14 @@ class ClassificationReport:
     derivation: str
 
 
-def metric_definiteness(g: np.ndarray, tol: float):
-    """(smallest eigenvalue of g, whether it exceeds tol times the largest):
+def metric_definiteness(g: np.ndarray):
+    """(smallest eigenvalue of g, whether it exceeds SPD_TOL times the largest):
     a metric's scale is not degeneracy.  LAPACK reads one triangle and can
     miss a NaN, so a non-finite entry fails first."""
     if not np.isfinite(g).all():
         return math.nan, False
     eigs = np.linalg.eigvalsh(g)
-    return float(eigs[0]), bool(eigs[0] > tol * eigs[-1])
+    return float(eigs[0]), bool(eigs[0] > SPD_TOL * eigs[-1])
 
 
 def validate(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ValidationReport:
@@ -223,8 +223,8 @@ def validate(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ValidationRep
     without finite constants and a definite metric, no frame: NaN residuals."""
     g = alg.metric
     gsym = float(np.max(np.abs(g - g.T), initial=0.0))
-    min_eig, definite = metric_definiteness(g, tols.spd_tol)
-    if not (definite and gsym <= tols.antisym_tol * np.max(np.abs(g))
+    min_eig, definite = metric_definiteness(g)
+    if not (definite and gsym <= ANTISYM_TOL * np.max(np.abs(g))
             and np.isfinite(alg.structure).all()):
         return ValidationReport(math.nan, math.nan, gsym, min_eig, False)
     fr, n = alg.frame, alg.dim
@@ -241,7 +241,7 @@ def validate(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ValidationRep
         jac = cyc + np.transpose(cyc, (1, 2, 0)) + np.transpose(cyc, (2, 0, 1))
         slice_max[k] = np.max(np.abs(jac))
     jacobi = float(np.max(slice_max, initial=0.0)) / fr.scale ** 2
-    ok = anti < tols.antisym_tol and jacobi < tols.jacobi_tol
+    ok = anti < ANTISYM_TOL and jacobi < tols.jacobi_tol
     return ValidationReport(anti, jacobi, gsym, min_eig, ok)
 
 
@@ -322,7 +322,7 @@ def quotient_algebra(alg: MetricLieAlgebra, n_ideal: Ideal,
     P maps parent coordinates to quotient coordinates and is an isometry on the
     complement.
     """
-    if n_ideal.dim > 0 and not n_ideal.is_ideal(tols.ideal_tol):
+    if n_ideal.dim > 0 and not n_ideal.is_ideal(tols.rank_tol):
         raise NotAnIdealError("span is not an ideal; quotient bracket undefined")
     F = n_ideal.frame_complement()
     return _on_rows(alg, F), F @ alg.frame.inv_chol @ alg.metric
@@ -331,7 +331,7 @@ def quotient_algebra(alg: MetricLieAlgebra, n_ideal: Ideal,
 def restrict_to_span(alg: MetricLieAlgebra, sub: Ideal,
                      tols: Tolerances = DEFAULT) -> MetricLieAlgebra:
     """The subalgebra spanned by ``sub`` with the restricted metric."""
-    if sub.dim > 0 and not sub.is_subalgebra(tols.ideal_tol):
+    if sub.dim > 0 and not sub.is_subalgebra(tols.rank_tol):
         raise NotAnIdealError("span is not closed under the bracket")
     return _on_rows(alg, sub.frame_onb)
 
@@ -388,7 +388,7 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
         amenable = True
         derivation = "solvable radical is everything; compact extension trivial"
     else:
-        if not rad.is_ideal(tols.ideal_tol):
+        if not rad.is_ideal(tol):
             raise NotAnIdealError("the radical cut is not an ideal; no Levi quotient")
         Q = rad.frame_complement()
         eigs = np.linalg.eigvalsh(_killing(_bracket_products(fr.structure, Q, Q) @ Q.T))
@@ -398,7 +398,7 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
         derivation = ("Levi quotient Killing form negative definite"
                       if amenable else "Levi quotient of non-compact type")
     return ClassificationReport(
-        alg.is_unimodular(tols.unimodular_tol), solvable, nilpotent, semisimple, amenable,
+        alg.is_unimodular(tol), solvable, nilpotent, semisimple, amenable,
         rad, tuple(i.dim for i in derived), marginal, derivation)
 
 
@@ -420,7 +420,7 @@ def frame_mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal,
                          tols: Tolerances = DEFAULT) -> np.ndarray:
     """``mean_curvature`` in frame components times 2**-exponent: <H, f_k> is
     tr(P ad f_k) with P = F^T F for the ideal's frame rows F, less its F part."""
-    if n_ideal.dim > 0 and not n_ideal.is_ideal(tols.ideal_tol):
+    if n_ideal.dim > 0 and not n_ideal.is_ideal(tols.rank_tol):
         raise NotAnIdealError("mean curvature needs an ideal")
     F = n_ideal.frame_onb
     H = np.einsum("kim,mi->k", alg.frame.structure, F.T @ F)

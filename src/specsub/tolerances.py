@@ -1,32 +1,32 @@
-"""Single record collecting every numerical tolerance used by the package.
+"""Every numerical tolerance used by the package.
 
-Keeping them in one immutable value makes reports reproducible: a report is
-fully determined by (fixture, grid, tolerances).
+The values that the two presets set differently are fields of one immutable
+record, so a report is fully determined by (fixture, grid, tolerances); the
+values that no preset changes are the module constants below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Every Lie cut is relative: to sigma = ||c||_F in a g-orthonormal basis
+# (no floor, see lie_core.Frame) or to the largest metric eigenvalue.
+ANTISYM_TOL = 1e-12   # max |c[i,j,k] + c[j,i,k]| / sigma, and metric asymmetry
+SPD_TOL = 1e-12       # min / max metric eigenvalue must exceed this
+UNITARY_TOL = 1e-6    # agreement of the two Schrodinger routes
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    # Every Lie cut is relative: to sigma = ||c||_F in a g-orthonormal basis
-    # (no floor, see lie_core.Frame) or to the largest metric eigenvalue.
-    antisym_tol: float = 1e-12   # max |c[i,j,k] + c[j,i,k]| / sigma accepted
     jacobi_tol: float = 1e-9     # max Jacobi residual / sigma^2 accepted
-    spd_tol: float = 1e-12       # min / max metric eigenvalue must exceed this
-    ideal_tol: float = 1e-9      # bracket-closure residual / sigma for spans
-    # every rank and definiteness decision: against the top singular value
-    # for a span of vectors, against sigma for bracket values and sigma^2 for
-    # Killing values
+    # every other Lie cut: the rank of a span of vectors against its top
+    # singular value; bracket ranks, subalgebra and ideal residuals and the
+    # trace's sup norm (unimodular) against sigma; Killing ranks against
+    # sigma^2; the relative gap of radical_commutator_lambda0's two routes
     rank_tol: float = 1e-9
-    unimodular_tol: float = 1e-9  # sup norm of the trace functional / sigma
     # spectral checks
     solver_tol: float = 1e-10    # residual target for the iterative eigensolver
     ineq_tol: float = 1e-8       # allowed slack violation for inequalities
-    unitary_tol: float = 1e-6    # agreement of the two Schrodinger routes
-    identity_tol: float = 1e-9   # algebraic identities (mean curvature etc.)
 
 
 DEFAULT = Tolerances()
@@ -35,12 +35,9 @@ DEFAULT = Tolerances()
 # limited only by round-off.
 STRICT = Tolerances(
     jacobi_tol=1e-12,
-    ideal_tol=1e-11,
     rank_tol=1e-11,
-    unimodular_tol=1e-11,
     solver_tol=1e-11,
     ineq_tol=1e-10,
-    identity_tol=1e-11,
 )
 
 PRESETS = {"default": DEFAULT, "strict": STRICT}

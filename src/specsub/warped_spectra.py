@@ -33,7 +33,7 @@ import numpy as np
 
 from ._pow2 import exponent, times_pow2
 from .eigensolve import SymmetricForm, lowest_eigenvalue
-from .tolerances import Tolerances, DEFAULT
+from .tolerances import DEFAULT, UNITARY_TOL, Tolerances
 
 
 class Boundary(str, enum.Enum):
@@ -366,18 +366,17 @@ class TailReport:
 
 
 def mode_scan(spec: WarpedProductSpec, grid_n: int, m_max: int = 8,
-              tols: Tolerances = DEFAULT, dense_check: bool = True):
+              tols: Tolerances = DEFAULT):
     """Lowest eigenvalues of L_0, ..., L_{m_max}, one SpectrumEstimate each."""
     if m_max < 0:
         raise ValueError("the largest mode must be nonnegative")
     ops = _mode_operators(spec, grid_n, range(m_max + 1))
-    return [lowest_eigenvalue(op, tols, dense_check, grid_n=grid_n, mode=m)
+    return [lowest_eigenvalue(op, tols, grid_n=grid_n, mode=m)
             for m, op in enumerate(ops)]
 
 
 def verify_warped(spec: WarpedProductSpec, grid_n: int,
-                  tols: Tolerances = DEFAULT, dense_check: bool = True,
-                  m_max: int = 8) -> WarpedReport:
+                  tols: Tolerances = DEFAULT, m_max: int = 8) -> WarpedReport:
     """The inequality and the two-route equality from one mode scan and one
     S solve, each solve to the residual target ``tols.solver_tol``.
 
@@ -387,10 +386,10 @@ def verify_warped(spec: WarpedProductSpec, grid_n: int,
     multiplication map by sqrt(psi) identifies the two problems), agree,
     and the mode scan attains its minimum at m = 0.
     """
-    ests = mode_scan(spec, grid_n, m_max, tols, dense_check)
+    ests = mode_scan(spec, grid_n, m_max, tols)
     lams = tuple(e.lambda0 for e in ests)
     top = np.max(_sample(spec, grid_n)[2])
-    s_est = lowest_eigenvalue(_schrodinger(spec, grid_n), tols, dense_check, grid_n=grid_n)
+    s_est = lowest_eigenvalue(_schrodinger(spec, grid_n), tols, grid_n=grid_n)
     total = min(lams)
     with np.errstate(over="ignore", divide="ignore"):     # 1/max(psi)^2 may not fit
         fiber = spec.fiber_lambda0 * float(1.0 / (top * top)) if spec.fiber_lambda0 else 0.0
@@ -400,12 +399,11 @@ def verify_warped(spec: WarpedProductSpec, grid_n: int,
     return WarpedReport(spec.name, grid_n, lams, total, s_est.lambda0, rhs, total - rhs,
                         tuple(e.residual for e in ests) + (s_est.residual,),
                         total - rhs >= -tols.ineq_tol, diff,
-                        diff <= tols.unitary_tol and total >= lams[0] - slack)
+                        diff <= UNITARY_TOL and total >= lams[0] - slack)
 
 
 def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
-                     grid_n: int, tols: Tolerances = DEFAULT,
-                     dense_check: bool = True) -> TailReport:
+                     grid_n: int, tols: Tolerances = DEFAULT) -> TailReport:
     """Bottom of S restricted (Dirichlet) beyond each cutoff, as a tail estimate.
 
     Restriction is the principal submatrix on nodes past the cutoff, so the
@@ -425,7 +423,7 @@ def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
         mask = op.grid.x > c
         if np.count_nonzero(mask) < 4:
             raise ValueError(f"cutoff {c} leaves too few grid nodes")
-        est = lowest_eigenvalue(op.restricted(mask), tols, dense_check, grid_n=grid_n)
+        est = lowest_eigenvalue(op.restricted(mask), tols, grid_n=grid_n)
         values.append(est.lambda0)
         residuals.append(est.residual)
     mono = all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(values, values[1:]))
@@ -434,7 +432,7 @@ def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
 
 
 def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int,
-                        tols: Tolerances = DEFAULT, dense_check: bool = True) -> float:
+                        tols: Tolerances = DEFAULT) -> float:
     """Lower bound (sqrt(lambda0(base)) - C/2)^2 for lambda0(S).
 
     Requires k |psi'/psi| <= C at every grid node (psi' as the mean slope
@@ -454,7 +452,7 @@ def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int,
             f"|H| bound violated at node {worst} (x = {grid.x[worst]:.6g}): "
             f"{drift[worst]:.6g} > {C:.6g}")
     flat = replace(spec, warp=WarpProfile("const", (1.0,)))
-    lam_base = max(lowest_eigenvalue(build_schrodinger(flat, grid_n), tols, dense_check,
+    lam_base = max(lowest_eigenvalue(build_schrodinger(flat, grid_n), tols,
                                      grid_n=grid_n).lambda0, 0.0)
     if C > 2.0 * np.sqrt(lam_base) + tols.ineq_tol:
         raise ValueError(

@@ -148,7 +148,7 @@ def test_criterion_5_warped_equality():
 def test_criterion_6_inequality():
     worst = np.inf
     for spec in (warp_const(1.0), warp_sinshift(1.0), warp_exp(0.5, b=30.0)):
-        rep = verify_warped(spec, 256, dense_check=False)
+        rep = verify_warped(spec, 256)
         worst = min(worst, rep.slack)
     rng = np.random.default_rng(600)
     for i in range(100):
@@ -156,7 +156,7 @@ def test_criterion_6_inequality():
         spec = WarpedProductSpec(CircleBase(2 * np.pi),
                                  WarpProfile("samples", (), samples=samples),
                                  name=f"random{i}")
-        rep = verify_warped(spec, 256, dense_check=False)
+        rep = verify_warped(spec, 256)
         worst = min(worst, rep.slack)
     ok = worst >= -1e-8
     assert report(6, ok, f"inequality slack >= -1e-8 on 3 catalog + 100 random "
@@ -192,10 +192,9 @@ def test_criterion_8_hyperbolic_cross_check():
         spec = WarpedProductSpec(IntervalBase(0.0, 40.0 / s, Boundary.DIRICHLET),
                                  WarpProfile("exp", (s,)), name="hyperbolic")
         op = build_schrodinger(spec, 4096)
-        est = lowest_eigenvalue(op, dense_check=False, grid_n=4096)
+        est = lowest_eigenvalue(op, grid_n=4096)
         flat = WarpedProductSpec(spec.base, WarpProfile("const", (1.0,)))
-        box = lowest_eigenvalue(build_schrodinger(flat, 4096), dense_check=False,
-                                grid_n=4096)
+        box = lowest_eigenvalue(build_schrodinger(flat, 4096), grid_n=4096)
         rel = abs(est.lambda0 - c / 4.0) / (c / 4.0)
         corrected_rel = abs((est.lambda0 - box.lambda0) - c / 4.0) / (c / 4.0)
         worst = max(worst, rel)
@@ -217,7 +216,7 @@ def test_criterion_9_solver_oracle():
             ops = [build_schrodinger(spec, n)] + \
                   [build_warped_mode(spec, m, n) for m in (0, 1, 4)]
             for op in ops:
-                it = lowest_eigenvalue(op, dense_check=False, grid_n=n)
+                it = lowest_eigenvalue(op, grid_n=n)
                 ref = dense_lowest(op, grid_n=n)
                 worst = max(worst, abs(it.lambda0 - ref.lambda0))
                 checked += 1
@@ -227,7 +226,7 @@ def test_criterion_9_solver_oracle():
                              WarpProfile("const", (1.0,)), name="flat")
     for n in (16, 64, 256, 512):
         op = build_schrodinger(flat, n)
-        est = lowest_eigenvalue(op, dense_check=False, grid_n=n)
+        est = lowest_eigenvalue(op, grid_n=n)
         h = op.grid.h
         closed = 4.0 * np.sin(np.pi * h / 2.0) ** 2 / h ** 2
         toeplitz_worst = max(toeplitz_worst, abs(est.lambda0 - closed))
@@ -244,7 +243,7 @@ def test_criterion_10_essential_spectrum_tail():
     spec = warp_exp(a)          # interval [0, 60/a], dirichlet
     b = spec.base.b
     cutoffs = np.linspace(b / 3.0, 2.0 * b / 3.0, 9)
-    rep = lambda0_ess_tail(spec, cutoffs, 4096, dense_check=False)
+    rep = lambda0_ess_tail(spec, cutoffs, 4096)
     target = a * a / 4.0
     rels = np.array([abs(v - target) / target for v in rep.values])
     plateau_ok = float(np.median(rels)) <= 0.05 and float(np.max(rels)) <= 0.10
@@ -255,7 +254,7 @@ def test_criterion_10_essential_spectrum_tail():
     growing = WarpedProductSpec(IntervalBase(0.0, 6.0, Boundary.DIRICHLET),
                                 WarpProfile("samples", (), samples=np.exp(grid.x ** 2)),
                                 name="gauss")
-    rep2 = lambda0_ess_tail(growing, np.linspace(0.5, 4.0, 8), 1024, dense_check=False)
+    rep2 = lambda0_ess_tail(growing, np.linspace(0.5, 4.0, 8), 1024)
     strict_ok = all(y > x for x, y in zip(rep2.values, rep2.values[1:]))
 
     ok = plateau_ok and mono_ok and strict_ok

@@ -52,6 +52,29 @@ def test_dense_check_tolerance_scales_with_the_norm():
     assert est.lambda0 == pytest.approx(1e6 * toeplitz_ground(512, h), rel=1e-12)
 
 
+def test_a_disagreeing_dense_reference_fails_the_solve(monkeypatch):
+    banded = eigensolve._banded_lowest
+    monkeypatch.setattr(eigensolve, "_banded_lowest",
+                        lambda Mu, compute_v=0: (banded(Mu)[0] + 1.0, None))
+    with pytest.raises(SolverConvergenceError, match="disagrees with dense reference") as info:
+        lowest_eigenvalue(dirichlet_laplacian(eigensolve.DENSE_LIMIT)[0])
+    assert info.value.best is not None
+
+
+@pytest.mark.parametrize("n, calls", [(eigensolve.DENSE_LIMIT, 1),
+                                      (eigensolve.DENSE_LIMIT + 1, 0)])
+def test_the_dense_reference_is_consulted_up_to_its_limit(monkeypatch, n, calls):
+    banded, seen = eigensolve._banded_lowest, []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return banded(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "_banded_lowest", counting)
+    lowest_eigenvalue(dirichlet_laplacian(n)[0])
+    assert len(seen) == calls
+
+
 def test_dirichlet_continuum_limit():
     est = lowest_eigenvalue(dirichlet_laplacian(2048)[0])
     assert est.lambda0 == pytest.approx(np.pi**2, rel=1e-5)
@@ -73,7 +96,7 @@ def test_methods_agree_with_dense(method):
         off = rng.uniform(-1.0, 1.0, n - 1)
         w = rng.uniform(0.5, 2.0, n)
         form = weighted_form(diag, off, 0.0, w)
-        est = lowest_eigenvalue(form, dense_check=False)
+        est = lowest_eigenvalue(form)
         ref = dense_lowest(form)
         assert est.lambda0 == pytest.approx(ref.lambda0, abs=1e-9)
         # eigenvectors agree up to sign, in the weighted norm
@@ -127,7 +150,7 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_bracket", shifted)
     with pytest.raises(SolverConvergenceError, match="not certified") as info:
-        lowest_eigenvalue(form, dense_check=False)
+        lowest_eigenvalue(form)
     best = info.value.best
     assert best is not None
     assert np.isfinite(best.lambda0)
@@ -149,7 +172,7 @@ def test_cyclic_tridiagonal_matches_dense(n, corner_sign):
     rng = np.random.default_rng(n + (corner_sign > 0))
     for _ in range(10):
         form = cyclic_tridiagonal(rng, n, corner_sign)
-        est = lowest_eigenvalue(form, dense_check=False)
+        est = lowest_eigenvalue(form)
         ref = dense_lowest(form)
         assert est.lambda0 == pytest.approx(ref.lambda0, abs=1e-12)
         dot = abs(est.eigvec @ (form.weights * ref.eigvec))
@@ -163,7 +186,7 @@ def test_localized_circle_ground_state(seed, corner_sign):
     # live far from where the constant start vector's inverse iterates first
     # gather, near the wrap edge or away from it
     form = cyclic_tridiagonal(np.random.default_rng(seed), 200, corner_sign)
-    est = lowest_eigenvalue(form, dense_check=False)
+    est = lowest_eigenvalue(form)
     assert est.lambda0 == pytest.approx(dense_lowest(form).lambda0, abs=1e-12)
 
 
@@ -173,9 +196,9 @@ def test_tiny_norm(circle):
     # solve at that gap overflows, unless the solver rescales M first
     form = (cyclic_tridiagonal(np.random.default_rng(6), 64, -1.0) if circle
             else dirichlet_laplacian(64)[0])
-    tiny = lowest_eigenvalue(times(form, 2.0 ** -1000), dense_check=False)
+    tiny = lowest_eigenvalue(times(form, 2.0 ** -1000))
     assert tiny.lambda0 * 2.0 ** 1000 == pytest.approx(
-        lowest_eigenvalue(form, dense_check=False).lambda0, rel=1e-12)
+        lowest_eigenvalue(form).lambda0, rel=1e-12)
 
 
 def test_deflated_circle():
@@ -183,7 +206,7 @@ def test_deflated_circle():
     # the constant vector, which is the bracket's start: the Gershgorin bound
     # and its Rayleigh quotient close the bracket before any factorization
     op = build_schrodinger(warp_const(1.0), 256)
-    est = lowest_eigenvalue(op, dense_check=False)
+    est = lowest_eigenvalue(op)
     assert est.lambda0 == pytest.approx(0.0, abs=1e-12)
     assert np.ptp(est.eigvec) <= 1e-9 * np.max(np.abs(est.eigvec))
 
@@ -198,7 +221,7 @@ def test_start_orthogonal_to_the_ground_state(n, circle):
     if not circle:
         diag[[0, -1]] = -1.0
     form = SymmetricForm(diag, np.ones(n - 1), 1.0 if circle else 0.0, np.ones(n))
-    est = lowest_eigenvalue(form, dense_check=False)
+    est = lowest_eigenvalue(form)
     exact = -4.0 if circle else -2.0 - 2.0 * np.cos(np.pi / n)
     assert est.lambda0 == pytest.approx(exact, abs=64 * EPS * 4.0)
     if n <= 256:
@@ -227,7 +250,7 @@ def test_factorizations_per_solve(monkeypatch, warp, most):
     for op in [build_schrodinger(spec, n)] + [build_warped_mode(spec, m, n)
                                               for m in range(9)]:
         counts.append(0)
-        lowest_eigenvalue(op, dense_check=False)
+        lowest_eigenvalue(op)
     assert max(counts) <= most, counts
 
 

@@ -379,6 +379,31 @@ def test_main_reports_a_fixture_it_cannot_read(tmp_path, capsys, monkeypatch):
     assert stderr == f"error: cannot read {str(path)!r}: Input/output error\n"
 
 
+def test_main_leaves_the_report_file_alone_when_the_run_fails(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    out.write_bytes(b"# an earlier report\n")
+    assert main(["lambda0", "sl2", "--out", str(out)]) == EXIT_INAPPLICABLE
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("error: sl2: not amenable")
+    assert out.read_bytes() == b"# an earlier report\n"
+
+
+@pytest.mark.parametrize("argv", [["verify-warped", "const", "--grid", "abc"],
+                                  ["analyze"],
+                                  ["analyze", "heisenberg3", "--bogus"],
+                                  ["verify-warped", "const", "--format", "xml"]])
+def test_main_usage_errors_exit_as_validation_failures(argv, capsys):
+    # exit 2 is an uncertified solve or a failed verify-warped check
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_VALIDATION
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith("usage: specsub")
+    assert "error: " in stderr.splitlines()[-1]
+
+
 def test_main_exit_codes(capsys):
     assert main(["lambda0", "sl2"]) == EXIT_INAPPLICABLE
     assert main(["analyze", "heisenberg3"]) == EXIT_OK

@@ -325,7 +325,7 @@ def symmetric_forms(draw):
 @PROPERTY
 @given(symmetric_forms())
 def test_lowest_eigenvalue_certifies_and_matches_the_dense_spectrum(form):
-    est = lowest_eigenvalue(form, dense_check=False)
+    est = lowest_eigenvalue(form)
     M = form.dense()
     norm = np.max(np.sum(np.abs(M), axis=1))
     assert abs(est.lambda0 - np.linalg.eigvalsh(M)[0]) <= 64 * EPS * norm
@@ -376,7 +376,7 @@ def test_tail_is_non_decreasing(case):
     # the bottoms interlace
     spec, n = case
     cutoffs = np.linspace(0.0, 0.8, 9) * spec.base.b
-    rep = lambda0_ess_tail(spec, cutoffs, n, dense_check=False)
+    rep = lambda0_ess_tail(spec, cutoffs, n)
     norm = np.max(np.sum(np.abs(build_schrodinger(spec, n).dense()), axis=1))
     assert rep.monotone
     assert all(b >= a - 64 * EPS * norm for a, b in zip(rep.values, rep.values[1:]))
@@ -391,7 +391,7 @@ def test_schrodinger_operator_is_positive_semidefinite(case):
                              WarpProfile("samples", (), samples=np.array(samples)))
     op = build_schrodinger(spec, len(samples))
     norm = np.max(np.sum(np.abs(op.dense()), axis=1))
-    assert lowest_eigenvalue(op, dense_check=False).lambda0 >= -64 * EPS * norm
+    assert lowest_eigenvalue(op).lambda0 >= -64 * EPS * norm
 
 
 @st.composite

@@ -1,8 +1,12 @@
 """Guards on the source itself: the package keeps one power-of-two rescaling,
-and every warped solve names its grid."""
+every warped solve names its grid, and every tolerance field is one that the
+presets set apart."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from specsub.tolerances import DEFAULT, STRICT, Tolerances
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "specsub"
 
@@ -34,3 +38,11 @@ def test_every_warped_solve_names_its_grid_by_keyword():
     assert len(calls) >= 4
     for call in calls:
         assert "grid_n" in {kw.arg for kw in call.keywords}, f"line {call.lineno}"
+
+
+def test_every_tolerance_field_is_set_apart_by_the_presets():
+    # a value both presets share is a module constant of tolerances.py, and
+    # a field with another field's (default, strict) pair is a second name
+    pairs = [(getattr(DEFAULT, f.name), getattr(STRICT, f.name)) for f in fields(Tolerances)]
+    assert all(d != s for d, s in pairs), pairs
+    assert len(set(pairs)) == len(pairs), pairs

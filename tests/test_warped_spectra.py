@@ -149,7 +149,7 @@ def test_unitary_equivalence_exact():
 def test_schrodinger_nonnegative():
     for spec in ALL_FIXTURES:
         op = build_schrodinger(spec, 256)
-        est = lowest_eigenvalue(op, dense_check=False)
+        est = lowest_eigenvalue(op)
         assert est.lambda0 >= -1e-8
 
 
@@ -158,7 +158,7 @@ def test_mode_monotonicity():
         lams = []
         for m in range(4):
             op = build_warped_mode(spec, m, 128)
-            lams.append(lowest_eigenvalue(op, dense_check=False).lambda0)
+            lams.append(lowest_eigenvalue(op).lambda0)
         assert all(b >= a - 1e-10 for a, b in zip(lams, lams[1:]))
         # the added diagonal is nonnegative at the matrix level
         d0 = build_warped_mode(spec, 0, 128).diag
@@ -264,7 +264,7 @@ def test_every_solve_takes_the_callers_tolerances(monkeypatch):
 
 def test_inequality_reports():
     for spec in ALL_FIXTURES:
-        rep = verify_warped(spec, 128, dense_check=False)
+        rep = verify_warped(spec, 128)
         assert rep.inequality_passed
         assert rep.slack >= -1e-8
 
@@ -274,7 +274,7 @@ def test_exp_dirichlet_lambda0_value():
     a, b, n = 0.5, 20.0, 512
     spec = exp_interval(a, b)
     op = build_schrodinger(spec, n)
-    est = lowest_eigenvalue(op, dense_check=False)
+    est = lowest_eigenvalue(op)
     h = op.grid.h
     box = 4.0 * np.sin(np.pi * h / (2.0 * b)) ** 2 / h**2
     analytic = a * a / 4.0 + box
@@ -286,7 +286,7 @@ def test_grid_convergence_second_order():
     lam = {}
     for n in (256, 512, 1024):
         op = build_warped_mode(spec, 1, n)
-        lam[n] = lowest_eigenvalue(op, dense_check=False).lambda0
+        lam[n] = lowest_eigenvalue(op).lambda0
     d1 = abs(lam[256] - lam[512])
     d2 = abs(lam[512] - lam[1024])
     assert d1 <= 4.0 * d2 * 1.3 + 1e-12
@@ -357,7 +357,7 @@ def test_pushdown_slack_samples_once(monkeypatch):
         pushdown_slack(spec, np.ones((32, 8)), 32)
     assert len(calls) == 1
     # the mode scan and the S solve of a verification share the sample too
-    verify_warped(spec, 32, dense_check=False)
+    verify_warped(spec, 32)
     assert len(calls) == 1
 
 
@@ -400,7 +400,7 @@ def test_pushdown_slack_tight_at_ground_state():
     for spec in (warp_sinshift(1.0), exp_interval(0.5, 10.0)):
         n = 64
         op = build_warped_mode(spec, 0, n)
-        u = lowest_eigenvalue(op, dense_check=False).eigvec
+        u = lowest_eigenvalue(op).eigvec
         f2d = np.tile(u[:, None], (1, 16))
         s = pushdown_slack(spec, f2d, n)
         assert -1e-10 <= s <= 1e-8
@@ -488,7 +488,7 @@ def test_tail_flat_warp_closed_form():
     spec = WarpedProductSpec(IntervalBase(0.0, b, Boundary.DIRICHLET),
                              WarpProfile("const", (1.0,)), name="flat")
     cutoffs = [2.0, 4.0, 6.0]
-    rep = lambda0_ess_tail(spec, cutoffs, n, dense_check=False)
+    rep = lambda0_ess_tail(spec, cutoffs, n)
     op = build_schrodinger(spec, n)
     for c, v in zip(rep.cutoffs, rep.values):
         m = int(np.count_nonzero(op.grid.x > c))
@@ -502,7 +502,7 @@ def test_tail_exp_plateau():
     spec = warp_exp(a)   # [0, 60] dirichlet
     b = spec.base.b
     cutoffs = np.linspace(b / 3, 2 * b / 3, 5)
-    rep = lambda0_ess_tail(spec, cutoffs, 1024, dense_check=False)
+    rep = lambda0_ess_tail(spec, cutoffs, 1024)
     assert rep.monotone
     target = a * a / 4.0
     rels = [abs(v - target) / target for v in rep.values]
@@ -520,21 +520,21 @@ def test_tail_growing_potential_strictly_increasing():
                              WarpProfile("samples", (), samples=samples),
                              name="gauss")
     cutoffs = np.linspace(0.5, 4.0, 8)
-    rep = lambda0_ess_tail(spec, cutoffs, 512, dense_check=False)
+    rep = lambda0_ess_tail(spec, cutoffs, 512)
     assert all(b > a for a, b in zip(rep.values, rep.values[1:]))
 
 
 def test_tail_requires_interval():
     with pytest.raises(ValueError):
-        lambda0_ess_tail(warp_const(1.0), [0.5], 64, dense_check=False)
+        lambda0_ess_tail(warp_const(1.0), [0.5], 64)
 
 
 def test_tail_rejects_bad_cutoffs():
     spec = exp_interval(0.5, 10.0)
     with pytest.raises(ValueError):
-        lambda0_ess_tail(spec, [4.0, 2.0], 64, dense_check=False)
+        lambda0_ess_tail(spec, [4.0, 2.0], 64)
     with pytest.raises(ValueError):
-        lambda0_ess_tail(spec, [11.0], 64, dense_check=False)
+        lambda0_ess_tail(spec, [11.0], 64)
 
 
 # -- drift bound ----------------------------------------------------------------------
@@ -557,7 +557,7 @@ def test_drift_bound_flat():
                              WarpProfile("const", (1.0,)), name="flat")
     bound = drift_bound_lambda0(spec, 0.0, 64)
     op = build_schrodinger(spec, 64)
-    lam = lowest_eigenvalue(op, dense_check=False).lambda0
+    lam = lowest_eigenvalue(op).lambda0
     assert bound == pytest.approx(lam, abs=1e-10)
 
 
@@ -567,7 +567,7 @@ def test_drift_bound_exp_small_slope():
     drift = np.abs((psi[2:] - psi[:-2]) / (2 * grid.h) / psi[1:-1])
     C = float(np.max(drift))
     bound = drift_bound_lambda0(spec, C, 512)
-    lam = lowest_eigenvalue(build_schrodinger(spec, 512), dense_check=False).lambda0
+    lam = lowest_eigenvalue(build_schrodinger(spec, 512)).lambda0
     assert lam >= bound - 1e-8
     assert bound > 0.0
 
@@ -576,7 +576,7 @@ def test_drift_bound_at_threshold_is_zero():
     spec = WarpedProductSpec(IntervalBase(0.0, 1.0, Boundary.DIRICHLET),
                              WarpProfile("const", (2.0,)), name="flat2")
     op = build_schrodinger(spec, 128)
-    lam = lowest_eigenvalue(op, dense_check=False).lambda0
+    lam = lowest_eigenvalue(op).lambda0
     C = 2.0 * np.sqrt(lam)
     assert drift_bound_lambda0(spec, C, 128) == pytest.approx(0.0, abs=1e-9)
     assert lam >= -1e-8
@@ -604,7 +604,7 @@ def test_drift_bound_neumann():
     # a flat Neumann base has lambda0 = 0, so only C = 0 is admissible
     flat = WarpedProductSpec(IntervalBase(0.0, 1.0, Boundary.NEUMANN),
                              WarpProfile("const", (1.0,)), name="flat")
-    lam = lowest_eigenvalue(build_schrodinger(flat, 64), dense_check=False).lambda0
+    lam = lowest_eigenvalue(build_schrodinger(flat, 64)).lambda0
     assert drift_bound_lambda0(flat, 0.0, 64) == pytest.approx(lam, abs=1e-10)
     assert abs(lam) < 1e-10
     # psi = e^t: the one-sided slope at the Neumann end x = h/2 is the largest,
