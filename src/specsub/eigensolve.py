@@ -37,7 +37,6 @@ from .tolerances import DEFAULT, Tolerances
 REFINE_STEPS = 2    # inverse-iteration steps after the bracket
 ULPS = 64           # bracket width, shift gap, certification slack: eps * ||M|| units
 DENSE_LIMIT = 512   # largest n that the dense cross-check covers
-DENSE_TOL = 1e-9    # its agreement, or ULPS * eps * ||M|| if that is larger
 
 
 @dataclass(frozen=True)
@@ -45,6 +44,7 @@ class SpectrumEstimate:
     lambda0: float
     eigvec: np.ndarray           # in the original (unweighted) coordinates
     residual: float              # weighted residual norm, unit eigvec
+    error: float                 # certified bound on |lambda0 - the true value|
     grid_n: int
     mode: Optional[int] = None
 
@@ -125,7 +125,7 @@ def _scaled(form: SymmetricForm):
                          form.weights), unit, scale
 
 
-def _estimate(Mu: SymmetricForm, unit: float, v, grid_n, mode) -> SpectrumEstimate:
+def _estimate(Mu: SymmetricForm, unit: float, v, error, grid_n, mode) -> SpectrumEstimate:
     """The eigenvector v / W^{1/2} in the weighted unit norm, with the long
     double Rayleigh quotient and the residual of the unit vector it stands
     for, both taken on Mu = unit * M and scaled back."""
@@ -138,7 +138,7 @@ def _estimate(Mu: SymmetricForm, unit: float, v, grid_n, mode) -> SpectrumEstima
     lam = float(vl @ _apply(Mu.diag.astype(ld), Mu.off.astype(ld), ld(Mu.corner), vl)
                 / (vl @ vl))
     r = Mu.matvec(v) - lam * v
-    return SpectrumEstimate(lam / unit, eigvec, math.sqrt(_dot(r, r)) / unit, grid_n, mode)
+    return SpectrumEstimate(lam / unit, eigvec, math.sqrt(_dot(r, r)) / unit, error, grid_n, mode)
 
 
 @functools.cache
@@ -245,10 +245,11 @@ def _banded_lowest(Mu: SymmetricForm, compute_v: int = 0):
 
 def dense_lowest(form: SymmetricForm, grid_n: Optional[int] = None,
                  mode: Optional[int] = None) -> SpectrumEstimate:
-    """Reference dense solve, eigenvalue and eigenvector."""
-    Mu, unit, _ = _scaled(form)
+    """Reference dense solve, eigenvalue and eigenvector, to ULPS * eps * ||M||."""
+    Mu, unit, scale = _scaled(form)
     v = _banded_lowest(Mu, compute_v=1)[1]
-    return _estimate(Mu, unit, v, form.n if grid_n is None else grid_n, mode)
+    return _estimate(Mu, unit, v, ULPS * np.finfo(float).eps * scale,
+                     form.n if grid_n is None else grid_n, mode)
 
 
 def lowest_eigenvalue(form: SymmetricForm, tols: Tolerances = DEFAULT,
@@ -257,14 +258,15 @@ def lowest_eigenvalue(form: SymmetricForm, tols: Tolerances = DEFAULT,
     """Smallest eigenvalue of the weighted operator with symmetric form ``form``,
     to the residual target ``tols.solver_tol``, |Mv - lambda v| / |v|.
 
-    Raises SolverConvergenceError (with the best iterate attached) when the
-    result fails certification or, for n <= DENSE_LIMIT, the dense
-    cross-check disagrees.
+    ``error`` is (hi - lo) + slack for the final bracket [lo, hi] and slack =
+    ULPS * eps * ||M||, at most 2 * slack.  Raises SolverConvergenceError (with
+    the best iterate attached) when the result fails certification or, for
+    n <= DENSE_LIMIT, the dense cross-check differs by more than error + slack.
     """
     gn = form.n if grid_n is None else grid_n
     Mu, unit, scale = _scaled(form)
     if form.n == 1:                     # M is its own eigenvalue
-        return _estimate(Mu, unit, np.ones(1), gn, mode)
+        return _estimate(Mu, unit, np.ones(1), 0.0, gn, mode)
     tol_eff = max(tols.solver_tol, 40 * np.finfo(float).eps * (1.0 + scale))
     slack = ULPS * np.finfo(float).eps * scale * unit
     lo, hi, v = _bracket(Mu, slack)
@@ -274,8 +276,8 @@ def lowest_eigenvalue(form: SymmetricForm, tols: Tolerances = DEFAULT,
     for _ in range(REFINE_STEPS if definite else 0):
         v = _solve(Mu, factors, v)
         v /= math.sqrt(_dot(v, v))
-    est = _estimate(Mu, unit, v, gn, mode)
     lo, hi, slack = lo / unit, hi / unit, slack / unit
+    est = _estimate(Mu, unit, v, (hi - lo) + slack, gn, mode)
     if not (definite and est.residual <= tol_eff and lo - slack <= est.lambda0 <= hi + slack):
         raise SolverConvergenceError(
             f"result {est.lambda0!r} is not certified as the lowest eigenvalue: "
@@ -286,7 +288,7 @@ def lowest_eigenvalue(form: SymmetricForm, tols: Tolerances = DEFAULT,
         # values only: LAPACK dsbev, independent of the bracket and known to
         # a few eps * ||M||
         ref = _banded_lowest(Mu)[0] / unit
-        if abs(ref - est.lambda0) > max(DENSE_TOL, slack):
+        if abs(ref - est.lambda0) > est.error + slack:
             raise SolverConvergenceError(
                 f"iterative value {est.lambda0!r} disagrees with dense "
                 f"reference {ref!r}", best=est)

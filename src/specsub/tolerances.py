@@ -13,7 +13,6 @@ from dataclasses import dataclass
 # (no floor, see lie_core.Frame) or to the largest metric eigenvalue.
 ANTISYM_TOL = 1e-12   # max |c[i,j,k] + c[j,i,k]| / sigma, and metric asymmetry
 SPD_TOL = 1e-12       # min / max metric eigenvalue must exceed this
-UNITARY_TOL = 1e-6    # agreement of the two Schrodinger routes
 
 
 @dataclass(frozen=True)
@@ -24,9 +23,9 @@ class Tolerances:
     # trace's sup norm (unimodular) against sigma; Killing ranks against
     # sigma^2; the relative gap of radical_commutator_lambda0's two routes
     rank_tol: float = 1e-9
-    # spectral checks
+    # spectral checks (every warped verdict reads SpectrumEstimate.error)
     solver_tol: float = 1e-10    # residual target for the iterative eigensolver
-    ineq_tol: float = 1e-8       # allowed slack violation for inequalities
+    ineq_tol: float = 1e-8       # drift_bound_lambda0's slack on its two hypotheses
 
 
 DEFAULT = Tolerances()

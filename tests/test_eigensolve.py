@@ -52,12 +52,18 @@ def test_dense_check_tolerance_scales_with_the_norm():
     assert est.lambda0 == pytest.approx(1e6 * toeplitz_ground(512, h), rel=1e-12)
 
 
-def test_a_disagreeing_dense_reference_fails_the_solve(monkeypatch):
-    banded = eigensolve._banded_lowest
+@pytest.mark.parametrize("form, shift", [
+    (dirichlet_laplacian(eigensolve.DENSE_LIMIT)[0], 1.0),
+    # the check allows the solve's error bound and the reference's ULPS eps
+    # ||M||: 8.5e-13 here, where an absolute 1e-9 let this shift through
+    (build_schrodinger(WarpedProductSpec(CircleBase(64 * np.pi), WarpProfile("sinshift", (1.0,))),
+                       eigensolve.DENSE_LIMIT), 5e-10)], ids=["dirichlet", "long-circle"])
+def test_a_disagreeing_dense_reference_fails_the_solve(monkeypatch, form, shift):
+    banded, unit = eigensolve._banded_lowest, eigensolve._scaled(form)[1]
     monkeypatch.setattr(eigensolve, "_banded_lowest",
-                        lambda Mu, compute_v=0: (banded(Mu)[0] + 1.0, None))
+                        lambda Mu, compute_v=0: (banded(Mu)[0] + shift * unit, None))
     with pytest.raises(SolverConvergenceError, match="disagrees with dense reference") as info:
-        lowest_eigenvalue(dirichlet_laplacian(eigensolve.DENSE_LIMIT)[0])
+        lowest_eigenvalue(form)
     assert info.value.best is not None
 
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import specsub.cli
 import specsub.fixtures
 import specsub.group_spectra
+import specsub.warped_spectra
 from conftest import (an_structure, heisenberg_type_structure, rotate_algebra,
                       rotated)
 from specsub.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
@@ -573,16 +575,19 @@ def test_run_huge_operator_has_a_finite_residual():
     assert all(np.isfinite(rep.residuals))
 
 
-def test_main_verify_warped_fails_alike_in_text_and_csv(tmp_path, capsys):
-    # the CSV used to be written with exit 0.  At ||M|| ~ 1e304 every lambda0
-    # is round-off, so the two routes disagree; which side of S the modes'
-    # round-off falls on is not decided, so the inequality is checked on a
-    # deterministic violation: fiber_lambda0 1 on a circle of length 2 pi puts
-    # the right-hand side at 1/9 above the total space's lambda0
-    (tmp_path / "tiny.warp").write_text("base circle 1e-150\nwarp sinshift 1\n")
-    (tmp_path / "fiber.warp").write_text(
-        "base circle 6.283185307179586\nfiber_lambda0 1\nwarp sinshift 1\n")
-    for name, verdict in (("tiny", "MISMATCH"), ("fiber", "VIOLATED")):
+def test_main_verify_warped_fails_alike_in_text_and_csv(tmp_path, capsys, monkeypatch):
+    # the CSV used to be written with exit 0.  The mismatch comes from an S
+    # shifted down by 1, far above the solves' certified errors (about 1e-11
+    # here); the violation from fiber_lambda0 1 on a circle of length 2 pi,
+    # which puts the right-hand side at 1/9 above the total space's lambda0
+    circle = "base circle 6.283185307179586\n"
+    (tmp_path / "plain.warp").write_text(circle + "warp sinshift 1\n")
+    (tmp_path / "fiber.warp").write_text(circle + "fiber_lambda0 1\nwarp sinshift 1\n")
+    build = specsub.warped_spectra.build_schrodinger
+    for name, verdict, shift in (("plain", "MISMATCH", -1.0), ("fiber", "VIOLATED", 0.0)):
+        monkeypatch.setattr(specsub.warped_spectra, "build_schrodinger",
+                            lambda spec, n, shift=shift:
+                            replace(op := build(spec, n), diag=op.diag + shift))
         errs = []
         for fmt in ("text", "csv"):
             argv = ["verify-warped", str(tmp_path / f"{name}.warp"), "--grid", "64",
@@ -592,8 +597,38 @@ def test_main_verify_warped_fails_alike_in_text_and_csv(tmp_path, capsys):
             assert out == ""
             errs.append(err)
         assert errs[0] == errs[1]
-        assert verdict in errs[0]
+        assert verdict in errs[0] and ("VIOLATED" in errs[0]) == (verdict == "VIOLATED")
     assert "inequality slack: -0.111111111111" in errs[0]
+
+
+def test_main_verify_warped_passes_where_every_value_is_round_off(tmp_path, capsys):
+    # at ||M|| ~ 1e304 the two routes differ by 3.2e270, round-off far below
+    # the solves' certified errors; this call exited 2 with MISMATCH while
+    # the verdict used an absolute tolerance
+    (tmp_path / "tiny.warp").write_text("base circle 1e-150\nwarp sinshift 1\n")
+    for fmt in ("text", "csv"):
+        assert main(["verify-warped", str(tmp_path / "tiny.warp"), "--grid", "64",
+                     "--format", fmt]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
+def test_main_verify_warped_keeps_its_verdict_when_the_base_is_rescaled(tmp_path, capsys):
+    # the sampled 2 + sin on a circle of length 2 pi / 4096 exited 2 with a
+    # MISMATCH of 1.7e-6, and the Neumann fixture with fiber_lambda0 0.3, whose
+    # slack times 4^k is -1/30 at every k, passed at k = 12 (slack -2.0e-9)
+    wave = 2.0 + np.sin(2.0 * np.pi * np.arange(256) / 256)
+    (tmp_path / "short.warp").write_text(
+        f"base circle {2 * np.pi / 4096!r}\nwarp samples " + " ".join(map(repr, wave.tolist())))
+    assert main(["verify-warped", str(tmp_path / "short.warp"), "--grid", "256"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    wave = 2.0 + np.sin(2.0 * np.pi * (np.arange(256) + 0.5) / 256)
+    for k in (0, 12):
+        path = tmp_path / f"neumann{k}.warp"
+        path.write_text(f"base interval 0 {2 * np.pi * 2.0 ** k!r} neumann\n"
+                        "fiber_lambda0 0.3\nwarp samples "
+                        + " ".join(map(repr, (wave * 2.0 ** k).tolist())))
+        assert main(["verify-warped", str(path), "--grid", "256"]) == EXIT_SOLVER
+        assert "(VIOLATED)" in capsys.readouterr().err
 
 
 def test_main_tail_of_a_fast_growing_warp_is_finite(tmp_path, capsys):

@@ -30,7 +30,7 @@ from specsub.lie_core import (Ideal, MetricLieAlgebra, classify, derived_subalge
 from specsub.tolerances import DEFAULT
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase, WarpProfile,
                                     WarpedProductSpec, build_schrodinger,
-                                    lambda0_ess_tail, pushdown_slack)
+                                    lambda0_ess_tail, pushdown_slack, verify_warped)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 EPS = np.finfo(float).eps
@@ -307,6 +307,46 @@ def test_every_warp_command_exits_cleanly_at_any_scale(tmp_path_factory, case):
             assert (err == "") == (code == 0), err
 
 
+@st.composite
+def homothetic_warps(draw):
+    """A smooth positive sampled warp on a circle or an interval of either
+    boundary with 16 to 64 nodes, and k even in [-40, 40]: the spec, and the
+    spec with its base and its samples scaled by 2^k."""
+    n = draw(st.sampled_from([16, 32, 64]))
+    amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    x = 2.0 * np.pi * np.arange(n) / n
+    samples = np.exp(sum(a * np.sin((j + 1) * x + j) for j, a in enumerate(amps)))
+    boundary = draw(st.sampled_from([None, *Boundary]))
+    fiber_lambda0 = draw(st.sampled_from([0.0, 0.3]) | st.floats(0.0, 2.0))
+    k = 2 * draw(st.integers(-20, 20))
+
+    def spec(t):
+        length = 2.0 * np.pi * t
+        base = CircleBase(length) if boundary is None else IntervalBase(0.0, length, boundary)
+        return WarpedProductSpec(base, WarpProfile("samples", (), samples=samples * t),
+                                 fiber_lambda0=fiber_lambda0)
+    return spec(1.0), spec(2.0 ** k), k, n
+
+
+@settings(PROPERTY, max_examples=30)
+@given(homothetic_warps())
+def test_the_warped_verdict_does_not_depend_on_the_unit_of_length(tmp_path_factory, case):
+    # scaling the base and psi by 2^k multiplies every operator by exactly
+    # 4^-k; the verdicts compare values with their certified errors, which
+    # scale with them
+    spec, scaled, k, n = case
+    reps = [verify_warped(s, n) for s in (spec, scaled)]
+    lams = [rep.lambda0_modes + (rep.lambda0_schrodinger,) for rep in reps]
+    assert [lam * 4.0 ** -k for lam in lams[0]] == list(lams[1])
+    assert len({(rep.inequality_passed, rep.equality_passed) for rep in reps}) == 1
+    codes = set()
+    for s in (spec, scaled):
+        path = tmp_path_factory.mktemp("warp") / "warp.warp"
+        path.write_text(fixture_text(s))
+        codes.add(_cli(["verify-warped", str(path), "--grid", str(n)])[0])
+    assert codes == {0 if reps[0].inequality_passed and reps[0].equality_passed else 2}
+
+
 # -- the warped solver ----------------------------------------------------------
 
 @st.composite
@@ -328,7 +368,14 @@ def test_lowest_eigenvalue_certifies_and_matches_the_dense_spectrum(form):
     est = lowest_eigenvalue(form)
     M = form.dense()
     norm = np.max(np.sum(np.abs(M), axis=1))
-    assert abs(est.lambda0 - np.linalg.eigvalsh(M)[0]) <= 64 * EPS * norm
+    dense = np.linalg.eigvalsh(M)[0]
+    assert abs(est.lambda0 - dense) <= 64 * EPS * norm
+    # the error bound is the bracket's width plus the slack, each at most
+    # ULPS eps ||M|| (the solver's own row-sum norm), and it covers the
+    # dense reference with the reference's own slack
+    slack = eigensolve.ULPS * EPS * eigensolve._scaled(form)[2]
+    assert est.error <= 2 * slack
+    assert abs(dense - est.lambda0) <= est.error + slack
 
 
 @PROPERTY

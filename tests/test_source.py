@@ -1,6 +1,6 @@
 """Guards on the source itself: the package keeps one power-of-two rescaling,
-every warped solve names its grid, and every tolerance field is one that the
-presets set apart."""
+every warped solve names its grid, every tolerance field is one that the
+presets set apart, and the warped verdicts read no absolute tolerance."""
 
 import ast
 from dataclasses import fields
@@ -46,3 +46,52 @@ def test_every_tolerance_field_is_set_apart_by_the_presets():
     pairs = [(getattr(DEFAULT, f.name), getattr(STRICT, f.name)) for f in fields(Tolerances)]
     assert all(d != s for d, s in pairs), pairs
     assert len(set(pairs)) == len(pairs), pairs
+
+
+def _verdict_nodes(function: ast.FunctionDef, within: ast.AST):
+    """Every node of the comparisons in ``within``, and of the right-hand
+    sides that the names they read were assigned from in ``function``,
+    followed transitively."""
+    sources = {}
+    for node in ast.walk(function):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and node.value is not None:
+                        sources.setdefault(name.id, []).append(node.value)
+    todo = [node for node in ast.walk(within) if isinstance(node, ast.Compare)]
+    seen, nodes = set(), []
+    while todo:
+        for node in ast.walk(todo.pop()):
+            nodes.append(node)
+            if isinstance(node, ast.Name) and node.id not in seen:
+                seen.add(node.id)
+                todo.extend(sources.get(node.id, ()))
+    return nodes
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    tree = ast.parse((SRC / module).read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_the_warped_verdicts_read_no_absolute_tolerance():
+    # each solve certifies its own error bound in the units of its value; a
+    # fixed tolerance beside it makes the verdict depend on the unit of length
+    lowest = _function("eigensolve.py", "lowest_eigenvalue")
+    dense_check = next(node for node in ast.walk(lowest) if isinstance(node, ast.If)
+                       and "DENSE_LIMIT" in ast.unparse(node.test))
+    for function, within in ((_function("warped_spectra.py", "verify_warped"), None),
+                             (_function("warped_spectra.py", "lambda0_ess_tail"), None),
+                             (lowest, dense_check)):
+        nodes = _verdict_nodes(function, within or function)
+        assert len(nodes) > 20, function.name
+        floats = [n.value for n in nodes
+                  if isinstance(n, ast.Constant) and isinstance(n.value, float)]
+        names = {n.id for n in nodes if isinstance(n, ast.Name)} | \
+            {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        # a zero is no tolerance, and no factor of 1 or more is one below eps
+        assert all(v == 0.0 or v >= 1.0 for v in floats), (function.name, floats)
+        assert not {n for n in names if n.endswith("_TOL") or n == "ineq_tol"}, function.name

@@ -206,7 +206,7 @@ def test_every_operator_is_minus_one_over_h2_off_the_diagonal(base):
         for op in ops + [op.restricted(np.arange(n) >= 10) for op in ops]:
             edge = -1.0 / (op.grid.h * op.grid.h)
             assert np.all(op.off == edge) and op.off.size == op.n - 1
-            assert op.corner == (edge if op.grid.periodic else 0.0)
+            assert op.corner == (edge if op.grid.boundary is None else 0.0)
 
 
 @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e200, 1e300])
@@ -267,6 +267,37 @@ def test_inequality_reports():
         rep = verify_warped(spec, 128)
         assert rep.inequality_passed
         assert rep.slack >= -1e-8
+
+
+def test_an_infinite_fiber_term_violates_the_inequality():
+    # 1/max(psi)^2 overflows at psi = 1e-160, so the right-hand side is inf;
+    # the rounding allowance on the fiber term must not absorb it
+    rep = verify_warped(replace(warp_const(1e-160), fiber_lambda0=1.0), 64, m_max=0)
+    assert rep.rhs == np.inf and not rep.inequality_passed
+
+
+def _stepping_down(monkeypatch, drop):
+    """Make the second solve return drop times the two certified errors
+    below the first."""
+    real, ests = specsub.warped_spectra.lowest_eigenvalue, []
+
+    def solve(*args, **kwargs):
+        est = real(*args, **kwargs)
+        if len(ests) == 1:
+            est = replace(est, lambda0=ests[0].lambda0 - drop * (ests[0].error + est.error))
+        ests.append(est)
+        return est
+    monkeypatch.setattr(specsub.warped_spectra, "lowest_eigenvalue", solve)
+
+
+@pytest.mark.parametrize("drop, passed", [(0.5, True), (2.0, False)])
+def test_a_step_down_passes_only_within_the_certified_errors(monkeypatch, drop, passed):
+    # the minimum over modes at m = 0 and the tail's interlacing are exact for
+    # the discrete operators, so only the solves' errors may break them
+    _stepping_down(monkeypatch, drop)
+    assert verify_warped(warp_sinshift(1.0), 64, m_max=1).equality_passed == passed
+    _stepping_down(monkeypatch, drop)
+    assert lambda0_ess_tail(exp_interval(0.5, 20.0), [5.0, 10.0], 64).monotone == passed
 
 
 def test_exp_dirichlet_lambda0_value():
