@@ -11,7 +11,9 @@ fixture or an unwritable --out, 2 a solver result that fails certification
 or, for verify-warped, a violated inequality or a two-route mismatch (the
 text report on stderr says which, in both formats), 3 closed-form formula
 inapplicable.  A failed run writes its error to stderr, never to --out.
---seed is accepted and ignored: no computation is random.
+--seed is accepted and ignored: no computation is random.  --tol-preset
+sets the Lie cuts (tolerances.Tolerances) only: a warped solve certifies its
+own error bound and takes no tolerance.
 """
 
 from __future__ import annotations
@@ -226,8 +228,7 @@ def _check_grid(config: RunConfig):
 
 
 def _cmd_verify_warped(config: RunConfig, spec: WarpedProductSpec, name: str) -> str:
-    rep = warped_spectra.verify_warped(spec, config.grid_n, config.tolerances,
-                                       m_max=config.m_max)
+    rep = warped_spectra.verify_warped(spec, config.grid_n, config.m_max)
     rows = []
     for m, (lam, res) in enumerate(zip(rep.lambda0_modes, rep.residuals)):
         rows.append([name, config.grid_n, m, lam, res, lam - rep.rhs])
@@ -258,8 +259,7 @@ def _cmd_tail_ess(config: RunConfig, spec: WarpedProductSpec, name: str) -> str:
         a, b = spec.base.a, spec.base.b
         span = b - a
         cutoffs = list(np.linspace(a + span / 3.0, a + 2.0 * span / 3.0, 9))
-    rep = warped_spectra.lambda0_ess_tail(spec, cutoffs, config.grid_n,
-                                          config.tolerances)
+    rep = warped_spectra.lambda0_ess_tail(spec, cutoffs, config.grid_n)
     rows = [[name, config.grid_n, c, v, r]
             for c, v, r in zip(rep.cutoffs, rep.values, rep.residuals)]
     if config.fmt == "csv":
@@ -356,11 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
         if kind is WarpedProductSpec:
             q.add_argument("--grid", type=int, dest="grid_n", metavar="GRID",
                            help="grid size (power of two, 16 to 2^20)")
-            q.add_argument("--modes", type=int, dest="m_max", metavar="MODES",
-                           help="largest fiber mode to scan (>= 0)")
         if name == "quotient":
             q.add_argument("--ideal", help="comma-separated 1-based basis indices spanning "
                                            "the ideal (default: derived subalgebra)")
+        if name == "verify-warped":
+            q.add_argument("--modes", type=int, dest="m_max", metavar="MODES",
+                           help="largest fiber mode to scan (>= 0)")
         if name == "tail-ess":
             q.add_argument("--cutoffs", help="comma-separated cutoffs (default: middle third)")
     return p

@@ -13,14 +13,16 @@ lambda0; the trace is O(n) by twisted factorization and Sherman-Morrison.
 Refine: inverse iteration just below the bracket, then the Rayleigh
 quotient in extended precision, so that closed-form comparisons hold at the
 1e-12 level.  Certify: M - shift is positive definite, the result lies in
-the bracket and meets the residual target.  Nothing is random.  Small grids
-are also checked against the eigenvalues of the band matrix (LAPACK dsbev).
+the bracket and its residual is at most 40 eps * ||M||, a target that scales
+with M as the value does.  Nothing is random.  Small grids are also checked
+against the eigenvalues of the band matrix (LAPACK dsbev).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,7 +30,6 @@ import numpy as np
 
 from ._pow2 import exponent, times_pow2
 from .errors import SolverConvergenceError
-from .tolerances import DEFAULT, Tolerances
 
 # scipy is loaded by _lapack on the first solve, so that the algebra commands,
 # which build and solve no grid operator, never load it; and of scipy the
@@ -36,6 +37,7 @@ from .tolerances import DEFAULT, Tolerances
 
 REFINE_STEPS = 2    # inverse-iteration steps after the bracket
 ULPS = 64           # bracket width, shift gap, certification slack: eps * ||M|| units
+EPS = sys.float_info.epsilon    # a Python float: so is every error, and every verdict a bool
 DENSE_LIMIT = 512   # largest n that the dense cross-check covers
 
 
@@ -248,15 +250,14 @@ def dense_lowest(form: SymmetricForm, grid_n: Optional[int] = None,
     """Reference dense solve, eigenvalue and eigenvector, to ULPS * eps * ||M||."""
     Mu, unit, scale = _scaled(form)
     v = _banded_lowest(Mu, compute_v=1)[1]
-    return _estimate(Mu, unit, v, ULPS * np.finfo(float).eps * scale,
+    return _estimate(Mu, unit, v, ULPS * EPS * scale,
                      form.n if grid_n is None else grid_n, mode)
 
 
-def lowest_eigenvalue(form: SymmetricForm, tols: Tolerances = DEFAULT,
-                      grid_n: Optional[int] = None,
+def lowest_eigenvalue(form: SymmetricForm, grid_n: Optional[int] = None,
                       mode: Optional[int] = None) -> SpectrumEstimate:
     """Smallest eigenvalue of the weighted operator with symmetric form ``form``,
-    to the residual target ``tols.solver_tol``, |Mv - lambda v| / |v|.
+    to the residual target |Mv - lambda v| / |v| <= 40 eps ||M||.
 
     ``error`` is (hi - lo) + slack for the final bracket [lo, hi] and slack =
     ULPS * eps * ||M||, at most 2 * slack.  Raises SolverConvergenceError (with
@@ -267,8 +268,8 @@ def lowest_eigenvalue(form: SymmetricForm, tols: Tolerances = DEFAULT,
     Mu, unit, scale = _scaled(form)
     if form.n == 1:                     # M is its own eigenvalue
         return _estimate(Mu, unit, np.ones(1), 0.0, gn, mode)
-    tol_eff = max(tols.solver_tol, 40 * np.finfo(float).eps * (1.0 + scale))
-    slack = ULPS * np.finfo(float).eps * scale * unit
+    target = 40 * EPS * scale
+    slack = ULPS * EPS * scale * unit
     lo, hi, v = _bracket(Mu, slack)
     shift = lo - (slack or 1.0)         # slack is 0 only for M = 0
     factors = _factor(Mu, shift)
@@ -278,11 +279,11 @@ def lowest_eigenvalue(form: SymmetricForm, tols: Tolerances = DEFAULT,
         v /= math.sqrt(_dot(v, v))
     lo, hi, slack = lo / unit, hi / unit, slack / unit
     est = _estimate(Mu, unit, v, (hi - lo) + slack, gn, mode)
-    if not (definite and est.residual <= tol_eff and lo - slack <= est.lambda0 <= hi + slack):
+    if not (definite and est.residual <= target and lo - slack <= est.lambda0 <= hi + slack):
         raise SolverConvergenceError(
             f"result {est.lambda0!r} is not certified as the lowest eigenvalue: "
             f"bracket [{lo!r}, {hi!r}], residual {est.residual:.3e} "
-            f"(target {tol_eff:.3e}), M - {shift / unit!r} positive definite: "
+            f"(target {target:.3e}), M - {shift / unit!r} positive definite: "
             f"{definite}", best=est)
     if form.n <= DENSE_LIMIT:
         # values only: LAPACK dsbev, independent of the bracket and known to

@@ -1,8 +1,10 @@
-"""Every numerical tolerance used by the package.
+"""The tolerances of the Lie side, the package's only ones.
 
-The values that the two presets set differently are fields of one immutable
-record, so a report is fully determined by (fixture, grid, tolerances); the
-values that no preset changes are the module constants below.
+The cuts that the two presets set differently are fields of one immutable
+record, so a Lie report is fully determined by (fixture, tolerances); the
+cuts that no preset changes are the module constants below.  The warped
+side takes none: every solve certifies its own error bound in eps * ||M||
+of its operator (see eigensolve.lowest_eigenvalue).
 """
 
 from __future__ import annotations
@@ -23,20 +25,12 @@ class Tolerances:
     # trace's sup norm (unimodular) against sigma; Killing ranks against
     # sigma^2; the relative gap of radical_commutator_lambda0's two routes
     rank_tol: float = 1e-9
-    # spectral checks (every warped verdict reads SpectrumEstimate.error)
-    solver_tol: float = 1e-10    # residual target for the iterative eigensolver
-    ineq_tol: float = 1e-8       # drift_bound_lambda0's slack on its two hypotheses
 
 
 DEFAULT = Tolerances()
 
 # Tightened preset for small exact-integer fixtures where everything is
 # limited only by round-off.
-STRICT = Tolerances(
-    jacobi_tol=1e-12,
-    rank_tol=1e-11,
-    solver_tol=1e-11,
-    ineq_tol=1e-10,
-)
+STRICT = Tolerances(jacobi_tol=1e-12, rank_tol=1e-11)
 
 PRESETS = {"default": DEFAULT, "strict": STRICT}

@@ -33,7 +33,6 @@ import numpy as np
 
 from ._pow2 import exponent, times_pow2
 from .eigensolve import SymmetricForm, lowest_eigenvalue
-from .tolerances import DEFAULT, Tolerances
 
 
 class Boundary(str, enum.Enum):
@@ -359,20 +358,18 @@ class TailReport:
     monotone: bool
 
 
-def mode_scan(spec: WarpedProductSpec, grid_n: int, m_max: int = 8,
-              tols: Tolerances = DEFAULT):
+def mode_scan(spec: WarpedProductSpec, grid_n: int, m_max: int = 8):
     """Lowest eigenvalues of L_0, ..., L_{m_max}, one SpectrumEstimate each."""
     if m_max < 0:
         raise ValueError("the largest mode must be nonnegative")
     ops = _mode_operators(spec, grid_n, range(m_max + 1))
-    return [lowest_eigenvalue(op, tols, grid_n=grid_n, mode=m)
+    return [lowest_eigenvalue(op, grid_n=grid_n, mode=m)
             for m, op in enumerate(ops)]
 
 
-def verify_warped(spec: WarpedProductSpec, grid_n: int,
-                  tols: Tolerances = DEFAULT, m_max: int = 8) -> WarpedReport:
+def verify_warped(spec: WarpedProductSpec, grid_n: int, m_max: int = 8) -> WarpedReport:
     """The inequality and the two-route equality from one mode scan and one
-    S solve, each solve to the residual target ``tols.solver_tol``.
+    S solve, each certified by ``lowest_eigenvalue`` with its own error bound.
 
     Inequality: total-space bottom (min over modes) >= base Schrodinger
     bottom + fiber term.  Equality: the two routes to the bottom of the
@@ -381,10 +378,10 @@ def verify_warped(spec: WarpedProductSpec, grid_n: int,
     and the mode scan attains its minimum at m = 0.  Each verdict allows the
     certified errors of the values it compares, in the units of the values.
     """
-    ests = mode_scan(spec, grid_n, m_max, tols)
+    ests = mode_scan(spec, grid_n, m_max)
     low = min(ests, key=lambda e: e.lambda0)
     top = np.max(_sample(spec, grid_n)[2])
-    s_est = lowest_eigenvalue(build_schrodinger(spec, grid_n), tols, grid_n=grid_n)
+    s_est = lowest_eigenvalue(build_schrodinger(spec, grid_n), grid_n=grid_n)
     with np.errstate(over="ignore", divide="ignore"):     # 1/max(psi)^2 may not fit
         fiber = spec.fiber_lambda0 * float(1.0 / (top * top)) if spec.fiber_lambda0 else 0.0
     rhs = s_est.lambda0 + fiber
@@ -399,7 +396,7 @@ def verify_warped(spec: WarpedProductSpec, grid_n: int,
 
 
 def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
-                     grid_n: int, tols: Tolerances = DEFAULT) -> TailReport:
+                     grid_n: int) -> TailReport:
     """Bottom of S restricted (Dirichlet) beyond each cutoff, as a tail estimate.
 
     Restriction is the principal submatrix on nodes past the cutoff, so the
@@ -419,19 +416,19 @@ def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
         mask = op.grid.x > c
         if np.count_nonzero(mask) < 4:
             raise ValueError(f"cutoff {c} leaves too few grid nodes")
-        ests.append(lowest_eigenvalue(op.restricted(mask), tols, grid_n=grid_n))
+        ests.append(lowest_eigenvalue(op.restricted(mask), grid_n=grid_n))
     mono = all(b.lambda0 >= a.lambda0 - (a.error + b.error) for a, b in zip(ests, ests[1:]))
     return TailReport(spec.name, grid_n, tuple(cutoffs), tuple(e.lambda0 for e in ests),
                       tuple(e.residual for e in ests), mono)
 
 
-def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int,
-                        tols: Tolerances = DEFAULT) -> float:
+def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int) -> float:
     """Lower bound (sqrt(lambda0(base)) - C/2)^2 for lambda0(S).
 
     Requires k |psi'/psi| <= C at every grid node (psi' as the mean slope
     of the node's edges: a centered difference, one-sided at a Neumann end)
-    and 0 <= C <= 2 sqrt(lambda0 of the plain base Laplacian).
+    and 0 <= C <= 2 sqrt(lambda0 of the plain base Laplacian), both checked
+    as stated: C, the drift and sqrt(lambda0) all scale with 1/length.
     """
     if not 0.0 <= C < math.inf:
         raise ValueError(f"the drift bound C must be finite and nonnegative, got {C!r}")
@@ -441,14 +438,14 @@ def drift_bound_lambda0(spec: WarpedProductSpec, C: float, grid_n: int,
     deriv = grid.fold(slope, slope) / grid.fold(ones, ones)
     drift = spec.fiber_dim * np.abs(deriv / psi)
     worst = int(np.argmax(drift))
-    if drift[worst] > C + tols.ineq_tol:
+    if drift[worst] > C:
         raise ValueError(
             f"|H| bound violated at node {worst} (x = {grid.x[worst]:.6g}): "
             f"{drift[worst]:.6g} > {C:.6g}")
     flat = replace(spec, warp=WarpProfile("const", (1.0,)))
-    lam_base = max(lowest_eigenvalue(build_schrodinger(flat, grid_n), tols,
+    lam_base = max(lowest_eigenvalue(build_schrodinger(flat, grid_n),
                                      grid_n=grid_n).lambda0, 0.0)
-    if C > 2.0 * np.sqrt(lam_base) + tols.ineq_tol:
+    if C > 2.0 * np.sqrt(lam_base):
         raise ValueError(
             f"need C <= 2 sqrt(lambda0(base)) = {2*np.sqrt(lam_base):.6g}, got {C:.6g}")
     return float((np.sqrt(lam_base) - C / 2.0) ** 2)

@@ -6,7 +6,7 @@ from conftest import smoothed_random_warp
 from specsub import eigensolve
 from specsub.eigensolve import SymmetricForm, dense_lowest, lowest_eigenvalue
 from specsub.errors import SolverConvergenceError
-from specsub.fixtures import warp_const
+from specsub.fixtures import warp_const, warp_sinshift
 from specsub.warped_spectra import (CircleBase, WarpedProductSpec, WarpProfile,
                                     build_schrodinger, build_warped_mode)
 
@@ -161,6 +161,27 @@ def test_nonconvergence_carries_best_iterate(monkeypatch):
     assert best is not None
     assert np.isfinite(best.lambda0)
     assert best.lambda0 == pytest.approx(dense_lowest(form).lambda0, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [-4, 0, 4, 6, 8, 20, 40])
+def test_a_degraded_eigenvector_fails_at_every_scale(monkeypatch, k):
+    # with no refinement, a start vector 1e-7 off along the cos mode leaves a
+    # residual of about 7e4 eps ||M||; scaling M by 4^-k scales the value and
+    # the residual alike, so the residual target must scale with ||M|| too:
+    # an absolute floor would certify this residual once ||M|| 4^-k is small
+    form = build_schrodinger(warp_sinshift(1.0), 256)
+    cos = np.cos(2.0 * np.pi * np.arange(256) / 256) / np.sqrt(128.0)
+    bracket = eigensolve._bracket
+
+    def degraded(*args):
+        lo, hi, v = bracket(*args)
+        return lo, hi, v + 1e-7 * cos
+
+    monkeypatch.setattr(eigensolve, "REFINE_STEPS", 0)
+    monkeypatch.setattr(eigensolve, "_bracket", degraded)
+    with pytest.raises(SolverConvergenceError, match="not certified") as info:
+        lowest_eigenvalue(times(form, 4.0 ** -k))
+    assert info.value.best.residual > 40 * EPS * 4.0 ** -k * eigensolve._scaled(form)[2]
 
 
 def test_determinism():

@@ -768,6 +768,14 @@ def test_verify_warped_usage_names_each_option_as_before(capsys, monkeypatch):
         "                             fixture\n")
 
 
+def test_tail_ess_takes_no_modes(capsys):
+    # tail-ess scans no fiber modes, so an option it would ignore is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["tail-ess", "exp", "--modes", "3"])
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments: --modes 3" in capsys.readouterr().err
+
+
 def test_python_dash_m_runs_the_cli():
     _python("-m", "specsub", "--help")
 

@@ -1,12 +1,17 @@
 """Guards on the source itself: the package keeps one power-of-two rescaling,
 every warped solve names its grid, every tolerance field is one that the
-presets set apart, and the warped verdicts read no absolute tolerance."""
+presets set apart, the tolerances are the Lie side's alone, and the warped
+verdicts and solves read no absolute tolerance."""
 
 import ast
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
+from specsub.eigensolve import lowest_eigenvalue
 from specsub.tolerances import DEFAULT, STRICT, Tolerances
+from specsub.warped_spectra import (drift_bound_lambda0, lambda0_ess_tail, mode_scan,
+                                    verify_warped)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "specsub"
 
@@ -48,10 +53,26 @@ def test_every_tolerance_field_is_set_apart_by_the_presets():
     assert len(set(pairs)) == len(pairs), pairs
 
 
-def _verdict_nodes(function: ast.FunctionDef, within: ast.AST):
-    """Every node of the comparisons in ``within``, and of the right-hand
-    sides that the names they read were assigned from in ``function``,
-    followed transitively."""
+def test_the_warped_side_takes_no_tolerances():
+    # every warped solve certifies its own error bound in eps ||M|| of its
+    # operator, so the tolerance record holds the Lie cuts alone
+    for module in ("eigensolve.py", "warped_spectra.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {getattr(node, "module", None) or ""}
+                imported |= {alias.name for alias in node.names}
+        assert not [name for name in imported if "tolerances" in name], module
+    assert [f.name for f in fields(Tolerances)] == ["jacobi_tol", "rank_tol"]
+    for function in (lowest_eigenvalue, mode_scan, verify_warped, lambda0_ess_tail,
+                     drift_bound_lambda0):
+        assert "tols" not in inspect.signature(function).parameters, function.__name__
+
+
+def _verdict_nodes(function: ast.FunctionDef):
+    """Every node of the comparisons in ``function``, and of the right-hand
+    sides that the names they read were assigned from there, followed
+    transitively."""
     sources = {}
     for node in ast.walk(function):
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -60,7 +81,7 @@ def _verdict_nodes(function: ast.FunctionDef, within: ast.AST):
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name) and node.value is not None:
                         sources.setdefault(name.id, []).append(node.value)
-    todo = [node for node in ast.walk(within) if isinstance(node, ast.Compare)]
+    todo = [node for node in ast.walk(function) if isinstance(node, ast.Compare)]
     seen, nodes = set(), []
     while todo:
         for node in ast.walk(todo.pop()):
@@ -79,14 +100,15 @@ def _function(module: str, name: str) -> ast.FunctionDef:
 
 def test_the_warped_verdicts_read_no_absolute_tolerance():
     # each solve certifies its own error bound in the units of its value; a
-    # fixed tolerance beside it makes the verdict depend on the unit of length
-    lowest = _function("eigensolve.py", "lowest_eigenvalue")
-    dense_check = next(node for node in ast.walk(lowest) if isinstance(node, ast.If)
-                       and "DENSE_LIMIT" in ast.unparse(node.test))
-    for function, within in ((_function("warped_spectra.py", "verify_warped"), None),
-                             (_function("warped_spectra.py", "lambda0_ess_tail"), None),
-                             (lowest, dense_check)):
-        nodes = _verdict_nodes(function, within or function)
+    # fixed tolerance beside it makes the verdict depend on the unit of length.
+    # lowest_eigenvalue's certification and dense check, and the drift
+    # bound's two hypotheses, are comparisons of these functions too
+    for module, name in (("warped_spectra.py", "verify_warped"),
+                         ("warped_spectra.py", "lambda0_ess_tail"),
+                         ("warped_spectra.py", "drift_bound_lambda0"),
+                         ("eigensolve.py", "lowest_eigenvalue")):
+        function = _function(module, name)
+        nodes = _verdict_nodes(function)
         assert len(nodes) > 20, function.name
         floats = [n.value for n in nodes
                   if isinstance(n, ast.Constant) and isinstance(n.value, float)]
@@ -94,4 +116,4 @@ def test_the_warped_verdicts_read_no_absolute_tolerance():
             {n.attr for n in nodes if isinstance(n, ast.Attribute)}
         # a zero is no tolerance, and no factor of 1 or more is one below eps
         assert all(v == 0.0 or v >= 1.0 for v in floats), (function.name, floats)
-        assert not {n for n in names if n.endswith("_TOL") or n == "ineq_tol"}, function.name
+        assert not {n for n in names if n.upper().endswith("_TOL") or n == "tols"}, function.name

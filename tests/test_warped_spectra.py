@@ -1,16 +1,16 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import specsub.warped_spectra
-from specsub.eigensolve import lowest_eigenvalue
+from specsub.eigensolve import dense_lowest, lowest_eigenvalue
 from specsub.fixtures import warp_const, warp_exp, warp_sinshift
-from specsub.tolerances import STRICT
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase,
                                     WarpProfile, WarpedProductSpec, _sample, base_grid,
                                     build_schrodinger, build_warped_mode,
-                                    drift_bound_lambda0, lambda0_ess_tail, mode_scan,
+                                    drift_bound_lambda0, lambda0_ess_tail,
                                     pushdown, pushdown_slack, rayleigh_2d,
                                     verify_warped)
 
@@ -240,26 +240,16 @@ def test_equality_sinshift_and_exp():
         assert rep.lambda0_total == rep.lambda0_modes[0]
 
 
-def test_every_solve_takes_the_callers_tolerances(monkeypatch):
-    # the residual target is Tolerances.solver_tol, so a strict preset must
-    # reach every solve, not only the CLI's
-    seen = []
-    real = specsub.warped_spectra.lowest_eigenvalue
-
-    def recording(form, tols, *args, **kwargs):
-        seen.append(tols)
-        return real(form, tols, *args, **kwargs)
-
-    monkeypatch.setattr(specsub.warped_spectra, "lowest_eigenvalue", recording)
-    spec = exp_interval(0.1, 20.0)
-    calls = {"verify_warped": (lambda: verify_warped(warp_sinshift(1.0), 64, STRICT), 10),
-             "mode_scan": (lambda: mode_scan(warp_sinshift(1.0), 64, 3, STRICT), 4),
-             "lambda0_ess_tail": (lambda: lambda0_ess_tail(spec, [5.0, 10.0], 64, STRICT), 2),
-             "drift_bound_lambda0": (lambda: drift_bound_lambda0(spec, 0.2, 64, STRICT), 1)}
-    for name, (call, solves) in calls.items():
-        seen.clear()
-        call()
-        assert len(seen) == solves and all(t is STRICT for t in seen), name
+def test_the_verdicts_and_errors_are_python_values():
+    # a numpy bool is not a bool to `is`, and json.dumps rejects it
+    spec = warp_sinshift(1.0)
+    rep = verify_warped(spec, 64)
+    assert type(rep.inequality_passed) is bool and type(rep.equality_passed) is bool
+    assert json.dumps([rep.inequality_passed, rep.equality_passed]) == "[true, true]"
+    op = build_schrodinger(spec, 64)
+    for est in (lowest_eigenvalue(op), dense_lowest(op),
+                lowest_eigenvalue(op.restricted(np.arange(64) == 3))):
+        assert type(est.error) is float
 
 
 def test_inequality_reports():
