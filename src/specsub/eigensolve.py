@@ -6,10 +6,10 @@ e_{n-1}, has no corner, so M - s is positive definite exactly when dpttrf
 factors T+ - s and g(s) = 1 - |o| w^T (T+ - s)^{-1} w > 0.  Bracket: lo rises
 from the Gershgorin bound to shifts certified so, hi falls from the Rayleigh
 quotient of the ones vector to shifts that fail and to the Rayleigh quotient
-of an inverse-iteration step at each certified one.  The next shift is the
-largest of the midpoint, hi minus that step's residual and the Newton step
-s + 1 / tr (M - s)^{-1} on det(M - s), which from below never passes
-lambda0; the trace is O(n) by twisted factorization and Sherman-Morrison.
+of an inverse-iteration step at each certified one.  After a certified
+shift the next is the larger of the midpoint and hi minus that step's
+residual (an eigenvalue lies within the residual of a Rayleigh quotient);
+after a failed one, the midpoint.  One dpttrf per shift.
 Refine: inverse iteration just below the bracket, then the Rayleigh
 quotient in extended precision, so that closed-form comparisons hold at the
 1e-12 level.  Certify: M - shift is positive definite, the result lies in
@@ -172,32 +172,27 @@ def _lapack():
 
 
 def _factor(Mu: SymmetricForm, s: float):
-    """dpttrf's factors of T+ - s, z = (T+ - s)^{-1} w, g(s) and
-    tr (M - s)^{-1}, or None unless M - s is positive definite: T+ - s
-    factors from both ends and g(s) > 0."""
+    """dpttrf's factors of T+ - s, z = (T+ - s)^{-1} w and g(s), or None
+    unless M - s is positive definite: T+ - s factors and g(s) > 0."""
     lapack = _lapack()
     rho, sign = abs(Mu.corner), np.sign(Mu.corner)
     upper = Mu.diag - s
     upper[[0, -1]] += rho
     fd, fe, info = lapack.dpttrf(upper, Mu.off)
-    back, _, info_back = lapack.dpttrf(upper[::-1], Mu.off[::-1])
-    if info or info_back:
+    if info:
         return None
-    # (T+ - s)^{-1} has the diagonal 1 / (forward + backward pivots - (T+ - s))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        trace = float(np.sum(1.0 / (fd + back[::-1] - upper)))
     if not rho:
-        return fd, fe, 0.0, 1.0, trace
+        return fd, fe, 0.0, 1.0
     w = np.zeros(Mu.n)
     w[0], w[-1] = 1.0, -sign
     z = lapack.dpttrs(fd, fe, w)[0]
     g = 1.0 - rho * (z[0] - sign * z[-1])
-    return (fd, fe, z, g, trace + rho * _dot(z, z) / g) if g > 0.0 else None
+    return (fd, fe, z, g) if g > 0.0 else None
 
 
 def _solve(Mu: SymmetricForm, factors, b):
     """(M - s)^{-1} b from ``_factor(Mu, s)``, by Sherman-Morrison."""
-    fd, fe, z, g, _ = factors
+    fd, fe, z, g = factors
     y = _lapack().dpttrs(fd, fe, b)[0]
     return y + z * (abs(Mu.corner) * (y[0] - np.sign(Mu.corner) * y[-1]) / g)
 
@@ -219,11 +214,10 @@ def _bracket(Mu: SymmetricForm, resolution: float):
             rq = _dot(v, Mv)
             r = Mv - rq * v
             lo, hi = s, min(hi, rq)
-            # Newton on det(M - s) from below never passes lambda0; an eigenvalue
-            # lies within |r| of rq >= hi (Krylov-Bogolyubov): lambda0 once v is near it
-            guess = max(s + 1.0 / f[4] if f[4] > 0.0 else s, hi - math.sqrt(_dot(r, r)))
-        # the midpoint halves [lo, hi] at every certified shift, where Newton
-        # alone creeps (lo many gaps below lambda0, or lambda0 nearly double)
+            # an eigenvalue lies within |r| of rq >= hi (Krylov-Bogolyubov):
+            # lambda0 once v is near it
+            guess = hi - math.sqrt(_dot(r, r))
+        # the midpoint halves [lo, hi] while v is still far from the ground state
         s = min(max(guess, 0.5 * (lo + hi), lo + 0.25 * resolution),
                 hi - 0.25 * resolution)
     return lo, hi, v

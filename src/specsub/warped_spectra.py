@@ -359,12 +359,14 @@ class TailReport:
 
 
 def mode_scan(spec: WarpedProductSpec, grid_n: int, m_max: int = 8):
-    """Lowest eigenvalues of L_0, ..., L_{m_max}, one SpectrumEstimate each."""
+    """Lowest eigenvalues of L_0, ..., L_{m_max}, one SpectrumEstimate each,
+    solved as they are drawn, so that a caller holds only what it keeps.
+    m_max is checked at the call, the operators as they are built."""
     if m_max < 0:
         raise ValueError("the largest mode must be nonnegative")
     ops = _mode_operators(spec, grid_n, range(m_max + 1))
-    return [lowest_eigenvalue(op, grid_n=grid_n, mode=m)
-            for m, op in enumerate(ops)]
+    return (lowest_eigenvalue(op, grid_n=grid_n, mode=m)
+            for m, op in enumerate(ops))
 
 
 def verify_warped(spec: WarpedProductSpec, grid_n: int, m_max: int = 8) -> WarpedReport:
@@ -378,21 +380,23 @@ def verify_warped(spec: WarpedProductSpec, grid_n: int, m_max: int = 8) -> Warpe
     and the mode scan attains its minimum at m = 0.  Each verdict allows the
     certified errors of the values it compares, in the units of the values.
     """
-    ests = mode_scan(spec, grid_n, m_max)
-    low = min(ests, key=lambda e: e.lambda0)
+    # (lambda0, error, residual) of each mode: not its n-vector
+    modes = [(e.lambda0, e.error, e.residual) for e in mode_scan(spec, grid_n, m_max)]
+    low, low_err, _ = min(modes, key=lambda m: m[0])
+    zero, zero_err, _ = modes[0]
     top = np.max(_sample(spec, grid_n)[2])
     s_est = lowest_eigenvalue(build_schrodinger(spec, grid_n), grid_n=grid_n)
     with np.errstate(over="ignore", divide="ignore"):     # 1/max(psi)^2 may not fit
         fiber = spec.fiber_lambda0 * float(1.0 / (top * top)) if spec.fiber_lambda0 else 0.0
     rhs = s_est.lambda0 + fiber
-    diff = abs(ests[0].lambda0 - s_est.lambda0)
+    diff = abs(zero - s_est.lambda0)
     # the fiber term is rounded three times; an infinite one gives nan: failed
-    passed = low.lambda0 - rhs + 4 * sys.float_info.epsilon * fiber >= -(low.error + s_est.error)
-    return WarpedReport(spec.name, grid_n, tuple(e.lambda0 for e in ests), low.lambda0,
-                        s_est.lambda0, rhs, low.lambda0 - rhs,
-                        tuple(e.residual for e in ests) + (s_est.residual,), passed, diff,
-                        diff <= ests[0].error + s_est.error
-                        and low.lambda0 >= ests[0].lambda0 - (ests[0].error + low.error))
+    passed = low - rhs + 4 * sys.float_info.epsilon * fiber >= -(low_err + s_est.error)
+    return WarpedReport(spec.name, grid_n, tuple(m[0] for m in modes), low,
+                        s_est.lambda0, rhs, low - rhs,
+                        tuple(m[2] for m in modes) + (s_est.residual,), passed, diff,
+                        diff <= zero_err + s_est.error
+                        and low >= zero - (zero_err + low_err))
 
 
 def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],

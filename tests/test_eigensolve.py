@@ -256,16 +256,18 @@ def test_start_orthogonal_to_the_ground_state(n, circle):
                                             abs=64 * EPS * 4.0)
 
 
-@pytest.mark.parametrize("warp, most", [("sampled", 30), ("const", 2)])
+def _sampled_circle(n):
+    return WarpedProductSpec(CircleBase(2 * np.pi), WarpProfile("samples", (), samples=(
+        smoothed_random_warp(np.random.default_rng(600), n))))
+
+
+@pytest.mark.parametrize("warp, most", [("sampled", 12), ("const", 2)])
 def test_factorizations_per_solve(monkeypatch, warp, most):
-    # Newton steps from below alone take about 120 factorizations per solve
-    # on this rough sampled warp, whose Gershgorin bound lies hundreds of
-    # gaps below lambda0 (the midpoint alone 18, with the residual step 9);
-    # the constant-warp circle needs only the refine's
+    # this rough sampled warp's Gershgorin bound lies hundreds of gaps below
+    # lambda0: the midpoint alone takes 18 factorizations per solve, with the
+    # residual step 9; the constant-warp circle needs only the refine's
     n = 2048
-    spec = warp_const(1.0) if warp == "const" else WarpedProductSpec(
-        CircleBase(2 * np.pi), WarpProfile("samples", (), samples=smoothed_random_warp(
-            np.random.default_rng(600), n)))
+    spec = warp_const(1.0) if warp == "const" else _sampled_circle(n)
     counts = []
     factor = eigensolve._factor
 
@@ -279,6 +281,35 @@ def test_factorizations_per_solve(monkeypatch, warp, most):
         counts.append(0)
         lowest_eigenvalue(op)
     assert max(counts) <= most, counts
+
+
+def test_one_dpttrf_per_shift(monkeypatch):
+    # a forward dpttrf that succeeds shows M - s + E positive definite, |E| a
+    # few eps ||M||, so each shift, certified or not, is factored once
+    lapack = eigensolve._lapack()
+    counts = {"dpttrf": 0, "factor": 0}
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(lapack, name)
+
+        def dpttrf(self, *args, **kwargs):
+            counts["dpttrf"] += 1
+            return lapack.dpttrf(*args, **kwargs)
+
+    factor = eigensolve._factor
+
+    def counting(*args):
+        counts["factor"] += 1
+        return factor(*args)
+
+    monkeypatch.setattr(eigensolve, "_lapack", Counting)
+    monkeypatch.setattr(eigensolve, "_factor", counting)
+    spec = _sampled_circle(2048)
+    for form in (build_schrodinger(spec, 2048), build_warped_mode(spec, 3, 2048),
+                 dirichlet_laplacian(256)[0]):
+        lowest_eigenvalue(form)
+    assert counts["dpttrf"] == counts["factor"] > 0, counts
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])

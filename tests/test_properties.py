@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (an_structure, change_basis, heisenberg_type_structure,
-                      rotate_algebra, rotated, trace_functional)
+                      rotate_algebra, rotated, smoothed_random_warp, trace_functional)
 from specsub import eigensolve
 from specsub.cli import main
 from specsub.eigensolve import SymmetricForm, lowest_eigenvalue
@@ -29,8 +29,8 @@ from specsub.lie_core import (Ideal, MetricLieAlgebra, classify, derived_subalge
                               full_ideal, mean_curvature, quotient_algebra, validate)
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase, WarpProfile,
                                     WarpedProductSpec, _sample, build_schrodinger,
-                                    drift_bound_lambda0, lambda0_ess_tail, pushdown_slack,
-                                    verify_warped)
+                                    drift_bound_lambda0, lambda0_ess_tail, mode_scan,
+                                    pushdown_slack, verify_warped)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 EPS = np.finfo(float).eps
@@ -512,6 +512,47 @@ def test_pushdown_slack_is_nonnegative(case):
             pushdown_slack(spec, f2d, f2d.shape[0])
     else:
         assert pushdown_slack(spec, f2d, f2d.shape[0]) >= -1e-8
+
+
+def _bottoms(spec, n):
+    """(lambda0, certified error) of S and of L_0, ..., L_4."""
+    ests = [lowest_eigenvalue(build_schrodinger(spec, n)), *mode_scan(spec, n, 4)]
+    return [(e.lambda0, e.error) for e in ests]
+
+
+def _agree(a, b):
+    return all(abs(x - y) <= ex + ey for (x, ex), (y, ey) in zip(a, b))
+
+
+@settings(PROPERTY, max_examples=10)
+@given(st.integers(0, 2**32 - 1))
+def test_coverings_keep_the_bottom_of_the_spectrum(seed):
+    # a finite cyclic cover (Brooks: an amenable covering) keeps lambda0: the
+    # lift of the base's positive ground state is positive, so it is the
+    # cover's (Perron-Frobenius, every off-diagonal is -1/h^2)
+    n = 64
+    samples = smoothed_random_warp(np.random.default_rng(seed), n)
+    base = _bottoms(WarpedProductSpec(CircleBase(2 * np.pi),
+                                      WarpProfile("samples", (), samples=samples)), n)
+    for k in (2, 3, 8):
+        cover = WarpedProductSpec(CircleBase(2 * np.pi * k),
+                                  WarpProfile("samples", (), samples=np.tile(samples, k)))
+        assert _agree(_bottoms(cover, k * n), base), k
+    # the mirror edge of the doubled circle carries no flux, as a Neumann end;
+    # the ground state is even
+    neumann = WarpedProductSpec(IntervalBase(0.0, np.pi, Boundary.NEUMANN),
+                                WarpProfile("samples", (), samples=samples))
+    double = WarpedProductSpec(CircleBase(2 * np.pi), WarpProfile(
+        "samples", (), samples=np.r_[samples, samples[::-1]]))
+    assert _agree(_bottoms(neumann, n), _bottoms(double, 2 * n))
+    # the infinite cyclic cover: j periods of the 8-fold cover's S, Dirichlet
+    # at the cuts, interlace downwards to the base's lambda0 and stay above it
+    S = build_schrodinger(cover, 8 * n)
+    cut = [lowest_eigenvalue(S.restricted(np.arange(8 * n) < j * n)) for j in range(1, 8)]
+    lam, err = base[0]
+    for a, b in zip(cut, cut[1:]):
+        assert b.lambda0 <= a.lambda0 + a.error + b.error
+    assert all(e.lambda0 >= lam - (e.error + err) for e in cut)
 
 
 # -- the fixture parser ---------------------------------------------------------

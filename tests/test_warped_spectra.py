@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -264,6 +265,21 @@ def test_an_infinite_fiber_term_violates_the_inequality():
     # the rounding allowance on the fiber term must not absorb it
     rep = verify_warped(replace(warp_const(1e-160), fiber_lambda0=1.0), 64, m_max=0)
     assert rep.rhs == np.inf and not rep.inequality_passed
+
+
+def test_the_mode_scan_holds_no_vector_per_mode():
+    # verify_warped keeps three numbers of each mode, not its n-vector, so
+    # its memory does not grow with m_max
+    verify_warped(warp_sinshift(1.0), 64, m_max=0)      # scipy's LAPACK loaded
+    peaks = []
+    for m_max in (8, 64):
+        tracemalloc.start()
+        try:
+            verify_warped(warp_sinshift(1.0), 16384, m_max)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2**20, peaks
 
 
 def _stepping_down(monkeypatch, drop):
