@@ -12,8 +12,9 @@ or, for verify-warped, a violated inequality or a two-route mismatch (the
 text report on stderr says which, in both formats), 3 closed-form formula
 inapplicable.  A failed run writes its error to stderr, never to --out.
 --seed is accepted and ignored: no computation is random.  --tol-preset
-sets the Lie cuts (tolerances.Tolerances) only: a warped solve certifies its
-own error bound and takes no tolerance.
+sets the Lie cuts (tolerances.Tolerances) once, on the resolved algebra
+(``MetricLieAlgebra.tols``), which every Lie decision reads; a warped solve
+certifies its own error bound and takes no tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -106,8 +107,8 @@ def _fixture_name(config: RunConfig, fix) -> str:
     return name
 
 
-def _validated(alg: MetricLieAlgebra, tols: Tolerances):
-    rep = validate(alg, tols)
+def _validated(alg: MetricLieAlgebra):
+    rep = validate(alg)
     if not rep.ok:
         raise FixtureParseError(
             "fixture failed validation: antisymmetry residual "
@@ -128,15 +129,15 @@ def _finite(rows):
 def _cmd_analyze(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
     if config.fmt == "csv":
         # the frozen contract: an invalid algebra is a valid=false row, exit 0
-        vrep = validate(alg, config.tolerances)
-        crep = classify(alg, config.tolerances) if vrep.ok else None
+        vrep = validate(alg)
+        crep = classify(alg) if vrep.ok else None
         row = [name, vrep.ok]
         row += ([crep.unimodular, crep.solvable, crep.nilpotent, crep.semisimple,
                  crep.amenable, crep.radical.dim, crep.numerically_marginal]
                 if crep else [None] * 7)
         return _csv("analyze", [row])
-    vrep = _validated(alg, config.tolerances)
-    crep = classify(alg, config.tolerances)
+    vrep = _validated(alg)
+    crep = classify(alg)
     lines = [f"fixture: {name}",
              f"valid: true (antisymmetry {vrep.antisymmetry_residual:.2e}, "
              f"jacobi {vrep.jacobi_residual:.2e}, min metric eig "
@@ -154,8 +155,8 @@ def _cmd_analyze(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
 
 
 def _group_rows(config: RunConfig, alg: MetricLieAlgebra, name: str, exact=False):
-    crep = classify(alg, config.tolerances)
-    rep = group_spectra.group_spectrum_report(alg, config.tolerances, report=crep)
+    crep = classify(alg)
+    rep = group_spectra.group_spectrum_report(alg, report=crep)
     if exact and not crep.amenable:
         # exact lambda0 has no closed form here, whether or not a bound overflows
         raise FormulaInapplicableError(
@@ -197,10 +198,10 @@ def _cmd_quotient(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
             raise FixtureParseError(f"--ideal indices must be in 1..{alg.dim}")
         n_ideal = Ideal(alg, np.eye(alg.dim)[idx])
     else:
-        n_ideal = derived_subalgebra(alg, tols=config.tolerances)
+        n_ideal = derived_subalgebra(alg)
     if n_ideal.dim == 0:
         raise FixtureParseError("the requested ideal is zero; nothing to quotient")
-    rep = group_spectra.quotient_bound(alg, n_ideal, config.tolerances)
+    rep = group_spectra.quotient_bound(alg, n_ideal)
     rows = _finite([[name, n_ideal.dim, rep.H_norm2, rep.tr_ad_H,
                      rep.lambda0_N, rep.lambda0_quotient, rep.lower_bound,
                      rep.equality_expected, rep.partial]])
@@ -304,8 +305,10 @@ def run(config: RunConfig) -> RunResult:
             raise FixtureParseError(f"this command needs a {noun} fixture")
         if kind is WarpedProductSpec:
             _check_grid(config)
-        elif config.command != "analyze":
-            _validated(fix, config.tolerances)
+        else:
+            fix = replace(fix, tols=config.tolerances)
+            if config.command != "analyze":
+                _validated(fix)
         return RunResult(EXIT_OK, handler(config, fix, _fixture_name(config, fix)))
     except (FixtureParseError, NotAnIdealError, ValueError) as exc:
         return RunResult(EXIT_VALIDATION, f"error: {exc}\n")
@@ -374,8 +377,12 @@ def config_from_args(args) -> RunConfig:
         opts["tolerances"] = PRESETS[opts.pop("tol_preset")]
     for key, parse in (("ideal", int), ("cutoffs", float)):
         text = opts.pop(key, None)
-        if text:
-            opts[key] = tuple(parse(t) for t in text.split(","))
+        if text is not None:            # an empty list is a usage error, not the default
+            try:
+                opts[key] = tuple(parse(t) for t in text.split(","))
+            except ValueError:
+                raise ValueError(f"--{key} needs comma-separated {parse.__name__} values, "
+                                 f"got {text!r}") from None
     return RunConfig(**opts)
 
 

@@ -128,31 +128,34 @@ def warp_exp(a: float = 0.5, b: Optional[float] = None,
 
 
 LIE_BUILTINS = {
-    "heisenberg3": lambda c: heisenberg3(),
-    "affine2": lambda c: affine2(c if c is not None else 1.0),
-    "so3": lambda c: so3(),
-    "sl2": lambda c: sl2(),
-    "paper_example3": lambda c: paper_example3(),
-    "abelian1": lambda c: abelian(1),
-    "abelian2": lambda c: abelian(2),
-    "abelian3": lambda c: abelian(3),
-    "abelian4": lambda c: abelian(4),
-    "abelian5": lambda c: abelian(5),
+    "heisenberg3": heisenberg3,
+    "affine2": affine2,
+    "so3": so3,
+    "sl2": sl2,
+    "paper_example3": paper_example3,
+    "abelian1": lambda: abelian(1),
+    "abelian2": lambda: abelian(2),
+    "abelian3": lambda: abelian(3),
+    "abelian4": lambda: abelian(4),
+    "abelian5": lambda: abelian(5),
 }
 
-WARP_BUILTINS = {
-    "const": lambda c: warp_const(c if c is not None else 1.0),
-    "sinshift": lambda c: warp_sinshift(c if c is not None else 1.0),
-    "exp": lambda c: warp_exp(c if c is not None else 0.5),
-}
+WARP_BUILTINS = {"const": warp_const, "sinshift": warp_sinshift, "exp": warp_exp}
+
+# the catalog entries whose one parameter --c sets; no other fixture takes one
+_PARAMETERIZED = ("affine2", "const", "exp", "sinshift")
+_NO_PARAMETER = f"--c applies to the catalog fixtures {', '.join(_PARAMETERIZED)} only"
 
 
 def catalog_fixture(name: str, c: Optional[float] = None) -> Fixture:
-    if name in LIE_BUILTINS:
-        return LIE_BUILTINS[name](c)
-    if name in WARP_BUILTINS:
-        return WARP_BUILTINS[name](c)
-    raise KeyError(f"unknown fixture {name!r}")
+    make = LIE_BUILTINS.get(name) or WARP_BUILTINS.get(name)
+    if make is None:
+        raise KeyError(f"unknown fixture {name!r}")
+    if c is None:
+        return make()
+    if name not in _PARAMETERIZED:
+        raise ValueError(f"{name} takes no parameter: {_NO_PARAMETER}")
+    return make(c)
 
 
 # -- serialization -------------------------------------------------------------
@@ -453,13 +456,13 @@ def parse_fixture(path: str) -> Fixture:
 def resolve_fixture(name_or_path: str, c: Optional[float] = None) -> Fixture:
     """Resolve a CLI input: override directory, then a path, then the catalog."""
     override = os.environ.get(FIXTURE_DIR_ENV)
-    if override:
-        for cand in (name_or_path, name_or_path + ".lie", name_or_path + ".warp"):
-            p = os.path.join(override, cand)
-            if os.path.isfile(p):
-                return parse_fixture(p)
-    if os.path.isfile(name_or_path):
-        return parse_fixture(name_or_path)
+    paths = [os.path.join(override, name_or_path + ext)
+             for ext in ("", ".lie", ".warp")] if override else []
+    for p in paths + [name_or_path]:
+        if os.path.isfile(p):
+            if c is not None:
+                raise FixtureParseError(f"{p!r} is a fixture file: {_NO_PARAMETER}")
+            return parse_fixture(p)
     try:
         return catalog_fixture(name_or_path, c)
     except KeyError:

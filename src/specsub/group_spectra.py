@@ -12,6 +12,8 @@ such N (tau is tau_N on N and <H, .> + tau_{G/N} on the orthogonal
 complement); ``equality_expected`` keeps the frozen CSV column's narrower
 flag, N unimodular and amenable.  tau and H are taken on the normalized
 frame (lie_core.Frame), and a value that does not fit in a double is inf.
+Every decision is cut at the algebra's own ``tols``; no function here takes
+a tolerance.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ import numpy as np
 
 from ._pow2 import times_pow2
 from .errors import FormulaInapplicableError
-from .lie_core import (ClassificationReport, Ideal, MetricLieAlgebra, classify,
-                       derived_subalgebra, frame_mean_curvature, quotient_algebra,
-                       restrict_to_span)
-from .tolerances import Tolerances, DEFAULT
+from .lie_core import (DIRECTION_TOL, ClassificationReport, Ideal, MetricLieAlgebra,
+                       classify, derived_subalgebra, frame_mean_curvature,
+                       quotient_algebra, restrict_to_span)
 
 
 class Method(str, enum.Enum):
@@ -64,21 +65,20 @@ def _spectrum(norm2: float, e: int, maximizer, method: Method) -> GroupSpectrumR
                                times_pow2(math.sqrt(max(norm2, 0.0)), e), maximizer, method)
 
 
-def _lambda0_or_zero(alg: MetricLieAlgebra, tols: Tolerances,
-                     rep: Optional[ClassificationReport] = None):
+def _lambda0_or_zero(alg: MetricLieAlgebra, rep: Optional[ClassificationReport] = None):
     """(lambda0, False) for an amenable algebra, else (0.0, True): partial."""
-    rep = rep or classify(alg, tols)
-    return (group_spectrum_report(alg, tols, rep).lambda0, False) if rep.amenable else (0.0, True)
+    rep = rep or classify(alg)
+    return (group_spectrum_report(alg, rep).lambda0, False) if rep.amenable else (0.0, True)
 
 
-def group_spectrum_report(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
+def group_spectrum_report(alg: MetricLieAlgebra,
                           report: Optional[ClassificationReport] = None) -> GroupSpectrumReport:
     """Exact report when amenable, otherwise Cheeger-based lower bounds.
 
     The values are Python floats: one that does not fit in a double is inf,
     and one below the smallest is 0, without a warning.
     """
-    rep = report if report is not None else classify(alg, tols)
+    rep = report if report is not None else classify(alg)
     if rep.amenable and rep.unimodular:
         # unimodular + amenable forces exactly zero; drop the round-off noise
         return GroupSpectrumReport(0.0, 0.0, None, Method.UNIMODULAR_AMENABLE_ZERO)
@@ -91,7 +91,6 @@ def group_spectrum_report(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT,
 
 
 def quotient_bound(alg: MetricLieAlgebra, n_ideal: Ideal,
-                   tols: Tolerances = DEFAULT,
                    lambda0_N: Optional[float] = None,
                    lambda0_quotient: Optional[float] = None) -> QuotientBoundReport:
     """Assemble the quotient lower bound for lambda0 of the group.
@@ -101,17 +100,16 @@ def quotient_bound(alg: MetricLieAlgebra, n_ideal: Ideal,
     value is replaced by 0 and the report is flagged partial.
     """
     fr = alg.frame
-    H = frame_mean_curvature(alg, n_ideal, tols)
+    H = frame_mean_curvature(alg, n_ideal)
     h, t = float(H @ H), float(fr.trace @ H)          # in units of 4**exponent
 
-    sub_alg = restrict_to_span(alg, n_ideal, tols)
-    sub_rep = classify(sub_alg, tols)
+    sub_alg = restrict_to_span(alg, n_ideal)
+    sub_rep = classify(sub_alg)
     partial_N = partial_quotient = False
     if lambda0_N is None:
-        lambda0_N, partial_N = _lambda0_or_zero(sub_alg, tols, sub_rep)
+        lambda0_N, partial_N = _lambda0_or_zero(sub_alg, sub_rep)
     if lambda0_quotient is None:
-        lambda0_quotient, partial_quotient = _lambda0_or_zero(
-            quotient_algebra(alg, n_ideal, tols)[0], tols)
+        lambda0_quotient, partial_quotient = _lambda0_or_zero(quotient_algebra(alg, n_ideal)[0])
     # the difference at unit scale: |H|^2 and tr(ad H) can overflow when it does not
     bound = lambda0_quotient + lambda0_N + times_pow2(t / 2.0 - h / 4.0, 2 * fr.exponent)
     equality = bool(sub_rep.unimodular and sub_rep.amenable)
@@ -128,34 +126,33 @@ def quotient_bound(alg: MetricLieAlgebra, n_ideal: Ideal,
     )
 
 
-def radical_commutator_lambda0(alg: MetricLieAlgebra,
-                               tols: Tolerances = DEFAULT) -> GroupSpectrumReport:
+def radical_commutator_lambda0(alg: MetricLieAlgebra) -> GroupSpectrumReport:
     """lambda0 through the mean curvature of the commutator of the radical.
 
     Requires an amenable, non-unimodular algebra with non-abelian radical.
     Cross-checks tr(ad H)/4 against |H|^2/4 and the maximizer of the trace
     functional against the direction of H.
     """
-    rep = classify(alg, tols)
+    rep = classify(alg)
     if not rep.amenable:
         raise FormulaInapplicableError("requires an amenable group")
     if rep.unimodular:
         raise FormulaInapplicableError("unimodular groups have lambda0 = 0; "
                                        "the curvature route needs tr(ad .) != 0")
-    commutator = derived_subalgebra(alg, rep.radical, tols)
+    commutator = derived_subalgebra(alg, rep.radical)
     if commutator.dim == 0:
         raise FormulaInapplicableError("radical is abelian; no commutator direction")
     fr = alg.frame
-    H = frame_mean_curvature(alg, commutator, tols)
+    H = frame_mean_curvature(alg, commutator)
     h, t = float(H @ H), float(fr.trace @ H)          # in units of 4**exponent
-    if abs(t - h) > tols.rank_tol * max(abs(t), abs(h)):
+    if abs(t - h) > alg.tols.rank_tol * max(abs(t), abs(h)):
         raise FormulaInapplicableError(
             f"curvature identity violated: tr route {times_pow2(t / 4.0, 2 * fr.exponent)} "
             f"vs norm route {times_pow2(h / 4.0, 2 * fr.exponent)}")
     direction = H / math.sqrt(h) @ fr.inv_chol
     # not unimodular, so tau and its maximizer are not zero
-    gap = alg.norm(direction - group_spectrum_report(alg, tols, rep).maximizer)
-    if gap > 1e-6:
+    gap = alg.norm(direction - group_spectrum_report(alg, rep).maximizer)
+    if gap > DIRECTION_TOL:
         raise FormulaInapplicableError(
             f"maximizer direction mismatch ({gap:.2e}) between the trace "
             "functional and the mean curvature")

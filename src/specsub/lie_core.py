@@ -7,7 +7,9 @@ floating point: brackets, adjoint maps, structural classification (solvable,
 nilpotent, radical, compact-type Levi factor) and the mean curvature of the
 subgroup generated by an ideal.  Every decision is taken on one normalized
 copy of the structure constants (``MetricLieAlgebra.frame``), so it is the
-same for the algebra with constants t c, and for any metric t g.
+same for the algebra with constants t c, and for any metric t g, and cut at
+the algebra's own ``tols``, which its quotients, sub-algebras and ideals
+inherit: no function here takes a tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from ._pow2 import exponent, times_pow2
 from .errors import NotAnIdealError
-from .tolerances import ANTISYM_TOL, DEFAULT, SPD_TOL, Tolerances
+# DIRECTION_TOL is group_spectra's, which takes its cuts through this module
+from .tolerances import ANTISYM_TOL, DEFAULT, DIRECTION_TOL, SPD_TOL, Tolerances  # noqa: F401
 
 
 def _asvec(x, n: int) -> np.ndarray:
@@ -61,11 +64,13 @@ class Frame(NamedTuple):
 
 @dataclass(frozen=True)
 class MetricLieAlgebra:
-    """Lie algebra with structure constants ``structure`` and inner product ``metric``."""
+    """Lie algebra with structure constants ``structure``, inner product
+    ``metric`` and the cuts ``tols`` of every decision on it."""
 
     dim: int
     structure: np.ndarray          # (n, n, n), [e_i, e_j] = structure[i, j, :]
     metric: np.ndarray             # (n, n) symmetric positive definite
+    tols: Tolerances = DEFAULT
 
     def __post_init__(self):
         c = _frozen(self.structure)
@@ -112,9 +117,10 @@ class MetricLieAlgebra:
     def norm(self, x) -> float:
         return float(np.sqrt(max(self.inner(x, x), 0.0)))
 
-    def is_unimodular(self, tol: float = DEFAULT.rank_tol) -> bool:
-        """Whether tr(ad x) vanishes, cut at tol relative to sigma on the frame."""
-        return bool(np.max(np.abs(self.frame.trace), initial=0.0) < tol * self.frame.scale)
+    def is_unimodular(self) -> bool:
+        """Whether tr(ad x) vanishes, cut at rank_tol relative to sigma on the frame."""
+        return bool(np.max(np.abs(self.frame.trace), initial=0.0)
+                    < self.tols.rank_tol * self.frame.scale)
 
     def killing_form(self) -> np.ndarray:
         return _killing(self.structure)
@@ -139,7 +145,7 @@ class Ideal:
             raise ValueError("spanning vectors must live in the parent algebra")
         object.__setattr__(self, "span", _frozen(span))
         fr = self.parent.frame
-        rows = _orthonormal(span @ fr.chol)
+        rows = _orthonormal(self.parent, span @ fr.chol)
         object.__setattr__(self, "frame_onb", _frozen(rows))
         object.__setattr__(self, "onb", _frozen(rows @ fr.inv_chol))
 
@@ -167,11 +173,11 @@ class Ideal:
         return self._max_residual_off(
             np.tensordot(self.frame_onb, self.parent.frame.structure, axes=(1, 1)))
 
-    def is_subalgebra(self, tol: float = DEFAULT.rank_tol) -> bool:
-        return self.subalgebra_residual() < tol
+    def is_subalgebra(self) -> bool:
+        return self.subalgebra_residual() < self.parent.tols.rank_tol
 
-    def is_ideal(self, tol: float = DEFAULT.rank_tol) -> bool:
-        return self.ideal_residual() < tol
+    def is_ideal(self) -> bool:
+        return self.ideal_residual() < self.parent.tols.rank_tol
 
     def frame_complement(self) -> np.ndarray:
         """Orthonormal frame rows spanning the orthogonal complement."""
@@ -179,7 +185,7 @@ class Ideal:
         if self.dim == n:
             # the rows below would be round-off alone, with no top to cut against
             return np.zeros((0, n))
-        comp = _orthonormal(np.eye(n) - self.frame_onb.T @ self.frame_onb)
+        comp = _orthonormal(self.parent, np.eye(n) - self.frame_onb.T @ self.frame_onb)
         if comp.shape[0] != n - self.dim:
             raise RuntimeError("complement rank detection failed")
         return comp
@@ -217,7 +223,7 @@ def metric_definiteness(g: np.ndarray):
     return float(eigs[0]), bool(eigs[0] > SPD_TOL * eigs[-1])
 
 
-def validate(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ValidationReport:
+def validate(alg: MetricLieAlgebra) -> ValidationReport:
     """Check antisymmetry and the Jacobi identity on the normalized frame,
     relative to sigma and sigma^2, and the metric relative to its own size;
     without finite constants and a definite metric, no frame: NaN residuals."""
@@ -241,7 +247,7 @@ def validate(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ValidationRep
         jac = cyc + np.transpose(cyc, (1, 2, 0)) + np.transpose(cyc, (2, 0, 1))
         slice_max[k] = np.max(np.abs(jac))
     jacobi = float(np.max(slice_max, initial=0.0)) / fr.scale ** 2
-    ok = anti < ANTISYM_TOL and jacobi < tols.jacobi_tol
+    ok = anti < ANTISYM_TOL and jacobi < alg.tols.jacobi_tol
     return ValidationReport(anti, jacobi, gsym, min_eig, ok)
 
 
@@ -273,15 +279,14 @@ def _rank(values: np.ndarray, scale: float, tol: float):
     return int(np.count_nonzero(a > cut)), marginal
 
 
-def _orthonormal(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning ``rows``.  A span of vectors has no algebra
-    scale, so the rank is cut relative to the top singular value."""
+def _orthonormal(alg: MetricLieAlgebra, rows: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning ``rows`` of alg's frame.  A span of vectors
+    has no algebra scale, so the rank is cut relative to the top singular value."""
     s, vt = np.linalg.svd(rows, full_matrices=False)[1:]
-    return vt[:_rank(s, np.max(s, initial=0.0), DEFAULT.rank_tol)[0]]
+    return vt[:_rank(s, np.max(s, initial=0.0), alg.tols.rank_tol)[0]]
 
 
-def _bracket_span(alg: MetricLieAlgebra, rows_a: np.ndarray, rows_b: np.ndarray,
-                  rank_tol: float):
+def _bracket_span(alg: MetricLieAlgebra, rows_a: np.ndarray, rows_b: np.ndarray):
     """The ideal spanned by [rows_a, rows_b] of frame rows, and whether the
     rank cut was marginal."""
     fr = alg.frame
@@ -289,15 +294,14 @@ def _bracket_span(alg: MetricLieAlgebra, rows_a: np.ndarray, rows_b: np.ndarray,
     # the tall product matrix only enters through its R factor; this skips
     # forming the left singular vectors
     s, vt = np.linalg.svd(np.linalg.qr(prods, mode="r"), full_matrices=False)[1:]
-    rank, marginal = _rank(s, fr.scale, rank_tol)
+    rank, marginal = _rank(s, fr.scale, alg.tols.rank_tol)
     return Ideal(alg, vt[:rank] @ fr.inv_chol), marginal
 
 
-def derived_subalgebra(alg: MetricLieAlgebra, sub: Optional[Ideal] = None,
-                       tols: Tolerances = DEFAULT) -> Ideal:
+def derived_subalgebra(alg: MetricLieAlgebra, sub: Optional[Ideal] = None) -> Ideal:
     """Span of all brackets of pairs of spanning vectors of ``sub``."""
     rows = (sub or full_ideal(alg)).frame_onb
-    return _bracket_span(alg, rows, rows, tols.rank_tol)[0]
+    return _bracket_span(alg, rows, rows)[0]
 
 
 def _series(alg, step, start):
@@ -314,64 +318,60 @@ def _series(alg, step, start):
     return series, marginal
 
 
-def quotient_algebra(alg: MetricLieAlgebra, n_ideal: Ideal,
-                     tols: Tolerances = DEFAULT):
+def quotient_algebra(alg: MetricLieAlgebra, n_ideal: Ideal):
     """Quotient by an ideal, realized on the metric complement of the span.
 
-    Returns (quotient algebra with identity metric, pushforward matrix P) where
-    P maps parent coordinates to quotient coordinates and is an isometry on the
-    complement.
+    Returns (quotient algebra with identity metric and alg's cuts, pushforward
+    matrix P) where P maps parent coordinates to quotient coordinates and is
+    an isometry on the complement.
     """
-    if n_ideal.dim > 0 and not n_ideal.is_ideal(tols.rank_tol):
+    if n_ideal.dim > 0 and not n_ideal.is_ideal():
         raise NotAnIdealError("span is not an ideal; quotient bracket undefined")
     F = n_ideal.frame_complement()
     return _on_rows(alg, F), F @ alg.frame.inv_chol @ alg.metric
 
 
-def restrict_to_span(alg: MetricLieAlgebra, sub: Ideal,
-                     tols: Tolerances = DEFAULT) -> MetricLieAlgebra:
-    """The subalgebra spanned by ``sub`` with the restricted metric."""
-    if sub.dim > 0 and not sub.is_subalgebra(tols.rank_tol):
+def restrict_to_span(alg: MetricLieAlgebra, sub: Ideal) -> MetricLieAlgebra:
+    """The subalgebra spanned by ``sub`` with the restricted metric and alg's cuts."""
+    if sub.dim > 0 and not sub.is_subalgebra():
         raise NotAnIdealError("span is not closed under the bracket")
     return _on_rows(alg, sub.frame_onb)
 
 
 def _on_rows(alg: MetricLieAlgebra, F: np.ndarray) -> MetricLieAlgebra:
     """The bracket on the span of orthonormal frame rows F, in the basis
-    F @ inv_chol: identity metric, and the parent's frame sigma and exponent."""
+    F @ inv_chol: identity metric, and the parent's cuts, frame sigma and exponent."""
     fr, n = alg.frame, F.shape[0]
     hat = _bracket_products(fr.structure, F, F) @ F.T
     hat.setflags(write=False)
     c = times_pow2(hat, fr.exponent)
     c.setflags(write=False)
-    sub = MetricLieAlgebra(n, c, np.eye(n))
+    sub = MetricLieAlgebra(n, c, np.eye(n), alg.tols)
     object.__setattr__(sub, "frame", Frame(np.eye(n), np.eye(n), hat, fr.scale, fr.exponent))
     return sub
 
 
-def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> ClassificationReport:
+def classify(alg: MetricLieAlgebra) -> ClassificationReport:
     """Structural booleans of the algebra.
 
     solvable/nilpotent come from the derived and lower central series,
     the radical from the Killing-orthogonal of the derived algebra, and
     amenability from the definiteness of the Killing form of the Levi
     quotient (compact type) -- quotient zero counts as amenable.  Every cut
-    is ``_rank`` on the normalized frame with plain projections: bracket
-    values and the trace functional against sigma, Killing values against
-    sigma^2.
+    is ``_rank`` at ``alg.tols.rank_tol`` on the normalized frame with plain
+    projections: bracket values and the trace functional against sigma,
+    Killing values against sigma^2.
     """
     if alg.dim == 0:
         return ClassificationReport(True, True, True, True, True, zero_ideal(alg), (0,),
                                     False, "zero algebra")
-    fr, tol = alg.frame, tols.rank_tol
+    fr, tol = alg.frame, alg.tols.rank_tol
     # both series start g, [g, g]
     g = full_ideal(alg)
     top = g.frame_onb
-    gg, marginal = _bracket_span(alg, top, top, tol)
-    derived, derived_marginal = _series(
-        alg, lambda s: _bracket_span(alg, s, s, tol), (g, gg))
-    lower, lower_marginal = _series(
-        alg, lambda s: _bracket_span(alg, top, s, tol), (g, gg))
+    gg, marginal = _bracket_span(alg, top, top)
+    derived, derived_marginal = _series(alg, lambda s: _bracket_span(alg, s, s), (g, gg))
+    lower, lower_marginal = _series(alg, lambda s: _bracket_span(alg, top, s), (g, gg))
     solvable, nilpotent = derived[-1].dim == 0, lower[-1].dim == 0
     # the radical is the Killing-orthogonal of the derived algebra: the null
     # space of the rows v -> B(d_a, v)
@@ -388,7 +388,7 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
         amenable = True
         derivation = "solvable radical is everything; compact extension trivial"
     else:
-        if not rad.is_ideal(tol):
+        if not rad.is_ideal():
             raise NotAnIdealError("the radical cut is not an ideal; no Levi quotient")
         Q = rad.frame_complement()
         eigs = np.linalg.eigvalsh(_killing(_bracket_products(fr.structure, Q, Q) @ Q.T))
@@ -398,12 +398,11 @@ def classify(alg: MetricLieAlgebra, tols: Tolerances = DEFAULT) -> Classificatio
         derivation = ("Levi quotient Killing form negative definite"
                       if amenable else "Levi quotient of non-compact type")
     return ClassificationReport(
-        alg.is_unimodular(tol), solvable, nilpotent, semisimple, amenable,
+        alg.is_unimodular(), solvable, nilpotent, semisimple, amenable,
         rad, tuple(i.dim for i in derived), marginal, derivation)
 
 
-def mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal,
-                   tols: Tolerances = DEFAULT) -> np.ndarray:
+def mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal) -> np.ndarray:
     """Mean curvature vector of the subgroup generated by an ideal.
 
     The complement part of the sum of nabla_E E over a g-orthonormal basis
@@ -413,14 +412,13 @@ def mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal,
     Coordinates that do not fit in a double are inf, without a warning.
     """
     fr = alg.frame
-    return times_pow2(frame_mean_curvature(alg, n_ideal, tols) @ fr.inv_chol, fr.exponent)
+    return times_pow2(frame_mean_curvature(alg, n_ideal) @ fr.inv_chol, fr.exponent)
 
 
-def frame_mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal,
-                         tols: Tolerances = DEFAULT) -> np.ndarray:
+def frame_mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal) -> np.ndarray:
     """``mean_curvature`` in frame components times 2**-exponent: <H, f_k> is
     tr(P ad f_k) with P = F^T F for the ideal's frame rows F, less its F part."""
-    if n_ideal.dim > 0 and not n_ideal.is_ideal(tols.rank_tol):
+    if n_ideal.dim > 0 and not n_ideal.is_ideal():
         raise NotAnIdealError("mean curvature needs an ideal")
     F = n_ideal.frame_onb
     H = np.einsum("kim,mi->k", alg.frame.structure, F.T @ F)

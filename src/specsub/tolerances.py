@@ -1,10 +1,11 @@
 """The tolerances of the Lie side, the package's only ones.
 
 The cuts that the two presets set differently are fields of one immutable
-record, so a Lie report is fully determined by (fixture, tolerances); the
-cuts that no preset changes are the module constants below.  The warped
-side takes none: every solve certifies its own error bound in eps * ||M||
-of its operator (see eigensolve.lowest_eigenvalue).
+record, which every algebra carries (``MetricLieAlgebra.tols``, inherited by
+its quotients and sub-algebras), so a Lie report is fully determined by its
+algebra; the cuts that no preset changes are the module constants below.
+The warped side takes none: every solve certifies its own error bound in
+eps * ||M|| of its operator (see eigensolve.lowest_eigenvalue).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 # (no floor, see lie_core.Frame) or to the largest metric eigenvalue.
 ANTISYM_TOL = 1e-12   # max |c[i,j,k] + c[j,i,k]| / sigma, and metric asymmetry
 SPD_TOL = 1e-12       # min / max metric eigenvalue must exceed this
+DIRECTION_TOL = 1e-6  # distance of radical_commutator_lambda0's two unit maximizers
 
 
 @dataclass(frozen=True)

@@ -415,6 +415,53 @@ def test_main_strict_preset(capsys):
     assert main(["analyze", "paper_example3", "--tol-preset", "strict"]) == EXIT_OK
 
 
+# tr(ad e1) = 1e-10 sigma-relative: zero at the default rank cut, not at the strict one
+PRESET_DEPENDENT = "dim 3\nbracket 1 2 3 1.0\nbracket 1 3 3 1e-10\n"
+PRESET_ROWS = {
+    ("analyze", "default"): "x.lie,true,true,true,true,false,true,3,true",
+    ("analyze", "strict"): "x.lie,true,false,true,false,false,true,3,true",
+    ("lambda0", "default"): "x.lie,true,true,0.0,0.0,unimodular_amenable_zero",
+    ("lambda0", "strict"): "x.lie,false,true,2.5000000000000002e-21,1e-10,amenable_formula",
+    ("quotient", "default"): "x.lie,1,1.0000000000000001e-20,1.0000000000000001e-20,"
+                             "0.0,0.0,2.5000000000000002e-21,true,false",
+}
+PRESET_ROWS[("cheeger", "default")] = PRESET_ROWS[("lambda0", "default")]
+PRESET_ROWS[("cheeger", "strict")] = PRESET_ROWS[("lambda0", "strict")]
+PRESET_ROWS[("quotient", "strict")] = PRESET_ROWS[("quotient", "default")]
+
+
+@pytest.mark.parametrize("command, preset", sorted(PRESET_ROWS))
+def test_the_preset_reaches_every_lie_decision(command, preset, tmp_path, monkeypatch, capsys):
+    # the trace functional, the lower central series and lambda0 all move
+    # with the preset; the quotient by [g, g] = span(e3) does not
+    (tmp_path / "x.lie").write_text(PRESET_DEPENDENT)
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "x.lie", "--format", "csv", "--tol-preset", preset]) == EXIT_OK
+    stdout, stderr = capsys.readouterr()
+    assert stdout.splitlines()[2:] == [PRESET_ROWS[command, preset]] and stderr == ""
+
+
+@pytest.mark.parametrize("argv, kind", [(["quotient", "paper_example3", "--ideal"], "int"),
+                                        (["tail-ess", "exp", "--cutoffs"], "float")])
+def test_an_empty_list_option_is_a_usage_error(argv, kind, capsys):
+    # not the default ideal ([g, g]) or the default cutoffs (the middle third)
+    assert main(argv + [""]) == EXIT_VALIDATION
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr == f"error: {argv[-1]} needs comma-separated {kind} values, got ''\n"
+
+
+def test_c_is_rejected_where_no_fixture_takes_it(tmp_path, capsys):
+    path = tmp_path / "h.lie"
+    path.write_text("dim 3\nbracket 1 2 3 1\n")
+    for name in ("heisenberg3", str(path)):
+        assert main(["lambda0", name, "--c", "5", "--format", "csv"]) == EXIT_VALIDATION
+        stdout, stderr = capsys.readouterr()
+        assert stdout == "" and len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: ")
+        assert "--c applies to the catalog fixtures affine2, const, exp, sinshift only" in stderr
+
+
 def test_run_neumann_fixture_from_file(tmp_path):
     f = tmp_path / "neumann.warp"
     f.write_text("base interval 0 5 neumann\nfiber_dim 1\nwarp sinshift 0.5\n")

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from specsub.lie_core import (Ideal, MetricLieAlgebra, classify,
                               derived_subalgebra, full_ideal, mean_curvature,
                               quotient_algebra, restrict_to_span, validate,
                               zero_ideal)
-from specsub.tolerances import DEFAULT
+from specsub.tolerances import DEFAULT, STRICT
 
 def naive_ad(alg, x):
     """Independent adjoint matrix: columns are brackets with basis vectors."""
@@ -321,7 +322,7 @@ def test_classify_dim1():
 def test_classify_flags_marginal_rank_decision():
     # second derived direction sits exactly at the rank threshold scale
     alg = make_algebra(3, [(0, 1, 1, 1.0), (0, 2, 2, 1e-9)])
-    rep = classify(alg, DEFAULT)
+    rep = classify(alg)
     assert rep.numerically_marginal
     assert rep.solvable  # result still returned
     clean = classify(paper_example3())
@@ -512,3 +513,29 @@ def test_restrict_full_and_zero():
     sub = restrict_to_span(alg, full_ideal(alg))
     assert sub.dim == 3 and validate(sub).ok
     assert restrict_to_span(alg, zero_ideal(alg)).dim == 0
+
+
+# -- the cuts travel with the algebra ------------------------------------------------
+
+def test_quotients_and_subalgebras_inherit_the_cuts():
+    # [e1, e3] = 1e-10 e3 plus a central e4: the quotient by e4 and the
+    # restriction to e1..e3 are both unimodular at the default rank cut alone
+    base = make_algebra(4, [(0, 1, 2, 1.0), (0, 2, 2, 1e-10)])
+    assert base.tols is DEFAULT
+    alg = replace(base, tols=STRICT)
+    quot = quotient_algebra(alg, Ideal(alg, [np.eye(4)[3]]))[0]
+    sub = restrict_to_span(alg, Ideal(alg, np.eye(4)[:3]))
+    assert quot.tols is STRICT and sub.tols is STRICT
+    assert classify(alg).radical.parent.tols is STRICT
+    assert not (alg.is_unimodular() or quot.is_unimodular() or sub.is_unimodular())
+    assert base.is_unimodular() and quotient_algebra(base, Ideal(base, [np.eye(4)[3]]))[0] \
+        .is_unimodular()
+
+
+def test_a_span_rank_is_cut_at_the_parents_rank_tol():
+    # singular values sqrt(2) and about 7e-11: one direction at the default
+    # cut, two at the strict one; the complement follows
+    rows = [[1.0, 0.0, 0.0], [1.0, 1e-10, 0.0]]
+    assert Ideal(heisenberg3(), rows).dim == 1
+    ideal = Ideal(replace(heisenberg3(), tols=STRICT), rows)
+    assert ideal.dim == 2 and ideal.frame_complement().shape == (1, 3)

@@ -1,7 +1,8 @@
 """Guards on the source itself: the package keeps one power-of-two rescaling,
 every warped solve names its grid, every tolerance field is one that the
-presets set apart, the tolerances are the Lie side's alone, and the warped
-verdicts and solves read no absolute tolerance."""
+presets set apart, the tolerances are the Lie side's alone and travel with
+the algebra, the warped verdicts and solves read no absolute tolerance, and
+the Lie side compares against no unnamed one."""
 
 import ast
 import inspect
@@ -117,3 +118,35 @@ def test_the_warped_verdicts_read_no_absolute_tolerance():
         # a zero is no tolerance, and no factor of 1 or more is one below eps
         assert all(v == 0.0 or v >= 1.0 for v in floats), (function.name, floats)
         assert not {n for n in names if n.upper().endswith("_TOL") or n == "tols"}, function.name
+
+
+def test_the_lie_side_reads_its_cuts_from_the_algebra():
+    # the preset is a field of the algebra, inherited by its quotients and
+    # sub-algebras, so a report cannot mix two presets; the CLI sets it once
+    for module in ("lie_core.py", "group_spectra.py"):
+        tree = ast.parse((SRC / module).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                assert not {a.arg for a in args} & {"tols", "tol", "rank_tol"}, node.name
+    importers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "tolerances"
+                    or (node.module is None and "tolerances" in {a.name for a in node.names})):
+                importers.add(path.name)
+    assert importers == {"lie_core.py", "cli.py", "__init__.py"}, importers
+
+
+def test_the_lie_side_compares_against_no_float_literal():
+    # a cut that no preset changes is a named constant of tolerances.py; the
+    # one exception is _rank's two-decade window that flags a marginal cut
+    for module in ("lie_core.py", "group_spectra.py"):
+        for function in ast.walk(ast.parse((SRC / module).read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            floats = {n.value for n in _verdict_nodes(function)
+                      if isinstance(n, ast.Constant) and isinstance(n.value, float)}
+            allowed = {0.0, 1e-2, 1e2} if function.name == "_rank" else {0.0}
+            assert floats <= allowed, (module, function.name, floats)
