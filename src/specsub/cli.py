@@ -31,7 +31,8 @@ from . import group_spectra, warped_spectra
 from .errors import (FixtureParseError, FormulaInapplicableError,
                      NotAnIdealError, SolverConvergenceError)
 from .fixtures import FIXTURE_DIR_ENV, resolve_fixture
-from .lie_core import Ideal, MetricLieAlgebra, classify, derived_subalgebra, validate
+from .lie_core import (Ideal, MetricLieAlgebra, classify, derived_subalgebra, full_ideal,
+                       validate)
 from .tolerances import DEFAULT, PRESETS, Tolerances
 from .warped_spectra import WarpedProductSpec
 
@@ -154,25 +155,25 @@ def _cmd_analyze(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _group_rows(config: RunConfig, alg: MetricLieAlgebra, name: str, exact=False):
-    crep = classify(alg)
-    rep = group_spectra.group_spectrum_report(alg, report=crep)
+def _group_rows(alg: MetricLieAlgebra, name: str, exact=False):
+    rep = group_spectra.group_spectrum_report(alg)
+    crep = rep.classification
     if exact and not crep.amenable:
         # exact lambda0 has no closed form here, whether or not a bound overflows
         raise FormulaInapplicableError(
             f"{name}: not amenable, lambda0 formula inapplicable; "
             f"Cheeger lower bound {rep.cheeger!r} (lambda0 >= {rep.lambda0!r})")
-    return crep, rep, _finite([[name, crep.unimodular, crep.amenable, rep.lambda0,
-                                rep.cheeger, rep.method.value]])
+    return rep, _finite([[name, crep.unimodular, crep.amenable, rep.lambda0,
+                          rep.cheeger, rep.method.value]])
 
 
 def _cmd_lambda0(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
-    crep, rep, rows = _group_rows(config, alg, name, exact=True)
+    rep, rows = _group_rows(alg, name, exact=True)
     if config.fmt == "csv":
         return _csv("lambda0", rows)
     lines = [f"fixture: {name}",
-             f"unimodular: {_fmt(crep.unimodular)}",
-             f"amenable: {_fmt(crep.amenable)}",
+             f"unimodular: {_fmt(rep.classification.unimodular)}",
+             f"amenable: {_fmt(rep.classification.amenable)}",
              f"lambda0: {rep.lambda0!r}",
              f"cheeger: {rep.cheeger!r}",
              f"method: {rep.method.value}"]
@@ -183,10 +184,10 @@ def _cmd_lambda0(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
 
 
 def _cmd_cheeger(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
-    crep, rep, rows = _group_rows(config, alg, name)
+    rep, rows = _group_rows(alg, name)
     if config.fmt == "csv":
         return _csv("cheeger", rows)
-    kind = "exact" if crep.amenable else "lower bound"
+    kind = "exact" if rep.classification.amenable else "lower bound"
     return (f"fixture: {name}\ncheeger ({kind}): {rep.cheeger!r}\n"
             f"lambda0 ({kind}): {rep.lambda0!r}\nmethod: {rep.method.value}\n")
 
@@ -198,10 +199,10 @@ def _cmd_quotient(config: RunConfig, alg: MetricLieAlgebra, name: str) -> str:
             raise FixtureParseError(f"--ideal indices must be in 1..{alg.dim}")
         n_ideal = Ideal(alg, np.eye(alg.dim)[idx])
     else:
-        n_ideal = derived_subalgebra(alg)
+        n_ideal = derived_subalgebra(full_ideal(alg))
     if n_ideal.dim == 0:
         raise FixtureParseError("the requested ideal is zero; nothing to quotient")
-    rep = group_spectra.quotient_bound(alg, n_ideal)
+    rep = group_spectra.quotient_bound(n_ideal)
     rows = _finite([[name, n_ideal.dim, rep.H_norm2, rep.tr_ad_H,
                      rep.lambda0_N, rep.lambda0_quotient, rep.lower_bound,
                      rep.equality_expected, rep.partial]])

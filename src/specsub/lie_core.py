@@ -9,7 +9,8 @@ subgroup generated by an ideal.  Every decision is taken on one normalized
 copy of the structure constants (``MetricLieAlgebra.frame``), so it is the
 same for the algebra with constants t c, and for any metric t g, and cut at
 the algebra's own ``tols``, which its quotients, sub-algebras and ideals
-inherit: no function here takes a tolerance.
+inherit: no function here takes a tolerance.  An ``Ideal`` carries its
+algebra, so a function of an ideal takes the ideal alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,10 +63,11 @@ class Frame(NamedTuple):
         return np.einsum("ijj->i", self.structure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
     """Lie algebra with structure constants ``structure``, inner product
-    ``metric`` and the cuts ``tols`` of every decision on it."""
+    ``metric`` and the cuts ``tols`` of every decision on it.  Two algebras
+    are equal when they are the same object."""
 
     dim: int
     structure: np.ndarray          # (n, n, n), [e_i, e_j] = structure[i, j, :]
@@ -126,11 +128,12 @@ class MetricLieAlgebra:
         return _killing(self.structure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ideal:
-    """Subspace of a MetricLieAlgebra given by a spanning set of coordinate rows,
-    with a g-orthonormal basis ``onb`` and the same basis as rows of the frame,
-    ``frame_onb``.  Subalgebra and ideal are checked by residuals, not assumed."""
+    """Subspace of the MetricLieAlgebra ``parent`` given by a spanning set of
+    coordinate rows, with a g-orthonormal basis ``onb`` and the same basis as
+    rows of the frame, ``frame_onb``.  Subalgebra and ideal are checked by
+    residuals, not assumed."""
 
     parent: MetricLieAlgebra
     span: np.ndarray
@@ -298,10 +301,11 @@ def _bracket_span(alg: MetricLieAlgebra, rows_a: np.ndarray, rows_b: np.ndarray)
     return Ideal(alg, vt[:rank] @ fr.inv_chol), marginal
 
 
-def derived_subalgebra(alg: MetricLieAlgebra, sub: Optional[Ideal] = None) -> Ideal:
-    """Span of all brackets of pairs of spanning vectors of ``sub``."""
-    rows = (sub or full_ideal(alg)).frame_onb
-    return _bracket_span(alg, rows, rows)[0]
+def derived_subalgebra(sub: Ideal) -> Ideal:
+    """Span of all brackets of pairs of spanning vectors of ``sub``; the
+    algebra's own derived algebra is ``derived_subalgebra(full_ideal(alg))``."""
+    rows = sub.frame_onb
+    return _bracket_span(sub.parent, rows, rows)[0]
 
 
 def _series(alg, step, start):
@@ -318,24 +322,24 @@ def _series(alg, step, start):
     return series, marginal
 
 
-def quotient_algebra(alg: MetricLieAlgebra, n_ideal: Ideal):
-    """Quotient by an ideal, realized on the metric complement of the span.
+def quotient_algebra(n_ideal: Ideal):
+    """Quotient of the parent algebra by an ideal, on the metric complement of the span.
 
-    Returns (quotient algebra with identity metric and alg's cuts, pushforward
-    matrix P) where P maps parent coordinates to quotient coordinates and is
-    an isometry on the complement.
+    Returns (quotient algebra with identity metric and the parent's cuts,
+    pushforward matrix P) where P maps parent coordinates to quotient
+    coordinates and is an isometry on the complement.
     """
     if n_ideal.dim > 0 and not n_ideal.is_ideal():
         raise NotAnIdealError("span is not an ideal; quotient bracket undefined")
-    F = n_ideal.frame_complement()
+    alg, F = n_ideal.parent, n_ideal.frame_complement()
     return _on_rows(alg, F), F @ alg.frame.inv_chol @ alg.metric
 
 
-def restrict_to_span(alg: MetricLieAlgebra, sub: Ideal) -> MetricLieAlgebra:
-    """The subalgebra spanned by ``sub`` with the restricted metric and alg's cuts."""
+def restrict_to_span(sub: Ideal) -> MetricLieAlgebra:
+    """The subalgebra spanned by ``sub`` with the restricted metric and the parent's cuts."""
     if sub.dim > 0 and not sub.is_subalgebra():
         raise NotAnIdealError("span is not closed under the bracket")
-    return _on_rows(alg, sub.frame_onb)
+    return _on_rows(sub.parent, sub.frame_onb)
 
 
 def _on_rows(alg: MetricLieAlgebra, F: np.ndarray) -> MetricLieAlgebra:
@@ -402,7 +406,7 @@ def classify(alg: MetricLieAlgebra) -> ClassificationReport:
         rad, tuple(i.dim for i in derived), marginal, derivation)
 
 
-def mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal) -> np.ndarray:
+def mean_curvature(n_ideal: Ideal) -> np.ndarray:
     """Mean curvature vector of the subgroup generated by an ideal.
 
     The complement part of the sum of nabla_E E over a g-orthonormal basis
@@ -411,15 +415,15 @@ def mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal) -> np.ndarray:
     to the ideal (Milnor, Adv. Math. 21, 1976): one contraction on the frame.
     Coordinates that do not fit in a double are inf, without a warning.
     """
-    fr = alg.frame
-    return times_pow2(frame_mean_curvature(alg, n_ideal) @ fr.inv_chol, fr.exponent)
+    fr = n_ideal.parent.frame
+    return times_pow2(frame_mean_curvature(n_ideal) @ fr.inv_chol, fr.exponent)
 
 
-def frame_mean_curvature(alg: MetricLieAlgebra, n_ideal: Ideal) -> np.ndarray:
+def frame_mean_curvature(n_ideal: Ideal) -> np.ndarray:
     """``mean_curvature`` in frame components times 2**-exponent: <H, f_k> is
     tr(P ad f_k) with P = F^T F for the ideal's frame rows F, less its F part."""
     if n_ideal.dim > 0 and not n_ideal.is_ideal():
         raise NotAnIdealError("mean curvature needs an ideal")
     F = n_ideal.frame_onb
-    H = np.einsum("kim,mi->k", alg.frame.structure, F.T @ F)
+    H = np.einsum("kim,mi->k", n_ideal.parent.frame.structure, F.T @ F)
     return H - (H @ F.T) @ F

@@ -74,8 +74,8 @@ def test_criterion_2_lambda0_formula():
         worst_val = max(worst_val, abs(rep.lambda0 - c / 4.0))
         tau_at_max = trace_functional(alg) @ rep.maximizer
         worst_val = max(worst_val, abs(rep.lambda0 - tau_at_max ** 2 / 4.0))
-        commutator = derived_subalgebra(alg, classify(alg).radical)
-        H = mean_curvature(alg, commutator)
+        commutator = derived_subalgebra(classify(alg).radical)
+        H = mean_curvature(commutator)
         direction = H / alg.norm(H)
         worst_dir = max(worst_dir, float(np.max(np.abs(direction - rep.maximizer))))
     ok = worst_val <= 1e-12 and worst_dir <= 1e-9
@@ -96,8 +96,8 @@ def test_criterion_3_mean_curvature_identity():
         alg = catalog_fixture(name)
         tau = trace_functional(alg)
         for label, ideal in catalog_ideals(name, alg):
-            H = mean_curvature(alg, ideal)
-            quot, push = quotient_algebra(alg, ideal)
+            H = mean_curvature(ideal)
+            quot, push = quotient_algebra(ideal)
             tr_q = trace_functional(quot) @ (push @ H) if quot.dim else 0.0
             resid = abs(alg.inner(H, H) - tau @ H + tr_q)
             worst = max(worst, resid)
@@ -116,7 +116,7 @@ def test_criterion_4_quotient_equality():
         alg = catalog_fixture(name)
         lam = group_spectrum_report(alg).lambda0
         for label, ideal in catalog_ideals(name, alg):
-            rep = quotient_bound(alg, ideal)
+            rep = quotient_bound(ideal)
             assert rep.equality_expected, (name, label)
             worst = max(worst, abs(rep.lower_bound - lam))
             cases += 1

@@ -7,7 +7,7 @@ from specsub.errors import FormulaInapplicableError
 from specsub.fixtures import abelian, affine2, heisenberg3, paper_example3, sl2
 from specsub.group_spectra import (Method, group_spectrum_report, quotient_bound,
                                    radical_commutator_lambda0)
-from specsub.lie_core import Ideal, MetricLieAlgebra, mean_curvature
+from specsub.lie_core import Ideal, MetricLieAlgebra, classify, mean_curvature
 
 
 def sphere_max_trace(alg, samples=200000, seed=0):
@@ -96,6 +96,23 @@ def test_group_spectrum_report_non_amenable():
     assert rep.cheeger == 0.0  # sl2 is unimodular: trace functional vanishes
 
 
+def test_a_report_carries_the_classification_it_was_decided_by(monkeypatch):
+    # one classify per algebra: the report's, and in quotient_bound N's and G/N's
+    calls = []
+    monkeypatch.setattr(group_spectra, "classify",
+                        lambda alg: calls.append(alg) or classify(alg))
+    for alg, amenable in ((affine2(1.0), True), (sl2(), False)):
+        rep = group_spectrum_report(alg)
+        assert calls.pop() is alg and not calls
+        assert rep.classification.amenable is amenable
+        assert (rep.method is Method.LOWER_BOUND_ONLY) is not amenable
+    alg = affine2(1.0)
+    assert radical_commutator_lambda0(alg).classification.amenable
+    assert calls == [alg]
+    quotient_bound(Ideal(alg, [[0.0, 1.0]]))
+    assert [q.dim for q in calls[1:]] == [1, 1]
+
+
 def test_cheeger_constant_fits_where_its_square_does_not():
     # |tau| = 1e155 fits in a double, |tau|^2 does not; an overflow warning
     # fails the test (pyproject's filterwarnings)
@@ -111,7 +128,7 @@ def test_cheeger_constant_fits_where_its_square_does_not():
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
 def test_quotient_bound_affine(c):
     alg = affine2(c)
-    rep = quotient_bound(alg, Ideal(alg, [[0.0, 1.0]]))
+    rep = quotient_bound(Ideal(alg, [[0.0, 1.0]]))
     assert rep.lambda0_N == 0.0
     assert rep.lambda0_quotient == 0.0
     assert rep.H_norm2 == alg.inner(rep.H, rep.H) == pytest.approx(c, abs=1e-12)
@@ -125,7 +142,7 @@ def test_quotient_bound_affine(c):
 def test_quotient_bound_minimal_ideal_curvature_free():
     # center of heisenberg: H = 0, bound reduces to the sum of the factors
     alg = heisenberg3()
-    rep = quotient_bound(alg, Ideal(alg, [np.eye(3)[2]]))
+    rep = quotient_bound(Ideal(alg, [np.eye(3)[2]]))
     assert np.allclose(rep.H, 0.0)
     assert rep.lower_bound == pytest.approx(rep.lambda0_N + rep.lambda0_quotient)
     assert rep.equality_expected
@@ -135,7 +152,7 @@ def test_quotient_bound_example3_all_ideals():
     alg = paper_example3()
     e = np.eye(3)
     for span in ([e[1]], [e[2]], e[1:]):
-        rep = quotient_bound(alg, Ideal(alg, span))
+        rep = quotient_bound(Ideal(alg, span))
         assert rep.equality_expected
         assert rep.lower_bound == pytest.approx(0.0, abs=1e-12)
 
@@ -143,22 +160,15 @@ def test_quotient_bound_example3_all_ideals():
 def test_quotient_bound_span_z_quarter():
     # the quotient of the unimodular example by span{Z} has lambda0 = |H|^2/4 = 1/4
     alg = paper_example3()
-    rep = quotient_bound(alg, Ideal(alg, [np.eye(3)[2]]))
+    rep = quotient_bound(Ideal(alg, [np.eye(3)[2]]))
     assert alg.inner(rep.H, rep.H) == pytest.approx(1.0, abs=1e-12)
     assert rep.lambda0_quotient == pytest.approx(0.25, abs=1e-12)
-
-
-def test_quotient_bound_caller_supplied_values():
-    alg = affine2(1.0)
-    rep = quotient_bound(alg, Ideal(alg, [[0.0, 1.0]]), lambda0_N=0.125)
-    assert rep.lambda0_N == 0.125
-    assert rep.lower_bound == pytest.approx(0.125 + 0.25, abs=1e-12)
 
 
 def test_quotient_bound_partial_flag():
     # sl2 ideal inside sl2 + R (center): quotient is sl2, not amenable
     alg = make_algebra(4, [(0, 1, 1, 2.0), (0, 2, 2, -2.0), (1, 2, 0, 1.0)])
-    rep = quotient_bound(alg, Ideal(alg, [np.eye(4)[3]]))
+    rep = quotient_bound(Ideal(alg, [np.eye(4)[3]]))
     assert rep.partial
     assert rep.lambda0_quotient == 0.0
 
@@ -190,7 +200,7 @@ def test_radical_route_3d_two_route_crosscheck():
     rep = radical_commutator_lambda0(alg)
     assert rep.lambda0 == pytest.approx(1.0, abs=1e-12)
     # and the curvature really is 2X
-    H = mean_curvature(alg, Ideal(alg, np.eye(3)[1:]))
+    H = mean_curvature(Ideal(alg, np.eye(3)[1:]))
     assert np.allclose(H, [2.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -221,7 +231,7 @@ def test_curvature_terms_overflow_without_a_warning(t, h_norm2, lam):
     # of the unscaled H, bit for bit
     base = affine2(1.0)
     alg = MetricLieAlgebra(2, t * base.structure, base.metric)
-    q = quotient_bound(alg, Ideal(alg, [[0.0, 1.0]]))
+    q = quotient_bound(Ideal(alg, [[0.0, 1.0]]))
     assert list(q.H) == [t, 0.0]
     assert (q.H_norm2, q.tr_ad_H, q.lower_bound) == (h_norm2, h_norm2, lam)
     r = radical_commutator_lambda0(alg)
@@ -239,7 +249,7 @@ def test_radical_route_takes_the_curvature_on_the_frame():
     r, report = radical_commutator_lambda0(alg), group_spectrum_report(alg)
     assert (r.lambda0, r.cheeger) == (report.lambda0, report.cheeger) == (INF, 1e308)
     assert list(r.maximizer) == list(report.maximizer) == [10.0, 0.0]
-    assert list(mean_curvature(alg, Ideal(alg, [[0.0, 1.0]]))) == [INF, 0.0]
+    assert list(mean_curvature(Ideal(alg, [[0.0, 1.0]]))) == [INF, 0.0]
 
 
 def test_radical_route_preconditions():

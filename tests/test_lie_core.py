@@ -229,11 +229,11 @@ def test_killing_ad_invariance():
 # -- derived subalgebra -----------------------------------------------------------
 
 def test_derived_abelian_zero():
-    assert derived_subalgebra(abelian(3)).dim == 0
+    assert derived_subalgebra(full_ideal(abelian(3))).dim == 0
 
 
 def test_derived_affine():
-    d = derived_subalgebra(affine2(1.0))
+    d = derived_subalgebra(full_ideal(affine2(1.0)))
     assert d.dim == 1
     assert d.residual_off([0.0, 1.0]) < 1e-12
 
@@ -244,7 +244,7 @@ def test_derived_example3():
     e = np.eye(3)
     rows = [alg.bracket(e[i], e[j]) for i in range(3) for j in range(3)]
     assert np.linalg.matrix_rank(np.array(rows)) == 2
-    d = derived_subalgebra(alg)
+    d = derived_subalgebra(full_ideal(alg))
     assert d.dim == 2
     assert d.residual_off(e[1]) < 1e-12
     assert d.residual_off(e[2]) < 1e-12
@@ -395,19 +395,19 @@ def test_ideal_checks():
 def test_mean_curvature_requires_ideal():
     alg = affine2(1.0)
     with pytest.raises(NotAnIdealError):
-        mean_curvature(alg, Ideal(alg, [[1.0, 0.0]]))
+        mean_curvature(Ideal(alg, [[1.0, 0.0]]))
 
 
 def test_mean_curvature_abelian_zero():
     alg = abelian(3)
-    H = mean_curvature(alg, Ideal(alg, np.eye(3)[:2]))
+    H = mean_curvature(Ideal(alg, np.eye(3)[:2]))
     assert np.allclose(H, 0.0)
 
 
 @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
 def test_mean_curvature_affine(c):
     alg = affine2(c)
-    H = mean_curvature(alg, Ideal(alg, [[0.0, 1.0]]))
+    H = mean_curvature(Ideal(alg, [[0.0, 1.0]]))
     assert np.allclose(H, [c, 0.0], atol=1e-12)
     assert alg.inner(H, H) == pytest.approx(c, abs=1e-12)
 
@@ -416,10 +416,10 @@ def test_mean_curvature_basis_independent():
     rng = np.random.default_rng(6)
     alg = paper_example3()
     base = np.eye(3)[1:]
-    H0 = mean_curvature(alg, Ideal(alg, base))
+    H0 = mean_curvature(Ideal(alg, base))
     for _ in range(10):
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
-        H1 = mean_curvature(alg, Ideal(alg, q @ base))
+        H1 = mean_curvature(Ideal(alg, q @ base))
         assert np.allclose(H0, H1, atol=1e-10)
 
 
@@ -431,24 +431,24 @@ def test_mean_curvature_is_the_koszul_sum():
         q = np.linalg.qr(rng.standard_normal((alg.dim, alg.dim)))[0]
         c = np.einsum("ia,jb,kc,ijk->abc", q, q, q, alg.structure)
         rot = MetricLieAlgebra(alg.dim, c, a @ a.T + np.eye(alg.dim))
-        ideal = derived_subalgebra(rot)
+        ideal = derived_subalgebra(full_ideal(rot))
         H = sum(koszul_connection(rot, e, e) for e in ideal.onb)
         H = H - ideal.onb.T @ (ideal.onb @ rot.metric @ H)
-        assert np.allclose(mean_curvature(rot, ideal), H, rtol=0.0, atol=1e-12)
+        assert np.allclose(mean_curvature(ideal), H, rtol=0.0, atol=1e-12)
 
 
 def test_mean_curvature_in_complement():
     alg = paper_example3()
     ideal = Ideal(alg, [np.eye(3)[2]])
-    H = mean_curvature(alg, ideal)
+    H = mean_curvature(ideal)
     assert np.allclose(H, [-1.0, 0.0, 0.0], atol=1e-12)
     assert ideal.residual_off(H) == pytest.approx(alg.norm(H), abs=1e-12)
 
 
 def _identity_residual(alg, ideal):
-    H = mean_curvature(alg, ideal)
+    H = mean_curvature(ideal)
     tau = trace_functional(alg)
-    quot, push = quotient_algebra(alg, ideal)
+    quot, push = quotient_algebra(ideal)
     tr_quot = trace_functional(quot) @ (push @ H) if quot.dim else 0.0
     return alg.inner(H, H) - tau @ H + tr_quot
 
@@ -471,9 +471,9 @@ def test_unimodular_parent_identity():
     # tr(ad H) = 0 upstairs, so |H|^2 = -tr(ad p_* H) downstairs
     alg = paper_example3()
     ideal = Ideal(alg, [np.eye(3)[2]])
-    H = mean_curvature(alg, ideal)
+    H = mean_curvature(ideal)
     assert trace_functional(alg) @ H == pytest.approx(0.0, abs=1e-12)
-    quot, push = quotient_algebra(alg, ideal)
+    quot, push = quotient_algebra(ideal)
     assert alg.inner(H, H) == pytest.approx(-(trace_functional(quot) @ (push @ H)), abs=1e-10)
 
 
@@ -481,11 +481,11 @@ def test_unimodular_parent_identity():
 
 def test_quotient_algebra_of_example3():
     alg = paper_example3()
-    quot, push = quotient_algebra(alg, Ideal(alg, [np.eye(3)[2]]))
+    quot, push = quotient_algebra(Ideal(alg, [np.eye(3)[2]]))
     assert quot.dim == 2
     assert validate(quot).ok
     # the quotient is the affine algebra: one-dimensional derived algebra
-    assert derived_subalgebra(quot).dim == 1
+    assert derived_subalgebra(full_ideal(quot)).dim == 1
     # identity metric on the quotient: the dual norm of tau is its length
     assert np.linalg.norm(trace_functional(quot)) == pytest.approx(1.0, abs=1e-12)
 
@@ -495,24 +495,24 @@ def test_quotient_by_everything_in_a_rotated_basis(make):
     # [g, g] = g: the rows e_i minus their projection are round-off alone, and
     # a cut relative to their own top singular value counted it as rank
     alg = rotate_algebra(make(), np.random.default_rng(3))
-    der = derived_subalgebra(alg)
+    der = derived_subalgebra(full_ideal(alg))
     assert der.dim == 3
     assert der.frame_complement().shape == (0, 3)
-    quot, push = quotient_algebra(alg, der)
+    quot, push = quotient_algebra(der)
     assert quot.dim == 0 and push.shape == (0, 3)
 
 
 def test_restrict_to_span_requires_closure():
     alg = so3()
     with pytest.raises(NotAnIdealError):
-        restrict_to_span(alg, Ideal(alg, np.eye(3)[:2]))
+        restrict_to_span(Ideal(alg, np.eye(3)[:2]))
 
 
 def test_restrict_full_and_zero():
     alg = paper_example3()
-    sub = restrict_to_span(alg, full_ideal(alg))
+    sub = restrict_to_span(full_ideal(alg))
     assert sub.dim == 3 and validate(sub).ok
-    assert restrict_to_span(alg, zero_ideal(alg)).dim == 0
+    assert restrict_to_span(zero_ideal(alg)).dim == 0
 
 
 # -- the cuts travel with the algebra ------------------------------------------------
@@ -523,12 +523,12 @@ def test_quotients_and_subalgebras_inherit_the_cuts():
     base = make_algebra(4, [(0, 1, 2, 1.0), (0, 2, 2, 1e-10)])
     assert base.tols is DEFAULT
     alg = replace(base, tols=STRICT)
-    quot = quotient_algebra(alg, Ideal(alg, [np.eye(4)[3]]))[0]
-    sub = restrict_to_span(alg, Ideal(alg, np.eye(4)[:3]))
+    quot = quotient_algebra(Ideal(alg, [np.eye(4)[3]]))[0]
+    sub = restrict_to_span(Ideal(alg, np.eye(4)[:3]))
     assert quot.tols is STRICT and sub.tols is STRICT
     assert classify(alg).radical.parent.tols is STRICT
     assert not (alg.is_unimodular() or quot.is_unimodular() or sub.is_unimodular())
-    assert base.is_unimodular() and quotient_algebra(base, Ideal(base, [np.eye(4)[3]]))[0] \
+    assert base.is_unimodular() and quotient_algebra(Ideal(base, [np.eye(4)[3]]))[0] \
         .is_unimodular()
 
 
@@ -539,3 +539,16 @@ def test_a_span_rank_is_cut_at_the_parents_rank_tol():
     assert Ideal(heisenberg3(), rows).dim == 1
     ideal = Ideal(replace(heisenberg3(), tols=STRICT), rows)
     assert ideal.dim == 2 and ideal.frame_complement().shape == (1, 3)
+
+
+def test_algebras_and_ideals_are_equal_by_identity():
+    # the generated equality compared numpy arrays and raised, and the hash
+    # hashed them; replace still builds a new algebra with a frame of its own
+    alg = heisenberg3()
+    assert (alg == heisenberg3()) is False and (alg == alg) is True
+    assert len({alg, heisenberg3(), alg}) == 2
+    ideal = full_ideal(alg)
+    assert (ideal == full_ideal(alg)) is False and {ideal: 1}[ideal] == 1
+    strict = replace(alg, tols=STRICT)
+    assert "frame" in vars(alg) and "frame" not in vars(strict)
+    assert strict != alg and strict.frame is not alg.frame

@@ -67,7 +67,7 @@ def test_classify_and_lambda0_are_basis_invariant(case):
     a, b = classify(alg), classify(rot)
     assert flags(a) == flags(b)
     assert a.numerically_marginal == b.numerically_marginal
-    ra, rb = group_spectrum_report(alg, report=a), group_spectrum_report(rot, report=b)
+    ra, rb = group_spectrum_report(alg), group_spectrum_report(rot)
     assert ra.method == rb.method
     # a unimodular algebra's lambda0 in a rotated basis is the square of the
     # trace's round-off, about (1e-16 t)^2
@@ -183,7 +183,7 @@ def heisenberg_type_ideals(draw):
     alg = MetricLieAlgebra(n, c, A @ A.T + 0.5 * np.eye(n))
     derived, lower = [full_ideal(alg)], [full_ideal(alg)]
     for _ in range(n):
-        derived.append(derived_subalgebra(alg, derived[-1]))
+        derived.append(derived_subalgebra(derived[-1]))
         # [g, N]: the brackets of the basis with N's orthonormal rows
         lower.append(Ideal(alg, np.einsum("vj,ijk->ivk", lower[-1].onb, c).reshape(-1, n)))
     return alg, draw(st.sampled_from([i.span for i in derived + lower if i.dim]))
@@ -200,14 +200,14 @@ def test_quotient_bound_is_an_identity_on_amenable_groups(case):
     alg, span = case
     assert Ideal(alg, span).is_ideal()
     lam = group_spectrum_report(alg).lambda0
-    rep = quotient_bound(alg, Ideal(alg, span))
+    rep = quotient_bound(Ideal(alg, span))
     sigma = alg.frame.scale * 2.0 ** alg.frame.exponent
     assert not rep.partial
     tol = 1e-12 * lam + 64 * EPS * sigma * math.sqrt(lam)
     assert abs(rep.lower_bound - lam) <= tol, (rep.lower_bound, lam)
     # criterion 3, each term of size up to sigma^2: |H|^2 - tr(ad H) + tr(ad_q p_* H) = 0
-    H = mean_curvature(alg, rep.ideal)
-    quot, push = quotient_algebra(alg, rep.ideal)
+    H = mean_curvature(rep.ideal)
+    quot, push = quotient_algebra(rep.ideal)
     tr_q = trace_functional(quot) @ (push @ H) if quot.dim else 0.0
     assert abs(alg.inner(H, H) - trace_functional(alg) @ H + tr_q) <= 64 * EPS * sigma ** 2
     # the same lambda0 through the mean curvature of the radical's commutator

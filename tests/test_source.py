@@ -1,11 +1,13 @@
 """Guards on the source itself: the package keeps one power-of-two rescaling,
 every warped solve names its grid, every tolerance field is one that the
 presets set apart, the tolerances are the Lie side's alone and travel with
-the algebra, the warped verdicts and solves read no absolute tolerance, and
-the Lie side compares against no unnamed one."""
+the algebra, the warped verdicts and solves read no absolute tolerance, the
+Lie side compares against no unnamed one, and no Lie function takes two
+Lie objects."""
 
 import ast
 import inspect
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -150,3 +152,20 @@ def test_the_lie_side_compares_against_no_float_literal():
                       if isinstance(n, ast.Constant) and isinstance(n.value, float)}
             allowed = {0.0, 1e-2, 1e2} if function.name == "_rank" else {0.0}
             assert floats <= allowed, (module, function.name, floats)
+
+
+def test_each_lie_object_is_passed_once():
+    # an ideal carries its algebra and a spectrum report its classification:
+    # a function that took two of them could be handed a mismatched pair
+    lie_type = re.compile(r"\b(MetricLieAlgebra|Ideal|ClassificationReport)\b")
+    seen = 0
+    for module in ("lie_core.py", "group_spectra.py"):
+        for node in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                typed = [a.arg for a in args
+                         if a.annotation and lie_type.search(ast.unparse(a.annotation))]
+                seen += bool(typed)
+                assert len(typed) < 2, (module, node.name, typed)
+                assert not {a.arg for a in args} & {"report", "rep"}, (module, node.name)
+    assert seen >= 12, seen

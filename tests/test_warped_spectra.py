@@ -582,7 +582,7 @@ def test_group_curvature_matches_warp_gradient():
     from specsub.lie_core import Ideal, mean_curvature
     for c in (0.25, 1.0, 4.0):
         alg = affine2(c)
-        H = mean_curvature(alg, Ideal(alg, [[0.0, 1.0]]))
+        H = mean_curvature(Ideal(alg, [[0.0, 1.0]]))
         spec = exp_interval(np.sqrt(c), 10.0)
         grid, _, psi = _sample(spec, 256)[:3]
         grad_ln = (np.log(psi[2:]) - np.log(psi[:-2])) / (2 * grid.h)
