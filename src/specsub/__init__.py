@@ -10,8 +10,7 @@ from .lie_core import (ClassificationReport, Ideal, MetricLieAlgebra,
 from .group_spectra import (GroupSpectrumReport, Method, QuotientBoundReport,
                             group_spectrum_report, quotient_bound,
                             radical_commutator_lambda0)
-from .eigensolve import (SpectrumEstimate, SymmetricForm, dense_lowest,
-                         lowest_eigenvalue)
+from .eigensolve import SpectrumEstimate, SymmetricForm, lowest_eigenvalue
 from .warped_spectra import (Boundary, CircleBase, DiscreteOperator,
                              IntervalBase, TailReport, WarpProfile,
                              WarpedProductSpec, WarpedReport, build_schrodinger,

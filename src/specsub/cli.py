@@ -22,8 +22,8 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import replace
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,8 +65,7 @@ HEADERS = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     input: str
     grid_n: int = 256
@@ -79,8 +78,7 @@ class RunConfig:
     cutoffs: Optional[tuple] = None
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     exit_code: int
     text: str
 

@@ -24,7 +24,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,14 +41,12 @@ EPS = sys.float_info.epsilon    # a Python float: so is every error, and every v
 DENSE_LIMIT = 512   # largest n that the dense cross-check covers
 
 
-@dataclass(frozen=True)
-class SpectrumEstimate:
+class SpectrumEstimate(NamedTuple):
     lambda0: float
     eigvec: np.ndarray           # in the original (unweighted) coordinates
     residual: float              # weighted residual norm, unit eigvec
     error: float                 # certified bound on |lambda0 - the true value|
     grid_n: int
-    mode: Optional[int] = None
 
 
 def _dot(x, y) -> float:
@@ -127,7 +125,7 @@ def _scaled(form: SymmetricForm):
                          form.weights), unit, scale
 
 
-def _estimate(Mu: SymmetricForm, unit: float, v, error, grid_n, mode) -> SpectrumEstimate:
+def _estimate(Mu: SymmetricForm, unit: float, v, error, grid_n) -> SpectrumEstimate:
     """The eigenvector v / W^{1/2} in the weighted unit norm, with the long
     double Rayleigh quotient and the residual of the unit vector it stands
     for, both taken on Mu = unit * M and scaled back."""
@@ -140,7 +138,7 @@ def _estimate(Mu: SymmetricForm, unit: float, v, error, grid_n, mode) -> Spectru
     lam = float(vl @ _apply(Mu.diag.astype(ld), Mu.off.astype(ld), ld(Mu.corner), vl)
                 / (vl @ vl))
     r = Mu.matvec(v) - lam * v
-    return SpectrumEstimate(lam / unit, eigvec, math.sqrt(_dot(r, r)) / unit, error, grid_n, mode)
+    return SpectrumEstimate(lam / unit, eigvec, math.sqrt(_dot(r, r)) / unit, error, grid_n)
 
 
 @functools.cache
@@ -223,33 +221,23 @@ def _bracket(Mu: SymmetricForm, resolution: float):
     return lo, hi, v
 
 
-def _banded_lowest(Mu: SymmetricForm, compute_v: int = 0):
-    """Lowest eigenvalue of Mu, and with ``compute_v`` its eigenvector, by
-    LAPACK dsbev: the nodes taken alternately from both ends of the chain
-    put every edge and the corner within two places of the diagonal."""
+def _banded_lowest(Mu: SymmetricForm) -> float:
+    """Lowest eigenvalue of Mu by LAPACK dsbev, values only: the nodes taken
+    alternately from both ends of the chain put every edge and the corner
+    within two places of the diagonal."""
     n = Mu.n
     pos = np.r_[np.arange(0, n, 2), np.arange(n - 1 - n % 2, 0, -2)]   # node -> place
     band = np.zeros((3, n))                                              # lower storage
     band[0, pos] = Mu.diag
     band[np.abs(pos[1:] - pos[:-1]), np.minimum(pos[1:], pos[:-1])] = Mu.off
     band[1, 0] += Mu.corner                 # nodes 0 and n - 1 sit at places 0 and 1
-    w, z, info = _lapack().dsbev(band, compute_v=compute_v, lower=1)
+    w, _, info = _lapack().dsbev(band, compute_v=0, lower=1)
     if info:
         raise SolverConvergenceError(f"dense reference failed: LAPACK dsbev info {info}")
-    return float(w[0]), (z[pos, 0] if compute_v else None)
+    return float(w[0])
 
 
-def dense_lowest(form: SymmetricForm, grid_n: Optional[int] = None,
-                 mode: Optional[int] = None) -> SpectrumEstimate:
-    """Reference dense solve, eigenvalue and eigenvector, to ULPS * eps * ||M||."""
-    Mu, unit, scale = _scaled(form)
-    v = _banded_lowest(Mu, compute_v=1)[1]
-    return _estimate(Mu, unit, v, ULPS * EPS * scale,
-                     form.n if grid_n is None else grid_n, mode)
-
-
-def lowest_eigenvalue(form: SymmetricForm, grid_n: Optional[int] = None,
-                      mode: Optional[int] = None) -> SpectrumEstimate:
+def lowest_eigenvalue(form: SymmetricForm, grid_n: Optional[int] = None) -> SpectrumEstimate:
     """Smallest eigenvalue of the weighted operator with symmetric form ``form``,
     to the residual target |Mv - lambda v| / |v| <= 40 eps ||M||.
 
@@ -261,7 +249,7 @@ def lowest_eigenvalue(form: SymmetricForm, grid_n: Optional[int] = None,
     gn = form.n if grid_n is None else grid_n
     Mu, unit, scale = _scaled(form)
     if form.n == 1:                     # M is its own eigenvalue
-        return _estimate(Mu, unit, np.ones(1), 0.0, gn, mode)
+        return _estimate(Mu, unit, np.ones(1), 0.0, gn)
     target = 40 * EPS * scale
     slack = ULPS * EPS * scale * unit
     lo, hi, v = _bracket(Mu, slack)
@@ -272,7 +260,7 @@ def lowest_eigenvalue(form: SymmetricForm, grid_n: Optional[int] = None,
         v = _solve(Mu, factors, v)
         v /= math.sqrt(_dot(v, v))
     lo, hi, slack = lo / unit, hi / unit, slack / unit
-    est = _estimate(Mu, unit, v, (hi - lo) + slack, gn, mode)
+    est = _estimate(Mu, unit, v, (hi - lo) + slack, gn)
     if not (definite and est.residual <= target and lo - slack <= est.lambda0 <= hi + slack):
         raise SolverConvergenceError(
             f"result {est.lambda0!r} is not certified as the lowest eigenvalue: "
@@ -282,7 +270,7 @@ def lowest_eigenvalue(form: SymmetricForm, grid_n: Optional[int] = None,
     if form.n <= DENSE_LIMIT:
         # values only: LAPACK dsbev, independent of the bracket and known to
         # a few eps * ||M||
-        ref = _banded_lowest(Mu)[0] / unit
+        ref = _banded_lowest(Mu) / unit
         if abs(ref - est.lambda0) > est.error + slack:
             raise SolverConvergenceError(
                 f"iterative value {est.lambda0!r} disagrees with dense "

@@ -251,6 +251,16 @@ def _lie_algebra(n: int, c: np.ndarray, g: np.ndarray) -> MetricLieAlgebra:
     return MetricLieAlgebra(n, c, g)
 
 
+def _structure(n: int) -> Optional[np.ndarray]:
+    """Zero structure constants of dimension n, or None when numpy cannot
+    allocate them (MemoryError, or ValueError past the address space); the
+    callers allocate the n x n metric only after them."""
+    try:
+        return np.zeros((n, n, n))
+    except (MemoryError, ValueError):
+        return None
+
+
 def _parse_lie(rows):
     """-> (n, c, g) from the token rows of a Lie file, one line at a time."""
     lineno, toks = rows[0]
@@ -259,7 +269,10 @@ def _parse_lie(rows):
     n = _parse_int(toks[1], lineno)
     if n < 1:
         raise FixtureParseError("dimension must be positive", lineno)
-    c = np.zeros((n, n, n))
+    c = _structure(n)
+    if c is None:
+        raise FixtureParseError(f"dimension {n} is too large: its {n}^3 structure "
+                                "constants do not fit in memory", lineno)
     g = np.eye(n)
     seen_brackets = set()
     seen_metric = set()
@@ -335,9 +348,9 @@ def _parse_lie_bulk(text: str):
     if head is None or text.count("dim") != 1:
         return None
     n = int(head[1])
-    if n < 1:
+    c = _structure(n) if n >= 1 else None
+    if c is None:
         return None
-    c = np.zeros((n, n, n))
     g = np.eye(n)
     count = text.count("bracket") + text.count("metric")
     if count == 0:          # np.fromstring reads a blank string as [-1.]

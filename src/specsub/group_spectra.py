@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,8 +38,7 @@ class Method(str, enum.Enum):
     LOWER_BOUND_ONLY = "lower_bound_only"
 
 
-@dataclass(frozen=True)
-class GroupSpectrumReport:
+class GroupSpectrumReport(NamedTuple):
     lambda0: float
     cheeger: float
     maximizer: Optional[np.ndarray]   # unit vector, sign fixed by tr(ad .) >= 0
@@ -48,9 +46,7 @@ class GroupSpectrumReport:
     classification: ClassificationReport   # of the algebra the report is for
 
 
-@dataclass(frozen=True)
-class QuotientBoundReport:
-    ideal: Ideal
+class QuotientBoundReport(NamedTuple):
     H: np.ndarray
     H_norm2: float                    # |H|^2
     tr_ad_H: float                    # tr(ad H)
@@ -105,7 +101,6 @@ def quotient_bound(n_ideal: Ideal) -> QuotientBoundReport:
     # the difference at unit scale: |H|^2 and tr(ad H) can overflow when it does not
     bound = lambda0_quotient + lambda0_N + times_pow2(t / 2.0 - h / 4.0, 2 * fr.exponent)
     return QuotientBoundReport(
-        ideal=n_ideal,
         H=times_pow2(H @ fr.inv_chol, fr.exponent),
         H_norm2=times_pow2(h, 2 * fr.exponent),
         tr_ad_H=times_pow2(t, 2 * fr.exponent),

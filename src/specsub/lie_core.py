@@ -194,8 +194,7 @@ class Ideal:
         return comp
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     antisymmetry_residual: float   # max |c + c^T| on the frame, over sigma
     jacobi_residual: float         # max Jacobi residual on the frame, over sigma^2
     metric_symmetry_residual: float
@@ -203,8 +202,7 @@ class ValidationReport:
     ok: bool
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     unimodular: bool
     solvable: bool
     nilpotent: bool

@@ -10,7 +10,7 @@ eps * ||M|| of its operator (see eigensolve.lowest_eigenvalue).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Every Lie cut is relative: to sigma = ||c||_F in a g-orthonormal basis
 # (no floor, see lie_core.Frame) or to the largest metric eigenvalue.
@@ -19,8 +19,7 @@ SPD_TOL = 1e-12       # min / max metric eigenvalue must exceed this
 DIRECTION_TOL = 1e-6  # distance of radical_commutator_lambda0's two unit maximizers
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     jacobi_tol: float = 1e-9     # max Jacobi residual / sigma^2 accepted
     # every other Lie cut: the rank of a span of vectors against its top
     # singular value; bracket ranks, subalgebra and ideal residuals and the

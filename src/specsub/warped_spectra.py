@@ -27,7 +27,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -333,10 +333,7 @@ def build_warped_mode(spec: WarpedProductSpec, m: int, grid_n: int) -> DiscreteO
 
 # -- verification -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WarpedReport:
-    fixture: str
-    grid_n: int
+class WarpedReport(NamedTuple):
     lambda0_modes: tuple          # lambda0 of L_0, L_1, ..., L_mmax
     lambda0_total: float          # of the total space: min over modes
     lambda0_schrodinger: float
@@ -348,10 +345,7 @@ class WarpedReport:
     equality_passed: bool
 
 
-@dataclass(frozen=True)
-class TailReport:
-    fixture: str
-    grid_n: int
+class TailReport(NamedTuple):
     cutoffs: tuple
     values: tuple
     residuals: tuple
@@ -365,8 +359,7 @@ def mode_scan(spec: WarpedProductSpec, grid_n: int, m_max: int = 8):
     if m_max < 0:
         raise ValueError("the largest mode must be nonnegative")
     ops = _mode_operators(spec, grid_n, range(m_max + 1))
-    return (lowest_eigenvalue(op, grid_n=grid_n, mode=m)
-            for m, op in enumerate(ops))
+    return (lowest_eigenvalue(op, grid_n=grid_n) for op in ops)
 
 
 def verify_warped(spec: WarpedProductSpec, grid_n: int, m_max: int = 8) -> WarpedReport:
@@ -392,8 +385,7 @@ def verify_warped(spec: WarpedProductSpec, grid_n: int, m_max: int = 8) -> Warpe
     diff = abs(zero - s_est.lambda0)
     # the fiber term is rounded three times; an infinite one gives nan: failed
     passed = low - rhs + 4 * sys.float_info.epsilon * fiber >= -(low_err + s_est.error)
-    return WarpedReport(spec.name, grid_n, tuple(m[0] for m in modes), low,
-                        s_est.lambda0, rhs, low - rhs,
+    return WarpedReport(tuple(m[0] for m in modes), low, s_est.lambda0, rhs, low - rhs,
                         tuple(m[2] for m in modes) + (s_est.residual,), passed, diff,
                         diff <= zero_err + s_est.error
                         and low >= zero - (zero_err + low_err))
@@ -422,7 +414,7 @@ def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
             raise ValueError(f"cutoff {c} leaves too few grid nodes")
         ests.append(lowest_eigenvalue(op.restricted(mask), grid_n=grid_n))
     mono = all(b.lambda0 >= a.lambda0 - (a.error + b.error) for a, b in zip(ests, ests[1:]))
-    return TailReport(spec.name, grid_n, tuple(cutoffs), tuple(e.lambda0 for e in ests),
+    return TailReport(tuple(cutoffs), tuple(e.lambda0 for e in ests),
                       tuple(e.residual for e in ests), mono)
 
 

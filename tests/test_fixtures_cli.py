@@ -381,6 +381,22 @@ def test_main_reports_a_fixture_it_cannot_read(tmp_path, capsys, monkeypatch):
     assert stderr == f"error: cannot read {str(path)!r}: Input/output error\n"
 
 
+@pytest.mark.parametrize("text, line", [("dim 1000000\n", 1), ("dim 3000000\n", 1),
+                                        ("# far too large\ndim 1000000\n", 2)])
+def test_main_reports_a_dimension_too_large_to_allocate(tmp_path, capsys, text, line):
+    # 8e18 bytes of structure constants make numpy raise MemoryError, 2.2e20
+    # bytes ValueError, at once on any host: no address space holds either.
+    # A dimension that numpy can allocate, from about 700 up, fills gigabytes
+    path = tmp_path / "big.lie"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == EXIT_VALIDATION
+    stdout, stderr = capsys.readouterr()
+    n = text.split()[-1]
+    assert stdout == ""
+    assert stderr == (f"error: line {line}: dimension {n} is too large: its {n}^3 "
+                      "structure constants do not fit in memory\n")
+
+
 def test_main_leaves_the_report_file_alone_when_the_run_fails(tmp_path, capsys):
     out = tmp_path / "report.txt"
     out.write_bytes(b"# an earlier report\n")

@@ -198,16 +198,17 @@ def test_quotient_bound_is_an_identity_on_amenable_groups(case):
     # is a sum of terms up to sigma, good to some eps sigma, and lambda0 to
     # |tau| times that: 1e-12 lambda0 unless tau nearly cancels
     alg, span = case
-    assert Ideal(alg, span).is_ideal()
+    ideal = Ideal(alg, span)
+    assert ideal.is_ideal()
     lam = group_spectrum_report(alg).lambda0
-    rep = quotient_bound(Ideal(alg, span))
+    rep = quotient_bound(ideal)
     sigma = alg.frame.scale * 2.0 ** alg.frame.exponent
     assert not rep.partial
     tol = 1e-12 * lam + 64 * EPS * sigma * math.sqrt(lam)
     assert abs(rep.lower_bound - lam) <= tol, (rep.lower_bound, lam)
     # criterion 3, each term of size up to sigma^2: |H|^2 - tr(ad H) + tr(ad_q p_* H) = 0
-    H = mean_curvature(rep.ideal)
-    quot, push = quotient_algebra(rep.ideal)
+    H = mean_curvature(ideal)
+    quot, push = quotient_algebra(ideal)
     tr_q = trace_functional(quot) @ (push @ H) if quot.dim else 0.0
     assert abs(alg.inner(H, H) - trace_functional(alg) @ H + tr_q) <= 64 * EPS * sigma ** 2
     # the same lambda0 through the mean curvature of the radical's commutator
@@ -446,7 +447,7 @@ def test_banded_lowest_matches_eigvalsh(n, corner_sign, seed):
                          corner_sign * rng.uniform(1e-3, 10.0), np.ones(n))
     M = form.dense()
     norm = np.max(np.sum(np.abs(M), axis=1))
-    assert abs(eigensolve._banded_lowest(form)[0] - np.linalg.eigvalsh(M)[0]) <= 64 * EPS * norm
+    assert abs(eigensolve._banded_lowest(form) - np.linalg.eigvalsh(M)[0]) <= 64 * EPS * norm
 
 
 @st.composite

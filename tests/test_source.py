@@ -2,13 +2,14 @@
 every warped solve names its grid, every tolerance field is one that the
 presets set apart, the tolerances are the Lie side's alone and travel with
 the algebra, the warped verdicts and solves read no absolute tolerance, the
-Lie side compares against no unnamed one, and no Lie function takes two
-Lie objects."""
+Lie side compares against no unnamed one, no Lie function takes two
+Lie objects, and a class that only holds values is a NamedTuple."""
 
 import ast
+import dataclasses
+import importlib
 import inspect
 import re
-from dataclasses import fields
 from pathlib import Path
 
 from specsub.eigensolve import lowest_eigenvalue
@@ -51,7 +52,7 @@ def test_every_warped_solve_names_its_grid_by_keyword():
 def test_every_tolerance_field_is_set_apart_by_the_presets():
     # a value both presets share is a module constant of tolerances.py, and
     # a field with another field's (default, strict) pair is a second name
-    pairs = [(getattr(DEFAULT, f.name), getattr(STRICT, f.name)) for f in fields(Tolerances)]
+    pairs = [(getattr(DEFAULT, f), getattr(STRICT, f)) for f in Tolerances._fields]
     assert all(d != s for d, s in pairs), pairs
     assert len(set(pairs)) == len(pairs), pairs
 
@@ -66,7 +67,7 @@ def test_the_warped_side_takes_no_tolerances():
                 imported |= {getattr(node, "module", None) or ""}
                 imported |= {alias.name for alias in node.names}
         assert not [name for name in imported if "tolerances" in name], module
-    assert [f.name for f in fields(Tolerances)] == ["jacobi_tol", "rank_tol"]
+    assert list(Tolerances._fields) == ["jacobi_tol", "rank_tol"]
     for function in (lowest_eigenvalue, mode_scan, verify_warped, lambda0_ess_tail,
                      drift_bound_lambda0):
         assert "tols" not in inspect.signature(function).parameters, function.__name__
@@ -169,3 +170,26 @@ def test_each_lie_object_is_passed_once():
                 assert len(typed) < 2, (module, node.name, typed)
                 assert not {a.arg for a in args} & {"report", "rep"}, (module, node.name)
     assert seen >= 12, seen
+
+
+RECORDS = ("ValidationReport", "ClassificationReport", "GroupSpectrumReport",
+           "QuotientBoundReport", "SpectrumEstimate", "WarpedReport", "TailReport",
+           "Tolerances", "RunConfig", "RunResult")
+
+
+def test_records_are_named_tuples_and_every_dataclass_validates():
+    # a class that only holds values is a typing.NamedTuple, which costs the
+    # import about a sixth of a dataclass; a dataclass stays only where its
+    # __post_init__ checks or normalizes the inputs
+    classes = [cls for path in SRC.glob("*.py") if path.stem != "__main__"
+               for cls in vars(importlib.import_module(f"specsub.{path.stem}")).values()
+               if isinstance(cls, type) and cls.__module__ == f"specsub.{path.stem}"]
+    records = {cls.__name__: cls for cls in classes if issubclass(cls, tuple)}
+    assert set(RECORDS) <= set(records), records
+    for name, record in records.items():
+        # a field of either name would shadow the tuple method
+        assert not {"count", "index"} & set(record._fields), name
+    validating = [cls for cls in classes if dataclasses.is_dataclass(cls)]
+    assert validating
+    for cls in validating:
+        assert hasattr(cls, "__post_init__"), cls.__name__
