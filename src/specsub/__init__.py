@@ -11,12 +11,11 @@ from .group_spectra import (GroupSpectrumReport, Method, QuotientBoundReport,
                             group_spectrum_report, quotient_bound,
                             radical_commutator_lambda0)
 from .eigensolve import SpectrumEstimate, SymmetricForm, lowest_eigenvalue
-from .warped_spectra import (Boundary, CircleBase, DiscreteOperator,
-                             IntervalBase, TailReport, WarpProfile,
-                             WarpedProductSpec, WarpedReport, build_schrodinger,
-                             build_warped_mode, drift_bound_lambda0,
-                             lambda0_ess_tail, mode_scan, pushdown,
-                             pushdown_slack, rayleigh_2d, verify_warped)
+from .warped_spectra import (Boundary, CircleBase, IntervalBase, TailReport,
+                             WarpProfile, WarpedProductSpec, WarpedReport,
+                             build_schrodinger, build_warped_mode,
+                             drift_bound_lambda0, lambda0_ess_tail, mode_scan,
+                             pushdown, pushdown_slack, rayleigh_2d, verify_warped)
 from .fixtures import (catalog_fixture, catalog_ideals, fixture_text,
                        parse_fixture, parse_fixture_text, resolve_fixture)
 

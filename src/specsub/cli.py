@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -305,7 +304,7 @@ def run(config: RunConfig) -> RunResult:
         if kind is WarpedProductSpec:
             _check_grid(config)
         else:
-            fix = replace(fix, tols=config.tolerances)
+            fix = MetricLieAlgebra(fix.dim, fix.structure, fix.metric, config.tolerances)
             if config.command != "analyze":
                 _validated(fix)
         return RunResult(EXIT_OK, handler(config, fix, _fixture_name(config, fix)))

@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -66,7 +65,6 @@ def _apply(d, e, corner, v):
     return y
 
 
-@dataclass(frozen=True, eq=False)
 class SymmetricForm:
     """M = W^{1/2} A W^{-1/2} of an operator A self-adjoint in the inner
     product weighted by ``weights``: the diagonal, the n - 1 off-diagonal
@@ -74,26 +72,20 @@ class SymmetricForm:
     circle of one or two nodes the wrap edge is a diagonal or off-diagonal
     entry).  A v = lambda v exactly when M W^{1/2} v = lambda W^{1/2} v."""
 
-    diag: np.ndarray
-    off: np.ndarray
-    corner: float
-    weights: np.ndarray
-
-    def __post_init__(self):
-        for name in ("diag", "off", "weights"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "corner", float(self.corner))
-        n = self.diag.size
-        if not (n and self.off.shape == (n - 1,) and self.weights.shape == (n,)
-                and (n > 2 or not self.corner)):
+    def __init__(self, diag, off, corner: float, weights):
+        diag, off, weights = (np.asarray(a, dtype=float) for a in (diag, off, weights))
+        corner = float(corner)
+        n = diag.size
+        if not (n and off.shape == (n - 1,) and weights.shape == (n,)
+                and (n > 2 or not corner)):
             raise ValueError(f"operator is not tridiagonal plus a circle's corner: {n} "
-                             f"diagonal, {self.off.size} off-diagonal entries, "
-                             f"{self.weights.size} weights, corner {self.corner!r}")
-        if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()
-                and math.isfinite(self.corner)):
+                             f"diagonal, {off.size} off-diagonal entries, "
+                             f"{weights.size} weights, corner {corner!r}")
+        if not (np.isfinite(diag).all() and np.isfinite(off).all() and math.isfinite(corner)):
             raise ValueError("operator has non-finite entries")
-        if not (np.isfinite(self.weights) & (self.weights > 0.0)).all():
+        if not (np.isfinite(weights) & (weights > 0.0)).all():
             raise ValueError("weights must be finite and positive")
+        self.diag, self.off, self.corner, self.weights = diag, off, corner, weights
 
     @property
     def n(self) -> int:

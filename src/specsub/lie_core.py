@@ -16,7 +16,6 @@ algebra, so a function of an ideal takes the ideal alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -63,28 +62,20 @@ class Frame(NamedTuple):
         return np.einsum("ijj->i", self.structure)
 
 
-@dataclass(frozen=True, eq=False)
 class MetricLieAlgebra:
     """Lie algebra with structure constants ``structure``, inner product
     ``metric`` and the cuts ``tols`` of every decision on it.  Two algebras
     are equal when they are the same object."""
 
-    dim: int
-    structure: np.ndarray          # (n, n, n), [e_i, e_j] = structure[i, j, :]
-    metric: np.ndarray             # (n, n) symmetric positive definite
-    tols: Tolerances = DEFAULT
-
-    def __post_init__(self):
-        c = _frozen(self.structure)
-        g = _frozen(self.metric)
-        n = int(self.dim)
+    def __init__(self, dim: int, structure, metric, tols: Tolerances = DEFAULT):
+        c = _frozen(structure)         # (n, n, n), [e_i, e_j] = structure[i, j, :]
+        g = _frozen(metric)            # (n, n) symmetric positive definite
+        n = int(dim)
         if c.shape != (n, n, n):
             raise ValueError(f"structure constants must have shape {(n, n, n)}")
         if g.shape != (n, n):
             raise ValueError(f"metric must have shape {(n, n)}")
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "structure", c)
-        object.__setattr__(self, "metric", g)
+        self.dim, self.structure, self.metric, self.tols = n, c, g, tols
 
     @cached_property
     def frame(self) -> Frame:
@@ -128,29 +119,22 @@ class MetricLieAlgebra:
         return _killing(self.structure)
 
 
-@dataclass(frozen=True, eq=False)
 class Ideal:
     """Subspace of the MetricLieAlgebra ``parent`` given by a spanning set of
     coordinate rows, with a g-orthonormal basis ``onb`` and the same basis as
     rows of the frame, ``frame_onb``.  Subalgebra and ideal are checked by
-    residuals, not assumed."""
+    residuals, not assumed.  Two ideals are equal when they are the same object."""
 
-    parent: MetricLieAlgebra
-    span: np.ndarray
-    onb: np.ndarray = field(init=False)
-    frame_onb: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        span = np.atleast_2d(np.asarray(self.span, dtype=float))
+    def __init__(self, parent: MetricLieAlgebra, span):
+        span = np.atleast_2d(np.asarray(span, dtype=float))
         if span.size == 0:
-            span = np.zeros((0, self.parent.dim))
-        if span.shape[1] != self.parent.dim:
+            span = np.zeros((0, parent.dim))
+        if span.shape[1] != parent.dim:
             raise ValueError("spanning vectors must live in the parent algebra")
-        object.__setattr__(self, "span", _frozen(span))
-        fr = self.parent.frame
-        rows = _orthonormal(self.parent, span @ fr.chol)
-        object.__setattr__(self, "frame_onb", _frozen(rows))
-        object.__setattr__(self, "onb", _frozen(rows @ fr.inv_chol))
+        fr = parent.frame
+        rows = _orthonormal(parent, span @ fr.chol)
+        self.parent, self.span = parent, _frozen(span)
+        self.onb, self.frame_onb = _frozen(rows @ fr.inv_chol), _frozen(rows)
 
     @property
     def dim(self) -> int:
@@ -349,7 +333,7 @@ def _on_rows(alg: MetricLieAlgebra, F: np.ndarray) -> MetricLieAlgebra:
     c = times_pow2(hat, fr.exponent)
     c.setflags(write=False)
     sub = MetricLieAlgebra(n, c, np.eye(n), alg.tols)
-    object.__setattr__(sub, "frame", Frame(np.eye(n), np.eye(n), hat, fr.scale, fr.exponent))
+    sub.frame = Frame(np.eye(n), np.eye(n), hat, fr.scale, fr.exponent)
     return sub
 
 

@@ -76,10 +76,14 @@ class WarpProfile:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         if self.kind == "samples":
             arr = np.asarray(self.samples, dtype=float)
+            if arr.ndim != 1:
+                raise ValueError(f"a sampled warp needs a 1-D array, got shape {arr.shape}")
             arr.setflags(write=False)
             object.__setattr__(self, "samples", arr)
         elif self.kind not in ("const", "exp", "sinshift"):
             raise ValueError(f"unknown warp kind {self.kind!r}")
+        elif len(self.params) != 1:
+            raise ValueError(f"warp {self.kind!r} takes one parameter, got {len(self.params)}")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -114,9 +118,9 @@ class WarpedProductSpec:
         object.__setattr__(self, "_memo", {})
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Base nodes carrying unknowns, and the boundary closure around them.
+class Grid(NamedTuple):
+    """Base nodes carrying unknowns, and the boundary closure around them,
+    built by ``base_grid``.
 
     The closure is decided here and nowhere else.  ``pad`` lays a node array
     out so that every edge of the discretization is (k, k+1) of the padded
@@ -128,12 +132,6 @@ class Grid:
     h: float
     boundary: Optional[Boundary] = None     # None: a circle
     ends: tuple = ()     # coordinates (a, b) of the two Dirichlet ghosts
-
-    def __post_init__(self):
-        # every operator divides by h^2
-        if not (0.0 < self.h * self.h < math.inf and 1.0 / (self.h * self.h) < math.inf):
-            raise ValueError(f"grid spacing {self.h!r} is out of range: "
-                             "h^2 and 1/h^2 must be finite")
 
     def pad(self, f, lo=0.0, hi=0.0):
         """f (nodes along the first axis) with the closure's ghost values.
@@ -163,15 +161,20 @@ class Grid:
 def base_grid(spec: WarpedProductSpec, grid_n: int) -> Grid:
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    if isinstance(spec.base, CircleBase):
-        h = spec.base.length / grid_n
-        return Grid(np.arange(grid_n) * h, h)
-    a, b, bc = spec.base.a, spec.base.b, spec.base.boundary
-    if bc == Boundary.DIRICHLET:
-        h = (b - a) / (grid_n + 1)
-        return Grid(a + h * np.arange(1, grid_n + 1), h, bc, (a, b))
-    h = (b - a) / grid_n
-    return Grid(a + h * (np.arange(grid_n) + 0.5), h, bc)
+    base = spec.base
+    if isinstance(base, CircleBase):
+        h = base.length / grid_n
+        grid = Grid(np.arange(grid_n) * h, h)
+    elif base.boundary == Boundary.DIRICHLET:
+        h = (base.b - base.a) / (grid_n + 1)
+        grid = Grid(base.a + h * np.arange(1, grid_n + 1), h, base.boundary, (base.a, base.b))
+    else:
+        h = (base.b - base.a) / grid_n
+        grid = Grid(base.a + h * (np.arange(grid_n) + 0.5), h, base.boundary)
+    # every operator divides by h^2
+    if not (0.0 < h * h < math.inf and 1.0 / (h * h) < math.inf):
+        raise ValueError(f"grid spacing {h!r} is out of range: h^2 and 1/h^2 must be finite")
+    return grid
 
 
 def _warp(spec: WarpedProductSpec, grid: Grid):
@@ -239,39 +242,7 @@ def _extrapolate(three, t):
     return y0 + t * (y1 - y0) + 0.5 * t * (t - 1.0) * (y2 - 2.0 * y1 + y0)
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteOperator(SymmetricForm):
-    """Grid operator A, self-adjoint in the inner product weighted by
-    ``weights``, held as its symmetric form M = W^{1/2} A W^{-1/2} (three
-    diagonals and a circle's corner, see eigensolve.SymmetricForm): the
-    quadratic form f.W A f is g.M g for g = W^{1/2} f."""
-
-    grid: Grid
-
-    def quadratic_form(self, f: np.ndarray) -> float:
-        g = np.sqrt(self.weights) * np.asarray(f, dtype=float)
-        return float(g @ self.matvec(g))
-
-    def norm2(self, f: np.ndarray) -> float:
-        f = np.asarray(f, dtype=float)
-        return float(f @ (self.weights * f))
-
-    def rayleigh(self, f: np.ndarray) -> float:
-        return self.quadratic_form(f) / self.norm2(f)
-
-    def restricted(self, mask: np.ndarray) -> "DiscreteOperator":
-        """Principal submatrix on the masked nodes, which must be consecutive:
-        the Dirichlet restriction to a sub-interval (a circle's wrap edge is cut)."""
-        idx = np.flatnonzero(mask)
-        if idx.size == 0 or idx[-1] - idx[0] != idx.size - 1:
-            raise ValueError("a restriction needs a non-empty run of consecutive nodes")
-        lo, hi = int(idx[0]), int(idx[-1]) + 1
-        g = Grid(self.grid.x[lo:hi], self.grid.h, Boundary.DIRICHLET)
-        return DiscreteOperator(self.diag[lo:hi], self.off[lo:hi - 1], 0.0,
-                                self.weights[lo:hi], g)
-
-
-def _operator(grid: Grid, conduct: np.ndarray, potential, psi: np.ndarray) -> DiscreteOperator:
+def _operator(grid: Grid, conduct: np.ndarray, potential, psi: np.ndarray) -> SymmetricForm:
     """A f = -(conduct f')'/psi + potential f, with the conductances on the
     edges of ``Grid.pad`` (an edge to a Dirichlet ghost, where f = 0, adds to
     the diagonal only), held as the symmetric form W^{-1/2} K W^{-1/2} of its
@@ -282,8 +253,8 @@ def _operator(grid: Grid, conduct: np.ndarray, potential, psi: np.ndarray) -> Di
     with np.errstate(over="ignore", invalid="ignore"):  # rejected by the form's check
         diag = grid.fold(conduct, conduct) / psi / h2 + potential
         weights = psi * grid.h
-    return DiscreteOperator(diag, np.full(grid.x.size - 1, -1.0 / h2),
-                            -1.0 / h2 if grid.boundary is None else 0.0, weights, grid)
+    return SymmetricForm(diag, np.full(grid.x.size - 1, -1.0 / h2),
+                         -1.0 / h2 if grid.boundary is None else 0.0, weights)
 
 
 def _potential(grid: Grid, psi_pad: np.ndarray, k_half: float) -> np.ndarray:
@@ -297,7 +268,7 @@ def _potential(grid: Grid, psi_pad: np.ndarray, k_half: float) -> np.ndarray:
         return grid.fold(r ** k_half - 1.0, r ** -k_half - 1.0) / (grid.h * grid.h)
 
 
-def build_schrodinger(spec: WarpedProductSpec, grid_n: int) -> DiscreteOperator:
+def build_schrodinger(spec: WarpedProductSpec, grid_n: int) -> SymmetricForm:
     """S = -f'' + V f with V = (psi^{k/2})''/psi^{k/2}, uniform weights, on
     the grid of ``_sample``, read-only and built once per spec and grid size."""
     key = ("S", grid_n)
@@ -321,10 +292,10 @@ def _mode_operators(spec: WarpedProductSpec, grid_n: int, modes):
         # inf fails the form's check; a yield inside errstate would leak it
         with np.errstate(over="ignore", divide="ignore"):
             diag = op.diag + (m * m) / (psi * psi) if m else op.diag
-        yield replace(op, diag=diag)
+        yield SymmetricForm(diag, op.off, op.corner, op.weights)
 
 
-def build_warped_mode(spec: WarpedProductSpec, m: int, grid_n: int) -> DiscreteOperator:
+def build_warped_mode(spec: WarpedProductSpec, m: int, grid_n: int) -> SymmetricForm:
     """Fourier-mode operator L_m f = -(psi f')'/psi + m^2/psi^2 f (fiber S^1)."""
     if m < 0:
         raise ValueError("mode index must be nonnegative")
@@ -404,15 +375,16 @@ def lambda0_ess_tail(spec: WarpedProductSpec, cutoffs: Sequence[float],
     cutoffs = [float(c) for c in cutoffs]
     if any(c2 <= c1 for c1, c2 in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing")
-    op = build_schrodinger(spec, grid_n)
+    S, x = build_schrodinger(spec, grid_n), _sample(spec, grid_n)[0].x
     ests = []
     for c in cutoffs:
         if not (spec.base.a <= c < spec.base.b):
             raise ValueError(f"cutoff {c} outside the base interval")
-        mask = op.grid.x > c
-        if np.count_nonzero(mask) < 4:
+        lo = int(np.count_nonzero(x <= c))      # the nodes increase: S past c is a suffix
+        if x.size - lo < 4:
             raise ValueError(f"cutoff {c} leaves too few grid nodes")
-        ests.append(lowest_eigenvalue(op.restricted(mask), grid_n=grid_n))
+        tail = SymmetricForm(S.diag[lo:], S.off[lo:], 0.0, S.weights[lo:])
+        ests.append(lowest_eigenvalue(tail, grid_n=grid_n))
     mono = all(b.lambda0 >= a.lambda0 - (a.error + b.error) for a, b in zip(ests, ests[1:]))
     return TailReport(tuple(cutoffs), tuple(e.lambda0 for e in ests),
                       tuple(e.residual for e in ests), mono)
@@ -539,15 +511,16 @@ def pushdown_slack(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> flo
     f2d = _grid_function(psi, f2d)
     r2, rows = _rayleigh_2d(grid, psi, cond, f2d)
     h = _pushdown(psi, rows, f2d.shape[1])
-    s_op = build_schrodinger(spec, grid_n)
-    slack = r2 - s_op.rayleigh(h)
+    S = build_schrodinger(spec, grid_n)
+    g = np.sqrt(S.weights) * h          # R_S(h) = g.M g / h.W h
+    slack = r2 - float(g @ S.matvec(g)) / float(h @ (S.weights * h))
     if not spec.fiber_lambda0:
         return slack
     # psi^-2 on psi * 2**-e, e from min(psi): the terms that dominate the
     # mean stay normal, and a square that overflows is a term that rounds to 0
     e = exponent(np.min(psi), "warp must be finite")
     p = times_pow2(psi, -e)
-    wh2 = s_op.weights * h * h
+    wh2 = S.weights * h * h
     with np.errstate(over="ignore"):
         mean = float(np.sum(wh2 / (p * p)) / np.sum(wh2))
     return slack - spec.fiber_lambda0 * times_pow2(mean, -2 * e)

@@ -1,5 +1,6 @@
 import numpy as np
 
+from specsub.eigensolve import SymmetricForm
 from specsub.lie_core import MetricLieAlgebra
 
 
@@ -58,6 +59,12 @@ def rotated(c, rng):
     c = np.tensordot(q, c, axes=(0, 0))           # [a, j, k]
     c = np.tensordot(c, q, axes=(1, 0))           # [a, k, b]
     return np.tensordot(c, q, axes=(1, 0))        # [a, b, c]
+
+
+def restricted(form, lo, hi):
+    """The principal submatrix of ``form`` on nodes lo..hi-1: its Dirichlet
+    restriction to a run of consecutive nodes (a circle's wrap edge is cut)."""
+    return SymmetricForm(form.diag[lo:hi], form.off[lo:hi - 1], 0.0, form.weights[lo:hi])
 
 
 def smoothed_random_warp(rng, n):

@@ -228,7 +228,7 @@ def test_criterion_9_solver_oracle():
     for n in (16, 64, 256, 512):
         op = build_schrodinger(flat, n)
         est = lowest_eigenvalue(op, grid_n=n)
-        h = op.grid.h
+        h = base_grid(flat, n).h
         closed = 4.0 * np.sin(np.pi * h / 2.0) ** 2 / h ** 2
         toeplitz_worst = max(toeplitz_worst, abs(est.lambda0 - closed))
     ok = worst <= 1e-9 and toeplitz_worst <= 1e-12

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from conftest import (an_structure, heisenberg_type_structure, rotate_algebra,
                       rotated)
 from specsub.cli import (EXIT_INAPPLICABLE, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                          RunConfig, main, run)
+from specsub.eigensolve import SymmetricForm
 from specsub.errors import FixtureParseError
 from specsub.fixtures import (LIE_BUILTINS, WARP_BUILTINS, _parse_lines,
                               catalog_fixture, catalog_ideals, fixture_text,
@@ -650,7 +650,8 @@ def test_main_verify_warped_fails_alike_in_text_and_csv(tmp_path, capsys, monkey
     for name, verdict, shift in (("plain", "MISMATCH", -1.0), ("fiber", "VIOLATED", 0.0)):
         monkeypatch.setattr(specsub.warped_spectra, "build_schrodinger",
                             lambda spec, n, shift=shift:
-                            replace(op := build(spec, n), diag=op.diag + shift))
+                            SymmetricForm((op := build(spec, n)).diag + shift, op.off,
+                                          op.corner, op.weights))
         errs = []
         for fmt in ("text", "csv"):
             argv = ["verify-warped", str(tmp_path / f"{name}.warp"), "--grid", "64",

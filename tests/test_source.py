@@ -3,7 +3,9 @@ every warped solve names its grid, every tolerance field is one that the
 presets set apart, the tolerances are the Lie side's alone and travel with
 the algebra, the warped verdicts and solves read no absolute tolerance, the
 Lie side compares against no unnamed one, no Lie function takes two
-Lie objects, and a class that only holds values is a NamedTuple."""
+Lie objects, a class that only holds values is a NamedTuple, a value
+compared by value is a frozen dataclass that validates its fields, and an
+object compared by identity is a plain class."""
 
 import ast
 import dataclasses
@@ -12,7 +14,8 @@ import inspect
 import re
 from pathlib import Path
 
-from specsub.eigensolve import lowest_eigenvalue
+from specsub.eigensolve import SymmetricForm, lowest_eigenvalue
+from specsub.lie_core import Ideal, MetricLieAlgebra
 from specsub.tolerances import DEFAULT, STRICT, Tolerances
 from specsub.warped_spectra import (drift_bound_lambda0, lambda0_ess_tail, mode_scan,
                                     verify_warped)
@@ -190,6 +193,25 @@ def test_records_are_named_tuples_and_every_dataclass_validates():
         # a field of either name would shadow the tuple method
         assert not {"count", "index"} & set(record._fields), name
     validating = [cls for cls in classes if dataclasses.is_dataclass(cls)]
-    assert validating
+    assert {cls.__name__ for cls in validating} == {
+        "CircleBase", "IntervalBase", "WarpProfile", "WarpedProductSpec"}
     for cls in validating:
-        assert hasattr(cls, "__post_init__"), cls.__name__
+        # a dataclass is a value: it compares by its fields
+        assert hasattr(cls, "__post_init__") and cls.__dataclass_params__.eq, cls.__name__
+
+
+def test_identity_objects_are_plain_classes():
+    # an algebra, an ideal and a symmetric form compare by identity; as
+    # dataclasses their __post_init__ rewrote every field through
+    # object.__setattr__, and MetricLieAlgebra's preset went through replace
+    for cls in (MetricLieAlgebra, Ideal, SymmetricForm):
+        assert not dataclasses.is_dataclass(cls), cls.__name__
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls.__name__
+    for module in ("lie_core.py", "eigensolve.py", "cli.py"):
+        text = (SRC / module).read_text()
+        assert "object.__setattr__" not in text, module
+        imported = {getattr(node, "module", None) or alias.name
+                    for node in ast.walk(ast.parse(text))
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert "dataclasses" not in imported, module

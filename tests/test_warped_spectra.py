@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import specsub.warped_spectra
+from conftest import restricted
 from specsub.eigensolve import lowest_eigenvalue
 from specsub.fixtures import warp_const, warp_exp, warp_sinshift
 from specsub.warped_spectra import (Boundary, CircleBase, IntervalBase,
@@ -42,7 +43,7 @@ def richardson_second_derivative(f, x, h0=1e-3):
 
 def test_const_warp_is_plain_laplacian():
     op = build_schrodinger(warp_const(1.0), 64)
-    h = op.grid.h
+    h = base_grid(warp_const(1.0), 64).h
     assert np.allclose(op.diag, 2.0 / h**2)
     assert np.allclose(op.off, -1.0 / h**2)
     assert op.corner == pytest.approx(-1.0 / h**2)
@@ -71,6 +72,18 @@ def test_spec_rejects_a_bad_fiber(fiber_dim, fiber_lambda0):
                           fiber_dim=fiber_dim, fiber_lambda0=fiber_lambda0)
 
 
+@pytest.mark.parametrize("kind, params, samples", [
+    ("const", (), None), ("exp", (1.0, 2.0), None), ("sinshift", (0.5, 0.5), None),
+    ("samples", (), None), ("samples", (), np.ones((32, 2)))])
+def test_warp_rejects_a_bad_library_warp(kind, params, samples):
+    # each used to fail late or not at all: an IndexError at the first build,
+    # a dropped second parameter, "sampled warp has 1 values", numpy's
+    # concatenate error
+    with pytest.raises(ValueError, match="warp") as err:
+        WarpProfile(kind, params, samples)
+    assert "\n" not in str(err.value)
+
+
 def test_spec_takes_numpy_integers_and_finite_values():
     spec = WarpedProductSpec(CircleBase(2 * np.pi), WarpProfile("sinshift", (1.0,)),
                              fiber_dim=np.int64(3), fiber_lambda0=1e300)
@@ -84,7 +97,7 @@ def test_exp_potential_constant(k):
     spec = WarpedProductSpec(IntervalBase(0.0, 10.0, Boundary.DIRICHLET),
                              WarpProfile("exp", (a,)), fiber_dim=k)
     op = build_schrodinger(spec, 256)
-    h = op.grid.h
+    h = base_grid(spec, 256).h
     V = op.diag - 2.0 / h**2
     expected = (k * a / 2.0) ** 2
     assert np.allclose(V, expected, atol=5.0 * expected * h**2)
@@ -121,10 +134,10 @@ def test_symmetry_invariant_all_fixtures():
 
 def test_weights_positive_and_uniform_for_s():
     op = build_schrodinger(warp_sinshift(1.0), 64)
-    assert np.allclose(op.weights, op.grid.h)
+    grid, psi = _sample(warp_sinshift(1.0), 64)[:2]
+    assert np.allclose(op.weights, grid.h)
     opm = build_warped_mode(warp_sinshift(1.0), 0, 64)
-    psi = _sample(warp_sinshift(1.0), 64)[1]
-    assert np.allclose(opm.weights, psi * opm.grid.h)
+    assert np.allclose(opm.weights, psi * grid.h)
 
 
 def test_mode_operator_needs_circle_fiber():
@@ -187,9 +200,10 @@ def test_mode_form_matches_edge_sum(base):
     else:
         edges = [(psi[i], psi[i + 1], f[i], f[i + 1]) for i in range(n - 1)]
     op = build_warped_mode(spec, 0, n)
-    h = op.grid.h
+    h = base_grid(spec, n).h
     oracle = sum(np.sqrt(pl * pr) * (fr - fl) ** 2 for pl, pr, fl, fr in edges) / h
-    assert op.quadratic_form(f) == pytest.approx(oracle, rel=1e-12)
+    g = np.sqrt(op.weights) * f         # f.K f = g.M g
+    assert g @ op.matvec(g) == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("base", [CircleBase(3.0),
@@ -203,11 +217,12 @@ def test_every_operator_is_minus_one_over_h2_off_the_diagonal(base):
     for warp in (WarpProfile("samples", (), samples=np.exp(np.sin(np.linspace(0.0, 4.0, n)))),
                  WarpProfile("exp", (0.7,))):
         spec = WarpedProductSpec(base, warp)
+        grid = base_grid(spec, n)
+        edge = -1.0 / (grid.h * grid.h)
         ops = [build_schrodinger(spec, n)] + [build_warped_mode(spec, m, n) for m in (0, 1, 3)]
-        for op in ops + [op.restricted(np.arange(n) >= 10) for op in ops]:
-            edge = -1.0 / (op.grid.h * op.grid.h)
+        for op in ops + [restricted(op, 10, n) for op in ops]:
             assert np.all(op.off == edge) and op.off.size == op.n - 1
-            assert op.corner == (edge if op.grid.boundary is None else 0.0)
+            assert op.corner == (edge if grid.boundary is None and op.n == n else 0.0)
 
 
 @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e-160, 1e200, 1e300])
@@ -248,7 +263,7 @@ def test_the_verdicts_and_errors_are_python_values():
     assert type(rep.inequality_passed) is bool and type(rep.equality_passed) is bool
     assert json.dumps([rep.inequality_passed, rep.equality_passed]) == "[true, true]"
     op = build_schrodinger(spec, 64)
-    for est in (lowest_eigenvalue(op), lowest_eigenvalue(op.restricted(np.arange(64) == 3))):
+    for est in (lowest_eigenvalue(op), lowest_eigenvalue(restricted(op, 3, 4))):
         assert type(est.error) is float
 
 
@@ -311,7 +326,7 @@ def test_exp_dirichlet_lambda0_value():
     spec = exp_interval(a, b)
     op = build_schrodinger(spec, n)
     est = lowest_eigenvalue(op)
-    h = op.grid.h
+    h = base_grid(spec, n).h
     box = 4.0 * np.sin(np.pi * h / (2.0 * b)) ** 2 / h**2
     analytic = a * a / 4.0 + box
     assert est.lambda0 == pytest.approx(analytic, rel=5e-4)
@@ -355,7 +370,7 @@ def test_pushdown_preserves_norm():
     s_op = build_schrodinger(spec, n)
     grid, psi = _sample(spec, n)[:2]
     norm_2d = np.sum(psi[:, None] * f2d**2) * grid.h * (2 * np.pi / 32)
-    assert s_op.norm2(h) == pytest.approx(norm_2d, rel=1e-12)
+    assert h @ (s_op.weights * h) == pytest.approx(norm_2d, rel=1e-12)
 
 
 def test_pushdown_slack_nonnegative_random():
@@ -508,7 +523,9 @@ def test_rayleigh_2d_separates_for_const_warp():
     f2d = np.outer(np.sin(x), np.ones(m))
     r = rayleigh_2d(spec, f2d, n)
     op = build_schrodinger(spec, n)
-    assert r == pytest.approx(op.rayleigh(np.sin(x)), rel=1e-12)
+    f = np.sin(x)
+    g = np.sqrt(op.weights) * f
+    assert r == pytest.approx(g @ op.matvec(g) / (f @ (op.weights * f)), rel=1e-12)
     f2d = np.outer(np.ones(n), np.sin(theta))
     # discrete circle eigenvalue for the first fiber mode
     h_theta = 2 * np.pi / m
@@ -525,10 +542,10 @@ def test_tail_flat_warp_closed_form():
                              WarpProfile("const", (1.0,)), name="flat")
     cutoffs = [2.0, 4.0, 6.0]
     rep = lambda0_ess_tail(spec, cutoffs, n)
-    op = build_schrodinger(spec, n)
+    grid = base_grid(spec, n)
     for c, v in zip(rep.cutoffs, rep.values):
-        m = int(np.count_nonzero(op.grid.x > c))
-        closed = (2.0 - 2.0 * np.cos(np.pi / (m + 1))) / op.grid.h**2
+        m = int(np.count_nonzero(grid.x > c))
+        closed = (2.0 - 2.0 * np.cos(np.pi / (m + 1))) / grid.h**2
         assert v == pytest.approx(closed, abs=1e-9)
     assert rep.monotone
 
