@@ -22,20 +22,22 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import group_spectra, warped_spectra
+from . import group_spectra
 from .errors import (FixtureParseError, FormulaInapplicableError,
                      NotAnIdealError, SolverConvergenceError)
 from .fixtures import FIXTURE_DIR_ENV, resolve_fixture
 from .lie_core import (Ideal, MetricLieAlgebra, classify, derived_subalgebra, full_ideal,
                        validate)
 from .tolerances import DEFAULT, PRESETS, Tolerances
-from .warped_spectra import WarpedProductSpec
 
-# What the imports built (numpy, the dataclasses, about 22k tracked objects)
+if TYPE_CHECKING:
+    from .warped_spectra import WarpedProductSpec
+
+# What the imports built (numpy and the Lie side, about 21k tracked objects)
 # lives until the process ends. Freezing it keeps every later collection,
 # the interpreter's at shutdown included, from traversing it again: a call
 # exits in 10-18 ms instead of 31-51 (2 cores). The library, `import
@@ -227,6 +229,7 @@ def _check_grid(config: RunConfig):
 
 
 def _cmd_verify_warped(config: RunConfig, spec: WarpedProductSpec, name: str) -> str:
+    from . import warped_spectra
     rep = warped_spectra.verify_warped(spec, config.grid_n, config.m_max)
     rows = []
     for m, (lam, res) in enumerate(zip(rep.lambda0_modes, rep.residuals)):
@@ -250,6 +253,7 @@ def _cmd_verify_warped(config: RunConfig, spec: WarpedProductSpec, name: str) ->
 
 
 def _cmd_tail_ess(config: RunConfig, spec: WarpedProductSpec, name: str) -> str:
+    from . import warped_spectra
     if not isinstance(spec.base, warped_spectra.IntervalBase):
         raise FixtureParseError("tail-ess needs an interval (truncated ray) fixture")
     if config.cutoffs:
@@ -269,20 +273,21 @@ def _cmd_tail_ess(config: RunConfig, spec: WarpedProductSpec, name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-# each command's handler, its --help line and the fixture it needs
+LIE, WARPED = "Lie algebra", "warped-product"
+
+# each command's handler, its --help line and the kind of fixture it needs;
+# a kind is a name, so that a Lie command never imports the warped side
 COMMANDS = {
-    "analyze": (_cmd_analyze, "validate and classify a Lie algebra fixture",
-                MetricLieAlgebra),
-    "lambda0": (_cmd_lambda0, "bottom of the spectrum of an amenable group",
-                MetricLieAlgebra),
+    "analyze": (_cmd_analyze, "validate and classify a Lie algebra fixture", LIE),
+    "lambda0": (_cmd_lambda0, "bottom of the spectrum of an amenable group", LIE),
     "cheeger": (_cmd_cheeger, "Cheeger constant (exact when amenable, else lower bound)",
-                MetricLieAlgebra),
+                LIE),
     "quotient": (_cmd_quotient, "quotient lower bound through an ideal's mean curvature",
-                 MetricLieAlgebra),
+                 LIE),
     "verify-warped": (_cmd_verify_warped, "warped-product inequality and two-route equality",
-                      WarpedProductSpec),
+                      WARPED),
     "tail-ess": (_cmd_tail_ess, "essential-spectrum tail estimates on a truncated ray",
-                 WarpedProductSpec),
+                 WARPED),
 }
 
 
@@ -298,10 +303,9 @@ def run(config: RunConfig) -> RunResult:
             fix = resolve_fixture(config.input, config.c_param)
         except OSError as exc:          # a fixture file that cannot be read
             raise FixtureParseError(f"cannot read {config.input!r}: {exc.strerror or exc}")
-        if not isinstance(fix, kind):
-            noun = "warped-product" if kind is WarpedProductSpec else "Lie algebra"
-            raise FixtureParseError(f"this command needs a {noun} fixture")
-        if kind is WarpedProductSpec:
+        if isinstance(fix, MetricLieAlgebra) != (kind == LIE):
+            raise FixtureParseError(f"this command needs a {kind} fixture")
+        if kind == WARPED:
             _check_grid(config)
         else:
             fix = MetricLieAlgebra(fix.dim, fix.structure, fix.metric, config.tolerances)
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--out", dest="output", metavar="OUT", help="write the report here")
         q.add_argument("--tol-preset", choices=sorted(PRESETS))
         q.add_argument("--seed", type=int, help="accepted and ignored")
-        if kind is WarpedProductSpec:
+        if kind == WARPED:
             q.add_argument("--grid", type=int, dest="grid_n", metavar="GRID",
                            help="grid size (power of two, 16 to 2^20)")
         if name == "quotient":

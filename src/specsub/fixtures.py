@@ -21,19 +21,21 @@ from __future__ import annotations
 
 import math
 import os
-import re
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
 from .errors import FixtureParseError
 from .lie_core import Ideal, MetricLieAlgebra, metric_definiteness
-from .warped_spectra import (Boundary, CircleBase, IntervalBase, WarpProfile,
-                             WarpedProductSpec)
+
+if TYPE_CHECKING:
+    from .warped_spectra import Boundary, WarpedProductSpec
 
 FIXTURE_DIR_ENV = "SPECSUB_FIXTURE_DIR"
 
-Fixture = Union[MetricLieAlgebra, WarpedProductSpec]
+# The warped side is imported by the functions that build or read a warp, so
+# that reading a Lie algebra never loads it.
+Fixture = Union[MetricLieAlgebra, "WarpedProductSpec"]
 
 
 # -- built-in Lie algebras -----------------------------------------------------
@@ -106,19 +108,22 @@ def catalog_ideals(name: str, alg: MetricLieAlgebra):
 # -- built-in warps ------------------------------------------------------------
 
 def warp_const(c: float = 1.0) -> WarpedProductSpec:
+    from .warped_spectra import CircleBase, WarpedProductSpec, WarpProfile
     return WarpedProductSpec(CircleBase(2 * math.pi), WarpProfile("const", (c,)),
                              name="const")
 
 
 def warp_sinshift(amp: float = 1.0) -> WarpedProductSpec:
     """psi = (1 + A) + A sin x on the circle of length 2 pi; min value 1."""
+    from .warped_spectra import CircleBase, WarpedProductSpec, WarpProfile
     return WarpedProductSpec(CircleBase(2 * math.pi), WarpProfile("sinshift", (amp,)),
                              name="sinshift")
 
 
 def warp_exp(a: float = 0.5, b: Optional[float] = None,
-             boundary: Boundary = Boundary.DIRICHLET) -> WarpedProductSpec:
+             boundary: Boundary = "dirichlet") -> WarpedProductSpec:
     """psi = e^{a t} on a truncated ray [0, b]; default b = 60/a."""
+    from .warped_spectra import IntervalBase, WarpedProductSpec, WarpProfile
     if not (math.isfinite(a) and a > 0):
         raise ValueError(f"exp warp needs a finite rate a > 0 (--c), got {a!r}")
     if b is None:
@@ -174,6 +179,7 @@ def lie_fixture_text(alg: MetricLieAlgebra) -> str:
 
 
 def warp_fixture_text(spec: WarpedProductSpec) -> str:
+    from .warped_spectra import CircleBase
     if isinstance(spec.base, CircleBase):
         lines = [f"base circle {float(spec.base.length)!r}"]
     else:
@@ -316,56 +322,59 @@ def _parse_lie(rows):
     return n, c, g
 
 
-# A Lie file in which every line is blank, a comment or one directive of the
-# strict ASCII grammar below is parsed in bulk, without a Python object per
-# token.  Its integers have at most 15 digits, so they are exact as float64,
-# and every number converts by the same correctly rounded routine as float()
-# (np.fromstring calls PyOS_string_to_double).  Anything else, or a row that
-# fails a check, goes to the per-line parser, which owns the error messages.
-_SEP = r"[ \t]+"
-_INT = r"[+-]?[0-9]{1,15}"
-_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
-# no line break of str.splitlines inside a comment
-_COMMENT = r"(?:#[^\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]*)?"
-_LIE_LINE = (rf"[ \t]*(?:(?:dim{_SEP}{_INT}|bracket{_SEP}{_INT}{_SEP}{_INT}{_SEP}{_INT}{_SEP}"
-             rf"{_NUMBER}|metric{_SEP}{_INT}{_SEP}{_INT}{_SEP}{_NUMBER})[ \t]*)?{_COMMENT}"
-             r"\r?(?=\n|\Z)")
-# a line break before a line outside the grammar; the literal '\n' lets the
-# search skip from line break to line break
-_LIE_BAD_LINE = rf"\n(?!{_LIE_LINE})"
-_LIE_DIM = rf"\s*dim{_SEP}({_INT})"
+# A Lie file is read in bulk when numpy's C reader takes every line after
+# `dim n`: one row (directive word, three indices, value) per line, with a 0
+# put in front of a metric line's two indices.  The lines are those of
+# str.splitlines; np.loadtxt splits them into fields as str.split does, drops
+# '#' comments, parses an index as an int64 and a value as float() does, and
+# rejects a malformed token or a wrong column count itself.  A directive word
+# anywhere but at the start of its line is a token that no number parses, a
+# row whose first token is no directive fails the word check (S8 keeps a
+# longer word distinct), so the file reads exactly as the per-line parser
+# reads it.  Any other file (non-ASCII, or a row that fails a check) goes to
+# the per-line parser, which owns the messages.
+_LIE_ROW = np.dtype([("word", "S8"), ("idx", "i8", (3,)), ("val", "f8")])
 
 
 def _parse_lie_bulk(text: str):
     """-> (n, c, g) for a Lie file the bulk path accepts exactly, else None."""
-    # the patterns compile on first use (re caches them), not at import; the
-    # leading '\n' puts the first line under the same check as the others
-    if re.search(_LIE_BAD_LINE, "\n" + text):
+    # an S8 word drops trailing NULs, so b'bracket\0' would read as a bracket
+    if not text.isascii() or "\0" in text:
         return None
-    if "#" in text:
-        text = re.sub("#.*", "", text)
-    head = re.match(_LIE_DIM, text)
-    if head is None or text.count("dim") != 1:
+    lines = text.replace("metric", "metric 0 ").splitlines()
+    for head, line in enumerate(lines):
+        toks = line.split("#", 1)[0].split()
+        if toks:
+            break
+    else:
         return None
-    n = int(head[1])
+    if len(toks) != 2 or toks[0] != "dim":
+        return None
+    try:
+        n = int(toks[1])
+    except ValueError:
+        return None
+    # one valid row at the end, so that a file without directives reads as no
+    # rows instead of making loadtxt warn about empty input
+    lines.append("bracket 1 2 1 0")
+    try:
+        rows = np.loadtxt(lines, dtype=_LIE_ROW, comments="#", skiprows=head + 1,
+                          ndmin=1)[:-1]
+    except ValueError:
+        return None
+    del lines               # the arrays below need not share the peak with them
+    word, idx, val = rows["word"], rows["idx"], rows["val"]
+    bracket = word == b"bracket"
+    in_range = (idx >= 1) & (idx <= n)
+    in_range[~bracket, 0] = True
+    if not ((bracket | (word == b"metric")).all() and in_range.all()
+            and np.isfinite(val).all()):
+        return None
     c = _structure(n) if n >= 1 else None
     if c is None:
         return None
     g = np.eye(n)
-    count = text.count("bracket") + text.count("metric")
-    if count == 0:          # np.fromstring reads a blank string as [-1.]
-        return n, c, g
-    # one row (tag, i, j, k, v) per directive: tag 1 is a bracket, a metric
-    # line becomes (0, 0, i, j, v)
-    body = text[head.end():].replace("bracket", "1").replace("metric", "0 0")
-    rows = np.fromstring(body, sep=" ").reshape(count, 5)
-    bracket = rows[:, 0] == 1.0
-    idx, val = rows[:, 1:4], rows[:, 4]
-    in_range = (idx >= 1.0) & (idx <= n)
-    in_range[~bracket, 0] = True
-    if not (in_range.all() and np.isfinite(val).all()):
-        return None
-    idx = idx.astype(np.intp) - 1
+    idx -= 1
     i, j, k = idx[bracket].T
     v = val[bracket]
     mi, mj = idx[~bracket, 1:].T
@@ -387,6 +396,8 @@ def _has_duplicates(keys: np.ndarray) -> bool:
 
 
 def _parse_warp(rows) -> WarpedProductSpec:
+    from .warped_spectra import (Boundary, CircleBase, IntervalBase, WarpedProductSpec,
+                                 WarpProfile)
     base = None
     fiber_dim = None
     fiber_lambda0 = None
@@ -459,7 +470,8 @@ def parse_fixture(path: str) -> Fixture:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     fix = parse_fixture_text(text)
-    if isinstance(fix, WarpedProductSpec):
+    if not isinstance(fix, MetricLieAlgebra):
+        from .warped_spectra import WarpedProductSpec
         name = os.path.splitext(os.path.basename(path))[0]
         fix = WarpedProductSpec(fix.base, fix.warp, fix.fiber_dim,
                                 fix.fiber_lambda0, name=name)

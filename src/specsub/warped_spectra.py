@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -66,11 +66,16 @@ Base = Union[CircleBase, IntervalBase]
 
 @dataclass(frozen=True)
 class WarpProfile:
-    """Warp function: a named closure from the catalog or raw grid samples."""
+    """Warp function: a named closure from the catalog or raw grid samples.
+
+    A sampled warp holds one copy of its samples, as read-only bytes that
+    ``samples`` views, so no write to the caller's array reaches it, and it
+    compares and hashes by those bytes."""
 
     kind: str                      # const | exp | sinshift | samples
     params: tuple = ()
-    samples: Optional[np.ndarray] = None
+    samples: Optional[np.ndarray] = field(default=None, compare=False)
+    _bytes: Optional[bytes] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
@@ -78,8 +83,8 @@ class WarpProfile:
             arr = np.asarray(self.samples, dtype=float)
             if arr.ndim != 1:
                 raise ValueError(f"a sampled warp needs a 1-D array, got shape {arr.shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, "samples", arr)
+            object.__setattr__(self, "_bytes", arr.tobytes())
+            object.__setattr__(self, "samples", np.frombuffer(self._bytes))
         elif self.kind not in ("const", "exp", "sinshift"):
             raise ValueError(f"unknown warp kind {self.kind!r}")
         elif len(self.params) != 1:
@@ -124,8 +129,9 @@ class Grid(NamedTuple):
 
     The closure is decided here and nowhere else.  ``pad`` lays a node array
     out so that every edge of the discretization is (k, k+1) of the padded
-    array, and ``fold`` sums per-edge terms back onto the nodes; the
-    operators below are written once in terms of the two.
+    array, ``differences`` takes a grid function's difference along each of
+    those edges, and ``fold`` sums per-edge terms back onto the nodes; the
+    operators below are written once in terms of the three.
     """
 
     x: np.ndarray        # nodes carrying unknowns
@@ -145,6 +151,23 @@ class Grid(NamedTuple):
             ghost = (1,) + f.shape[1:]
             f = np.concatenate((np.full(ghost, lo), f, np.full(ghost, hi)))
         return np.concatenate((f, f[:1])) if self.boundary is None else f
+
+    def differences(self, f, out):
+        """f[k+1] - f[k] on every edge (k, k+1) of ``pad(f)``, f a grid
+        function (0 at a Dirichlet ghost), written into the first rows of out
+        without the padded copy; -> those rows.  n + 1 rows hold the edges of
+        any closure."""
+        n = f.shape[0]
+        if self.boundary == Boundary.DIRICHLET:
+            np.subtract(f[0], 0.0, out=out[0])
+            np.subtract(f[1:], f[:-1], out=out[1:n])
+            np.subtract(0.0, f[-1], out=out[n])
+            return out[:n + 1]
+        np.subtract(f[1:], f[:-1], out=out[:n - 1])
+        if self.boundary is None:
+            np.subtract(f[0], f[-1], out=out[n - 1])
+            return out[:n]
+        return out[:n - 1]
 
     def fold(self, to_left, to_right):
         """Per-edge values summed onto the nodes; the adjoint of ``pad``.
@@ -463,16 +486,21 @@ def _quotient_terms(grid: Grid, psi: np.ndarray, cond: np.ndarray,
                     f2d: np.ndarray) -> Tuple[float, float, np.ndarray]:
     """(numerator, denominator) of the discrete Rayleigh quotient of f2d, and
     the sums of f2d^2 along the fiber."""
-    h_theta = 2.0 * np.pi / f2d.shape[1]
+    n, m = f2d.shape
+    h_theta = 2.0 * np.pi / m
     h = grid.h
-    # base-direction differences on the same edges and conductances as L_m
-    f_pad = grid.pad(f2d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = f_pad[1:] - f_pad[:-1]
-        dth = np.roll(f2d, -1, axis=1) - f2d
     # each term: row sums of squares (numpy has SIMD loops for a two-operand
-    # einsum, not for three), dotted with the edge or node weights
-    num_x = float(np.einsum("e,e->", cond, np.einsum("ej,ej->e", dx, dx))) / (h * h)
+    # einsum, not for three), dotted with the edge or node weights.  One
+    # buffer takes the base-direction differences, on the same edges and
+    # conductances as L_m, and then the fiber-direction ones: at grid 256 x 64
+    # four temporaries of that size made the call's time depend on the heap
+    buf = np.empty((n + 1, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = grid.differences(f2d, buf)
+        num_x = float(np.einsum("e,e->", cond, np.einsum("ej,ej->e", dx, dx))) / (h * h)
+        dth = buf[:n]
+        np.subtract(f2d[:, 1:], f2d[:, :-1], out=dth[:, :-1])
+        np.subtract(f2d[:, 0], f2d[:, -1], out=dth[:, -1])
     num_th = float(np.einsum("i,i->", 1.0 / psi, np.einsum("ij,ij->i", dth, dth))) \
         / (h_theta * h_theta)
     rows, total = _fiber_sums(psi, f2d)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import specsub
 import specsub.cli
 import specsub.fixtures
 import specsub.group_spectra
@@ -858,6 +860,32 @@ def test_algebra_commands_load_no_scipy(tmp_path):
              f"print(json.dumps([codes, {_LOADED_SCIPY}]))")
     out = _python("-c", probe, json.dumps(argvs), SPECSUB_FIXTURE_DIR=str(tmp_path))
     assert json.loads(out.splitlines()[-1]) == [[EXIT_OK] * 5 + [EXIT_INAPPLICABLE], []]
+
+
+def test_algebra_commands_load_no_warped_side():
+    # the package resolves its names on first access, so a Lie command loads
+    # neither the warped side nor its solver, nor the dataclasses they use
+    argvs = [["analyze", "heisenberg3"], ["lambda0", "affine2", "--c", "4"],
+             ["cheeger", "so3"], ["quotient", "paper_example3"]]
+    probe = ("import json, sys\nimport specsub\n"
+             "bare = sorted(m for m in sys.modules if m.startswith('specsub.'))\n"
+             "from specsub.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([bare, codes, [m for m in ('specsub.warped_spectra', "
+             "'specsub.eigensolve', 'dataclasses') if m in sys.modules]]))")
+    out = _python("-c", probe, json.dumps(argvs))
+    assert json.loads(out.splitlines()[-1]) == [[], [EXIT_OK] * 4, []]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    names = dir(specsub)
+    for name in specsub.__all__:
+        assert getattr(specsub, name) is getattr(
+            importlib.import_module(f"specsub.{specsub._EXPORTS[name]}"), name), name
+        assert name in names, name
+    assert specsub.warped_spectra.WarpProfile is specsub.WarpProfile
+    with pytest.raises(AttributeError):
+        specsub.no_such_name
 
 
 def test_warped_commands_load_no_scipy_sparse():

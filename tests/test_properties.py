@@ -653,6 +653,40 @@ def test_a_corrupted_lie_file_fails_as_the_per_line_parser_says(alg, how, data):
     assert outcome(parse_fixture_text, text) == outcome(_parse_lines, text)
 
 
+def _bulk_edges(toks):
+    """Edits of one line's tokens (two or more) where numpy's reader and the
+    per-line parser could part: tokens that one of them reads and the other
+    rejects, line breaks of str.splitlines inside a line, and directive words
+    out of place."""
+    head, first, rest = toks[0], toks[1], toks[2:]
+    for index in ("1.0", "1e0", "1_0", "+2", "07", "0000000000000001",
+                  "1000000000000001", "\u0661", "\uff11"):
+        yield [head, index] + rest
+    for value in ("inf", "-nan", "Infinity", "+nan", "\u0661.5"):
+        yield toks[:-1] + [value]
+    for sep in ("\x0b", "\x0c", "\x1c", "\x1f", "\xa0"):
+        yield [head + sep + first] + rest
+    yield toks[1:]                                      # no directive word
+    for word in ("bracket", "metric", "dim"):           # two on one line
+        yield toks[:-1] + [word]
+    for glued in ("x" + head, "metric" + head, head + "0", head + "s", head + "\0"):
+        yield [glued, first] + rest
+    for at in range(1, len(toks)):                      # a directive over two lines
+        yield toks[:at] + ["\n" + toks[at]] + toks[at + 1:]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(lie_algebras(), st.data())
+def test_the_bulk_reader_parts_from_no_per_line_outcome(alg, data):
+    lines = fixture_text(alg).splitlines()
+    at = data.draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))
+    edited = [" ".join(toks) for toks in _bulk_edges(lines[at].split())]
+    edited.append(" ".join(lines[at:at + 2]))          # two whole directives
+    for line in edited:
+        text = "\n".join(lines[:at] + [line] + lines[at + 1:]) + "\n"
+        assert outcome(parse_fixture_text, text) == outcome(_parse_lines, text), line
+
+
 @PROPERTY
 @given(lie_algebras(), st.data())
 def test_formatting_does_not_change_the_parsed_algebra(alg, data):

@@ -447,6 +447,39 @@ def test_replace_builds_its_own_operators():
     assert repr(spec) == repr(exp_interval(0.4, 8.0))
 
 
+def test_a_sampled_warp_leaves_the_callers_array_writable():
+    samples = np.linspace(1.0, 2.0, 32)
+    warp = WarpProfile("samples", (), samples=samples)
+    assert samples.flags.writeable and not warp.samples.flags.writeable
+    samples[0] = 5.0
+    assert warp.samples[0] == 1.0
+
+
+def test_a_sampled_warp_owns_what_a_view_showed():
+    # a write through the view's base reaches neither the warp nor the
+    # operators memoized from it
+    base = np.linspace(1.0, 2.0, 64)
+    spec = WarpedProductSpec(CircleBase(2 * np.pi),
+                             WarpProfile("samples", (), samples=base[::2]))
+    old = build_schrodinger(spec, 32).diag.copy()
+    base[:] = 7.0
+    assert np.array_equal(spec.warp.samples, np.linspace(1.0, 2.0, 64)[::2])
+    assert np.array_equal(build_schrodinger(replace(spec), 32).diag, old)
+
+
+def test_sampled_warps_and_their_specs_compare_and_hash_by_value():
+    def spec(samples):
+        return WarpedProductSpec(CircleBase(2 * np.pi), WarpProfile("samples", (), samples))
+
+    values = np.linspace(1.0, 2.0, 32)
+    a, b = spec(values), spec(list(values))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.warp == b.warp and hash(a.warp) == hash(b.warp)
+    assert a != spec(values[::-1]) and a.warp != WarpProfile("const", (1.0,))
+    # the catalog warps keep the field tuple's equality and hash
+    assert hash(WarpProfile("exp", (0.5,))) == hash(("exp", (0.5,), None))
+
+
 def test_pushdown_slack_tight_at_ground_state():
     for spec in (warp_sinshift(1.0), exp_interval(0.5, 10.0)):
         n = 64
