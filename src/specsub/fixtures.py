@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -326,12 +327,15 @@ def _parse_lie(rows):
 # `dim n`: one row (directive word, three indices, value) per line, with a 0
 # put in front of a metric line's two indices.  The lines are those of
 # str.splitlines; np.loadtxt splits them into fields as str.split does, drops
-# '#' comments, parses an index as an int64 and a value as float() does, and
-# rejects a malformed token or a wrong column count itself.  A directive word
-# anywhere but at the start of its line is a token that no number parses, a
-# row whose first token is no directive fails the word check (S8 keeps a
-# longer word distinct), so the file reads exactly as the per-line parser
-# reads it.  Any other file (non-ASCII, or a row that fails a check) goes to
+# '#' comments, parses an index as an integer and a value as float() does, and
+# rejects a malformed token or a wrong column count itself.  From numpy 1.23
+# until that deprecation expired, loadtxt read an index such as 2.7 or 1e0
+# through a float, truncated it and only warned (DeprecationWarning); that
+# warning is made an error here, so such a file goes to the per-line parser on
+# every numpy the package allows.  A directive word anywhere but at the start
+# of its line is a token that no number parses, a row whose first token is no
+# directive fails the word check (S8 keeps a longer word distinct), so the file
+# reads exactly as the per-line parser reads it.  Any other file (non-ASCII, or a row that fails a check) goes to
 # the per-line parser, which owns the messages.
 _LIE_ROW = np.dtype([("word", "S8"), ("idx", "i8", (3,)), ("val", "f8")])
 
@@ -358,9 +362,11 @@ def _parse_lie_bulk(text: str):
     # rows instead of making loadtxt warn about empty input
     lines.append("bracket 1 2 1 0")
     try:
-        rows = np.loadtxt(lines, dtype=_LIE_ROW, comments="#", skiprows=head + 1,
-                          ndmin=1)[:-1]
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            rows = np.loadtxt(lines, dtype=_LIE_ROW, comments="#", skiprows=head + 1,
+                              ndmin=1)[:-1]
+    except (ValueError, DeprecationWarning):
         return None
     del lines               # the arrays below need not share the peak with them
     word, idx, val = rows["word"], rows["idx"], rows["val"]

@@ -687,6 +687,39 @@ def test_the_bulk_reader_parts_from_no_per_line_outcome(alg, data):
         assert outcome(parse_fixture_text, text) == outcome(_parse_lines, text), line
 
 
+def _loadtxt_reading_indices_through_a_float(loadtxt):
+    """np.loadtxt as numpy read an integer field from 1.23 until that
+    deprecation expired: a token that only float() reads is truncated, and
+    the only sign is a DeprecationWarning."""
+    def old_loadtxt(lines, *args, **kwargs):
+        read = []
+        for line in lines:
+            toks = line.split()
+            for f in range(1, min(4, len(toks))):
+                with contextlib.suppress(ValueError):
+                    int(toks[f])
+                    continue
+                toks[f] = str(int(float(toks[f])))
+                warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                              DeprecationWarning, stacklevel=2)
+            read.append(" ".join(toks))
+        return loadtxt(read, *args, **kwargs)
+    return old_loadtxt
+
+
+@pytest.mark.parametrize("index", ["2.7", "2.0", "2e0"])
+def test_an_index_read_through_a_float_goes_to_the_per_line_parser(monkeypatch, index):
+    # outside pytest a DeprecationWarning is ignored, so the bulk reader must
+    # not rely on the warning's default action to reject such an index
+    monkeypatch.setattr(np, "loadtxt", _loadtxt_reading_indices_through_a_float(np.loadtxt))
+    text = f"dim 3\nbracket 1 {index} 3 1.0\nmetric 1 1 2.0\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        read = outcome(parse_fixture_text, text)
+    assert read == outcome(_parse_lines, text)
+    assert f"expected an integer, got {index!r}" in read[0] and read[1] == 2
+
+
 @PROPERTY
 @given(lie_algebras(), st.data())
 def test_formatting_does_not_change_the_parsed_algebra(alg, data):

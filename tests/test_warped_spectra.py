@@ -120,6 +120,19 @@ def test_sinshift_potential_against_richardson():
         assert V[idx] == pytest.approx(oracle, abs=5e-4)
 
 
+@pytest.mark.parametrize("spec", [warp_const(1.0), exp_interval(0.5, 20.0),
+                                  exp_interval(0.5, 20.0, Boundary.NEUMANN)],
+                         ids=["circle", "dirichlet", "neumann"])
+def test_grid_differences_are_those_of_the_padded_function(spec):
+    # differences writes the closure without pad's copy: the two must not drift
+    grid = base_grid(spec, 32)
+    f = np.random.default_rng(3).standard_normal((32, 5))
+    f[0, 0], f[-1, 0], f[7, 1], f[8, 1] = 1.5e308, -1.5e308, -1.5e308, 1.5e308
+    with np.errstate(over="ignore"):
+        got = grid.differences(f, np.full((33, 5), np.nan))
+        assert got.tobytes() == np.diff(grid.pad(f), axis=0).tobytes()
+
+
 def test_symmetry_invariant_all_fixtures():
     for spec in ALL_FIXTURES:
         for build in (lambda s: build_schrodinger(s, 128),
