@@ -100,11 +100,9 @@ def _csv(command: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fixture_name(config: RunConfig, fix) -> str:
-    name = getattr(fix, "name", "") or config.input
-    if config.c_param is not None:
-        name = f"{name}(c={config.c_param:g})"
-    return name
+def _fixture_name(config: RunConfig) -> str:
+    c = config.c_param
+    return config.input if c is None else f"{config.input}(c={c:g})"
 
 
 def _validated(alg: MetricLieAlgebra):
@@ -311,7 +309,7 @@ def run(config: RunConfig) -> RunResult:
             fix = MetricLieAlgebra(fix.dim, fix.structure, fix.metric, config.tolerances)
             if config.command != "analyze":
                 _validated(fix)
-        return RunResult(EXIT_OK, handler(config, fix, _fixture_name(config, fix)))
+        return RunResult(EXIT_OK, handler(config, fix, _fixture_name(config)))
     except (FixtureParseError, NotAnIdealError, ValueError) as exc:
         return RunResult(EXIT_VALIDATION, f"error: {exc}\n")
     except SolverConvergenceError as exc:

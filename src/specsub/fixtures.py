@@ -12,9 +12,13 @@ Warp files:
     fiber_lambda0 v
     warp const c | exp a | sinshift A | samples v1 v2 ...
 
-'warp samples' must be the last directive; its values may continue on
-following lines.  Duplicate directives are rejected with the offending
-line number.
+Each warp directive appears at most once; fiber_dim and fiber_lambda0 may
+be left out (1 and 0).  'warp samples' must be the last directive and needs
+at least 16 values, which may continue on following lines.
+
+Every error that a line causes names that line.  A missing base or warp
+directive and a metric that is not positive definite are properties of the
+whole file and name none.
 """
 
 from __future__ import annotations
@@ -149,7 +153,7 @@ LIE_BUILTINS = {
 WARP_BUILTINS = {"const": warp_const, "sinshift": warp_sinshift, "exp": warp_exp}
 
 # the catalog entries whose one parameter --c sets; no other fixture takes one
-_PARAMETERIZED = ("affine2", "const", "exp", "sinshift")
+_PARAMETERIZED = ("affine2", *sorted(WARP_BUILTINS))
 _NO_PARAMETER = f"--c applies to the catalog fixtures {', '.join(_PARAMETERIZED)} only"
 
 
@@ -189,10 +193,8 @@ def warp_fixture_text(spec: WarpedProductSpec) -> str:
     lines.append(f"fiber_dim {spec.fiber_dim}")
     lines.append(f"fiber_lambda0 {float(spec.fiber_lambda0)!r}")
     w = spec.warp
-    if w.kind == "samples":
-        lines.append("warp samples " + " ".join(repr(float(v)) for v in w.samples))
-    else:
-        lines.append(f"warp {w.kind} " + " ".join(repr(p) for p in w.params))
+    values = w.samples if w.kind == "samples" else w.params
+    lines.append(f"warp {w.kind} " + " ".join(repr(float(v)) for v in values))
     return "\n".join(lines) + "\n"
 
 
@@ -241,12 +243,9 @@ def _parse_lines(text: str) -> Fixture:
     rows = list(_tokens(text))
     if not rows:
         raise FixtureParseError("empty fixture file")
-    head = rows[0][1][0]
-    if head == "dim":
+    if rows[0][1][0] == "dim":
         return _lie_algebra(*_parse_lie(rows))
-    if head in ("base", "fiber_dim", "fiber_lambda0", "warp"):
-        return _parse_warp(rows)
-    raise FixtureParseError(f"unknown directive {head!r}", rows[0][0])
+    return _parse_warp(rows)
 
 
 def _lie_algebra(n: int, c: np.ndarray, g: np.ndarray) -> MetricLieAlgebra:
@@ -268,6 +267,10 @@ def _structure(n: int) -> Optional[np.ndarray]:
         return None
 
 
+# each Lie directive after `dim n` as a line spells it; its word count is its arity
+_LIE_USAGE = {"bracket": "bracket i j k v", "metric": "metric i j v"}
+
+
 def _parse_lie(rows):
     """-> (n, c, g) from the token rows of a Lie file, one line at a time."""
     lineno, toks = rows[0]
@@ -281,45 +284,37 @@ def _parse_lie(rows):
         raise FixtureParseError(f"dimension {n} is too large: its {n}^3 structure "
                                 "constants do not fit in memory", lineno)
     g = np.eye(n)
-    seen_brackets = set()
-    seen_metric = set()
+    seen = set()
     for lineno, toks in rows[1:]:
         kind = toks[0]
         if kind == "dim":
             raise FixtureParseError("duplicate dim directive", lineno)
-        if kind == "bracket":
-            if len(toks) != 5:
-                raise FixtureParseError("bracket needs: bracket i j k v", lineno)
-            i, j, k = (_parse_int(t, lineno) for t in toks[1:4])
-            v = _parse_float(toks[4], lineno)
-            for idx in (i, j, k):
-                if not 1 <= idx <= n:
-                    raise FixtureParseError(f"index {idx} out of range 1..{n}", lineno)
-            if i >= j:
-                raise FixtureParseError(
-                    "bracket entries must have i < j "
-                    "(antisymmetric completion is implied)", lineno)
-            if (i, j, k) in seen_brackets:
-                raise FixtureParseError(f"duplicate bracket entry {i} {j} {k}", lineno)
-            seen_brackets.add((i, j, k))
-            c[i - 1, j - 1, k - 1] = v
-            c[j - 1, i - 1, k - 1] = -v
-        elif kind == "metric":
-            if len(toks) != 4:
-                raise FixtureParseError("metric needs: metric i j v", lineno)
-            i, j = (_parse_int(t, lineno) for t in toks[1:3])
-            v = _parse_float(toks[3], lineno)
-            for idx in (i, j):
-                if not 1 <= idx <= n:
-                    raise FixtureParseError(f"index {idx} out of range 1..{n}", lineno)
-            key = (min(i, j), max(i, j))
-            if key in seen_metric:
-                raise FixtureParseError(f"duplicate metric entry {i} {j}", lineno)
-            seen_metric.add(key)
-            g[i - 1, j - 1] = v
-            g[j - 1, i - 1] = v
-        else:
+        usage = _LIE_USAGE.get(kind)
+        if usage is None:
             raise FixtureParseError(f"unknown directive {kind!r}", lineno)
+        if len(toks) != len(usage.split()):
+            raise FixtureParseError(f"{kind} needs: {usage}", lineno)
+        idx = [_parse_int(t, lineno) for t in toks[1:-1]]
+        v = _parse_float(toks[-1], lineno)
+        for i in idx:
+            if not 1 <= i <= n:
+                raise FixtureParseError(f"index {i} out of range 1..{n}", lineno)
+        if kind == "bracket" and idx[0] >= idx[1]:
+            raise FixtureParseError(
+                "bracket entries must have i < j "
+                "(antisymmetric completion is implied)", lineno)
+        # a metric entry and its transpose are one entry
+        key = (kind, *(idx if kind == "bracket" else sorted(idx)))
+        if key in seen:
+            raise FixtureParseError(
+                f"duplicate {kind} entry {' '.join(map(str, idx))}", lineno)
+        seen.add(key)
+        i, j = idx[0] - 1, idx[1] - 1
+        if kind == "bracket":
+            c[i, j, idx[2] - 1] = v
+            c[j, i, idx[2] - 1] = -v
+        else:
+            g[i, j] = g[j, i] = v
     return n, c, g
 
 
@@ -401,87 +396,69 @@ def _has_duplicates(keys: np.ndarray) -> bool:
     return bool((keys[1:] == keys[:-1]).any())
 
 
+def _built(lineno, make, *args, **kwargs):
+    """make(*args, **kwargs), with its ValueError reported at this line."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise FixtureParseError(str(exc), lineno) from None
+
+
 def _parse_warp(rows) -> WarpedProductSpec:
-    from .warped_spectra import (Boundary, CircleBase, IntervalBase, WarpedProductSpec,
-                                 WarpProfile)
-    base = None
-    fiber_dim = None
-    fiber_lambda0 = None
-    warp = None
-    it = iter(rows)
-    pending_samples = None
-    for lineno, toks in it:
-        kind = toks[0]
-        if pending_samples is not None:
+    """The value types check what they are given; this reads the lines."""
+    from .warped_spectra import CircleBase, IntervalBase, WarpedProductSpec, WarpProfile
+    seen = {}               # directive -> its line
+    base = warp = samples = None
+    fibers = {}             # fiber_dim and fiber_lambda0, in file order
+    for lineno, toks in rows:
+        if samples is not None:
             # bare numbers after 'warp samples'
-            pending_samples.extend(_parse_float(t, lineno) for t in toks)
+            samples.extend(_parse_float(t, lineno) for t in toks)
             continue
-        if kind == "base":
-            if base is not None:
-                raise FixtureParseError("duplicate base directive", lineno)
-            if len(toks) >= 2 and toks[1] == "circle" and len(toks) == 3:
-                base = CircleBase(_parse_float(toks[2], lineno))
-            elif len(toks) == 5 and toks[1] == "interval":
-                a = _parse_float(toks[2], lineno)
-                b = _parse_float(toks[3], lineno)
-                if toks[4] not in ("dirichlet", "neumann"):
-                    raise FixtureParseError(
-                        "interval boundary must be dirichlet or neumann", lineno)
-                base = IntervalBase(a, b, Boundary(toks[4]))
-            else:
+        kind = toks[0]
+        if kind in seen:
+            raise FixtureParseError(f"duplicate {kind} directive", lineno)
+        seen[kind] = lineno
+        match toks:
+            case ["base", "circle", length]:
+                base = _built(lineno, CircleBase, _parse_float(length, lineno))
+            case ["base", "interval", a, b, boundary]:
+                base = _built(lineno, IntervalBase, _parse_float(a, lineno),
+                              _parse_float(b, lineno), boundary)
+            case ["base", *_]:
                 raise FixtureParseError(
                     "base needs: 'base circle L' or 'base interval a b bc'", lineno)
-        elif kind == "fiber_dim":
-            if fiber_dim is not None:
-                raise FixtureParseError("duplicate fiber_dim", lineno)
-            fiber_dim = _parse_int(toks[1], lineno) if len(toks) == 2 else None
-            if fiber_dim is None or fiber_dim < 1:
-                raise FixtureParseError("fiber_dim needs one positive integer", lineno)
-        elif kind == "fiber_lambda0":
-            if fiber_lambda0 is not None:
-                raise FixtureParseError("duplicate fiber_lambda0", lineno)
-            if len(toks) != 2:
-                raise FixtureParseError("fiber_lambda0 needs one value", lineno)
-            fiber_lambda0 = _parse_float(toks[1], lineno)
-        elif kind == "warp":
-            if warp is not None or pending_samples is not None:
-                raise FixtureParseError("duplicate warp directive", lineno)
-            if len(toks) < 2:
+            case ["fiber_dim", k]:
+                fibers[kind] = _parse_int(k, lineno)
+            case ["fiber_lambda0", v]:
+                fibers[kind] = _parse_float(v, lineno)
+            case ["fiber_dim" | "fiber_lambda0", *_]:
+                raise FixtureParseError(f"{kind} needs one value", lineno)
+            case ["warp", "samples", *values]:
+                samples = [_parse_float(t, lineno) for t in values]
+            case ["warp", wkind, *params]:
+                warp = _built(lineno, WarpProfile, wkind,
+                              tuple(_parse_float(t, lineno) for t in params))
+            case ["warp"]:
                 raise FixtureParseError("warp needs a kind", lineno)
-            wkind = toks[1]
-            if wkind == "samples":
-                pending_samples = [_parse_float(t, lineno) for t in toks[2:]]
-            elif wkind in ("const", "exp", "sinshift"):
-                if len(toks) != 3:
-                    raise FixtureParseError(f"warp {wkind} needs one parameter", lineno)
-                warp = WarpProfile(wkind, (_parse_float(toks[2], lineno),))
-            else:
-                raise FixtureParseError(f"unknown warp kind {wkind!r}", lineno)
-        else:
-            raise FixtureParseError(f"unknown directive {kind!r}", lineno)
-    if pending_samples is not None:
-        if len(pending_samples) < 16:
-            raise FixtureParseError("sampled warp needs at least 16 values")
-        warp = WarpProfile("samples", (), samples=np.array(pending_samples))
+            case _:
+                raise FixtureParseError(f"unknown directive {kind!r}", lineno)
+    if samples is not None:
+        if len(samples) < 16:
+            raise FixtureParseError("sampled warp needs at least 16 values", seen["warp"])
+        warp = WarpProfile("samples", (), samples=np.array(samples))
     if base is None:
         raise FixtureParseError("missing base directive")
     if warp is None:
         raise FixtureParseError("missing warp directive")
-    return WarpedProductSpec(base, warp,
-                             fiber_dim=fiber_dim if fiber_dim is not None else 1,
-                             fiber_lambda0=fiber_lambda0 if fiber_lambda0 is not None else 0.0)
+    for field, value in fibers.items():     # each checked at its own line
+        _built(seen[field], WarpedProductSpec, base, warp, **{field: value})
+    return WarpedProductSpec(base, warp, **fibers)
 
 
 def parse_fixture(path: str) -> Fixture:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    fix = parse_fixture_text(text)
-    if not isinstance(fix, MetricLieAlgebra):
-        from .warped_spectra import WarpedProductSpec
-        name = os.path.splitext(os.path.basename(path))[0]
-        fix = WarpedProductSpec(fix.base, fix.warp, fix.fiber_dim,
-                                fix.fiber_lambda0, name=name)
-    return fix
+        return parse_fixture_text(fh.read())
 
 
 def resolve_fixture(name_or_path: str, c: Optional[float] = None) -> Fixture:

@@ -105,18 +105,27 @@ def test_parse_warp_interval_and_samples():
 
 
 def test_parse_warp_errors():
-    with pytest.raises(FixtureParseError):
-        parse_fixture_text("base circle 1 2\nwarp const 1\n")
-    with pytest.raises(FixtureParseError):
-        parse_fixture_text("base interval 0 1 robin\nwarp const 1\n")
-    with pytest.raises(FixtureParseError):
-        parse_fixture_text("base circle 6.28\nwarp wiggle 1\n")
-    with pytest.raises(FixtureParseError):
-        parse_fixture_text("base circle 6.28\n")
-    with pytest.raises(FixtureParseError):
-        parse_fixture_text("warp const 1\n")
-    with pytest.raises(FixtureParseError):
-        parse_fixture_text("")
+    # an error a directive causes names its line, the value types' own
+    # checks included; only what the whole file lacks names none
+    circle = "base circle 6.28\n"
+    for text, line in [("base circle 1 2\nwarp const 1\n", 1),
+                       ("base interval 0 1 robin\nwarp const 1\n", 1),
+                       ("base interval 1 0 dirichlet\nwarp const 1\n", 1),
+                       ("base circle -1\nwarp const 1\n", 1),
+                       (circle + "fiber_lambda0 -1\nwarp const 1\n", 2),
+                       (circle + "warp const 1\nfiber_dim 0\n", 3),
+                       (circle + "fiber_lambda0 1\nfiber_dim 0\nwarp const 1\n", 3),
+                       (circle + "warp wiggle 1\n", 2),
+                       (circle + "warp const 1 2\n", 2),
+                       (circle + "warp samples 1 2 3\n", 2),
+                       (circle + "warp const 1\nbase circle 1\n", 3),
+                       ("frobnicate 1\n", 1),
+                       (circle, None),
+                       ("warp const 1\n", None),
+                       ("", None)]:
+        with pytest.raises(FixtureParseError) as info:
+            parse_fixture_text(text)
+        assert info.value.line == line, text
 
 
 def test_parse_error_reports_line_number():
@@ -485,6 +494,25 @@ def test_run_neumann_fixture_from_file(tmp_path):
     f.write_text("base interval 0 5 neumann\nfiber_dim 1\nwarp sinshift 0.5\n")
     res = run(RunConfig("verify-warped", str(f), grid_n=64, fmt="csv"))
     assert res.exit_code == EXIT_OK
+
+
+@pytest.mark.parametrize("name, text, head", [
+    ("a.lie", "dim 2\nbracket 1 2 2 1\n", "fixture: {}\n"),
+    ("w.warp", "base circle 6.28\nwarp sinshift 0.5\n", "fixture: {} (grid 64)\n")],
+    ids=["lie", "warp"])
+def test_a_fixture_file_is_named_by_its_input_as_typed(tmp_path, monkeypatch, name, text,
+                                                        head):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / name).write_text(text)
+    typed = f"./sub/{name}"
+    command = "analyze" if name.endswith(".lie") else "verify-warped"
+    csv = run(RunConfig(command, typed, grid_n=64, fmt="csv"))
+    assert csv.exit_code == EXIT_OK
+    assert {row.split(",")[0] for row in csv.text.splitlines()[2:]} == {typed}
+    res = run(RunConfig(command, typed, grid_n=64))
+    assert res.exit_code == EXIT_OK
+    assert res.text.startswith(head.format(typed))
 
 
 def test_run_sample_count_must_match_grid(tmp_path):

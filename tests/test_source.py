@@ -4,8 +4,9 @@ presets set apart, the tolerances are the Lie side's alone and travel with
 the algebra, the warped verdicts and solves read no absolute tolerance, the
 Lie side compares against no unnamed one, no Lie function takes two
 Lie objects, a class that only holds values is a NamedTuple, a value
-compared by value is a frozen dataclass that validates its fields, and an
-object compared by identity is a plain class."""
+compared by value is a frozen dataclass that validates its fields, the
+`.warp` reader leaves those checks to the value types, and an object
+compared by identity is a plain class."""
 
 import ast
 import dataclasses
@@ -202,6 +203,16 @@ def test_records_are_named_tuples_and_every_dataclass_validates():
     for cls in validating:
         # a dataclass is a value: it compares by its fields
         assert hasattr(cls, "__post_init__") and cls.__dataclass_params__.eq, cls.__name__
+
+
+def test_the_warp_reader_leaves_kinds_and_boundaries_to_the_value_types():
+    # WarpProfile knows the warp kinds and IntervalBase the boundary names; a
+    # copy of either list in the reader would be a second check to keep in step
+    strings = [node.value for node in ast.walk(_function("fixtures.py", "_parse_warp"))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    named = [s for s in strings
+             if re.search(r"\b(const|exp|sinshift|dirichlet|neumann)\b", s)]
+    assert strings and not named, named
 
 
 def test_identity_objects_are_plain_classes():
