@@ -21,8 +21,15 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+
+# OpenBLAS reads this when numpy, and later scipy's LAPACK extension, load
+# their copies: an idle worker of either pool sleeps after 2^4 cycles instead
+# of spinning for 2^28, which on a busy 2-core host took the cores from the
+# solve.  A value already set wins; `import specsub` sets nothing.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np
 
@@ -326,10 +333,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """Each option's dest is the RunConfig field it sets (config_from_args
     converts --tol-preset, --ideal and --cutoffs and drops --seed); an option
-    left out sets nothing, so every default is RunConfig's."""
+    left out sets nothing, so every default is RunConfig's.  With a command
+    named, only its subparser is built; the usage line still lists all six."""
     columns = "".join(
         f"  {name:<15}{','.join(header)}"
         f"{'  (mode -1 = Schrodinger row)' if name == 'verify-warped' else ''}\n"
@@ -346,8 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
                "Exit codes: 0 ok, 1 validation/parse failure, 2 uncertified "
                "solver result or a\nviolated inequality or two-route mismatch "
                "in verify-warped, 3 formula inapplicable.")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, kind) in COMMANDS.items():
+    if command in COMMANDS:
+        # an error past the command prints this usage; the metavar is the
+        # text argparse would make of all six choices
+        sub = p.add_subparsers(dest="command", required=True,
+                               metavar="{" + ",".join(COMMANDS) + "}")
+        chosen = {command: COMMANDS[command]}
+    else:
+        sub = p.add_subparsers(dest="command", required=True)
+        chosen = COMMANDS
+    for name, (_, help_text, kind) in chosen.items():
         q = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         q.add_argument("input", metavar="fixture", help="catalog name or fixture file path")
         q.add_argument("--c", type=float, dest="c_param",
@@ -387,7 +403,8 @@ def config_from_args(args) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         config = config_from_args(args)
     except ValueError as exc:

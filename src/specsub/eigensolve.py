@@ -15,7 +15,8 @@ quotient in extended precision, so that closed-form comparisons hold at the
 1e-12 level.  Certify: M - shift is positive definite, the result lies in
 the bracket and its residual is at most 40 eps * ||M||, a target that scales
 with M as the value does.  Nothing is random.  Small grids are also checked
-against the eigenvalues of the band matrix (LAPACK dsbev).
+against the lowest eigenvalue of the band matrix, found alone by LAPACK
+dsbevx.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .errors import SolverConvergenceError
 
 # scipy is loaded by _lapack on the first solve, so that the algebra commands,
 # which build and solve no grid operator, never load it; and of scipy the
-# solves load only its LAPACK extension, not the scipy.linalg package
+# solves load only its LAPACK extension, running neither the package init of
+# scipy nor that of scipy.linalg
 
 REFINE_STEPS = 2    # inverse-iteration steps after the bracket
 ULPS = 64           # bracket width, shift gap, certification slack: eps * ||M|| units
@@ -137,25 +139,31 @@ def _estimate(Mu: SymmetricForm, unit: float, v, error, grid_n) -> SpectrumEstim
 def _lapack():
     """scipy's LAPACK wrappers, the f2py extension scipy.linalg._flapack,
     loaded by itself: scipy.linalg.lapack re-exports its routines as the same
-    objects, and the package init of scipy.linalg would cost a fresh process
-    about 0.25 s.  Registered in sys.modules under its own name, it is the
-    copy that a later ``import scipy.linalg`` uses.  Without an extension
-    file, scipy.linalg.lapack itself."""
+    objects.  The package inits of scipy (13-16 ms) and scipy.linalg (about
+    0.25 s) would take most of a fresh warped call, so the extension file is
+    found beside the package's spec, which importlib locates without running
+    the package.  Where the extension does not load alone (on Windows scipy's
+    init registers its DLL directory), it loads once more after ``import
+    scipy``.  Registered in sys.modules under its own name, it is the copy
+    that a later ``import scipy.linalg`` uses.  Without an extension file,
+    scipy.linalg.lapack itself."""
     import importlib.machinery as machinery
     import importlib.util
     import os
-    import sys
-    import scipy   # scipy's own start-up (its DLL paths on Windows), 20 ms
 
     name = "scipy.linalg._flapack"
     if name not in sys.modules:        # scipy.linalg, once loaded, has it too
         spec = machinery.FileFinder(
-            os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+            os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg"),
             (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
         if spec is None:
             from scipy.linalg import lapack
             return lapack
-        module = importlib.util.module_from_spec(spec)
+        try:
+            module = importlib.util.module_from_spec(spec)     # loads the library
+        except ImportError:
+            import scipy
+            module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module
     return sys.modules[name]
@@ -214,18 +222,22 @@ def _bracket(Mu: SymmetricForm, resolution: float):
 
 
 def _banded_lowest(Mu: SymmetricForm) -> float:
-    """Lowest eigenvalue of Mu by LAPACK dsbev, values only: the nodes taken
-    alternately from both ends of the chain put every edge and the corner
-    within two places of the diagonal."""
+    """Lowest eigenvalue of Mu, and only that one, by LAPACK dsbevx: the
+    nodes taken alternately from both ends of the chain put every edge and
+    the corner within two places of the diagonal.  The band is reduced to
+    tridiagonal form and the value found by bisection to LAPACK's most
+    accurate absolute tolerance, 2 * the smallest normal number."""
     n = Mu.n
     pos = np.r_[np.arange(0, n, 2), np.arange(n - 1 - n % 2, 0, -2)]   # node -> place
     band = np.zeros((3, n))                                              # lower storage
     band[0, pos] = Mu.diag
     band[np.abs(pos[1:] - pos[:-1]), np.minimum(pos[1:], pos[:-1])] = Mu.off
     band[1, 0] += Mu.corner                 # nodes 0 and n - 1 sit at places 0 and 1
-    w, _, info = _lapack().dsbev(band, compute_v=0, lower=1)
-    if info:
-        raise SolverConvergenceError(f"dense reference failed: LAPACK dsbev info {info}")
+    w, _, found, _, info = _lapack().dsbevx(band, 0.0, 0.0, 1, 1, compute_v=0, range=2,
+                                            lower=1, abstol=2 * sys.float_info.min)
+    if info or found != 1:
+        raise SolverConvergenceError(f"dense reference failed: LAPACK dsbevx info {info}, "
+                                     f"{found} values found")
     return float(w[0])
 
 
@@ -260,8 +272,8 @@ def lowest_eigenvalue(form: SymmetricForm, grid_n: Optional[int] = None) -> Spec
             f"(target {target:.3e}), M - {shift / unit!r} positive definite: "
             f"{definite}", best=est)
     if form.n <= DENSE_LIMIT:
-        # values only: LAPACK dsbev, independent of the bracket and known to
-        # a few eps * ||M||
+        # the lowest value only: LAPACK dsbevx, independent of the bracket
+        # and known to a few eps * ||M||
         ref = _banded_lowest(Mu) / unit
         if abs(ref - est.lambda0) > est.error + slack:
             raise SolverConvergenceError(

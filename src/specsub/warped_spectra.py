@@ -39,6 +39,11 @@ class Boundary(str, enum.Enum):
     DIRICHLET = "dirichlet"
     NEUMANN = "neumann"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"interval boundary must be "
+                         f"{' or '.join(b.value for b in cls)}, not {value!r}")
+
 
 @dataclass(frozen=True)
 class CircleBase:
@@ -499,7 +504,10 @@ def _quotient_terms(grid: Grid, psi: np.ndarray, cond: np.ndarray,
         dx = grid.differences(f2d, buf)
         num_x = float(np.einsum("e,e->", cond, np.einsum("ej,ej->e", dx, dx))) / (h * h)
         dth = buf[:n]
-        np.subtract(f2d[:, 1:], f2d[:, :-1], out=dth[:, :-1])
+        # one pass over the flattened rows; the differences across a row's
+        # end land in column m - 1, which the wrap-around ones replace
+        flat = f2d.ravel()
+        np.subtract(flat[1:], flat[:-1], out=dth.reshape(-1)[:-1])
         np.subtract(f2d[:, 0], f2d[:, -1], out=dth[:, -1])
     num_th = float(np.einsum("i,i->", 1.0 / psi, np.einsum("ij,ij->i", dth, dth))) \
         / (h_theta * h_theta)

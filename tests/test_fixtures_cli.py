@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -126,6 +127,16 @@ def test_parse_warp_errors():
         with pytest.raises(FixtureParseError) as info:
             parse_fixture_text(text)
         assert info.value.line == line, text
+
+
+def test_a_bad_boundary_names_the_two_it_could_be(tmp_path, capsys):
+    with pytest.raises(ValueError, match="must be dirichlet or neumann, not 'robin'"):
+        IntervalBase(0.0, 1.0, "robin")
+    path = tmp_path / "robin.warp"
+    path.write_text("base interval 0 1 robin\nwarp const 1\n")
+    assert main(["verify-warped", str(path)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "error: line 1: interval boundary must be dirichlet or neumann, not 'robin'\n")
 
 
 def test_parse_error_reports_line_number():
@@ -833,6 +844,39 @@ def test_main_help_lists_the_frozen_csv_columns(capsys, monkeypatch):
     assert capsys.readouterr().out == HELP
 
 
+def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
+    # --help and an unknown command list all six; a named command needs one
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main(["lambda0", "sl2"]) == EXIT_INAPPLICABLE
+    assert built == ["lambda0"]
+    for argv in (["--help"], ["nope"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == list(specsub.cli.COMMANDS), argv
+    capsys.readouterr()
+
+
+def test_an_error_past_the_command_prints_the_usage_of_all_six(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["lambda0", "sl2", "--bogus"]
+    with pytest.raises(SystemExit):
+        specsub.cli.build_parser().parse_args(argv)
+    full = capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert capsys.readouterr().err == full
+    assert "{analyze,lambda0,cheeger,quotient,verify-warped,tail-ess}" in full
+
+
 @pytest.mark.parametrize("command", sorted(specsub.cli.HEADERS))
 def test_csv_header_is_the_headers_entry(command):
     fixture = {"verify-warped": "const", "tail-ess": "exp"}.get(command, "paper_example3")
@@ -930,16 +974,49 @@ def test_warped_commands_load_no_scipy_sparse():
 
 
 def test_warped_commands_load_the_lapack_extension_alone():
-    # the package init of scipy.linalg (and with it scipy._lib._array_api and
-    # numpy.f2py) is most of a fresh warped call's import time
+    # the package inits of scipy and scipy.linalg (and with it
+    # scipy._lib._array_api and numpy.f2py) are most of a fresh warped
+    # call's import time
     argvs = [["verify-warped", "sinshift", "--grid", "64"],
              ["tail-ess", "exp", "--grid", "256"]]
     probe = ("import json, sys\nfrom specsub.cli import main\n"
              "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-             "print(json.dumps([codes, [m for m in ('scipy.linalg', "
-             "'scipy._lib._array_api', 'numpy.f2py') if m in sys.modules]]))")
+             "print(json.dumps([codes, [m for m in ('scipy', 'scipy.linalg', "
+             "'scipy._lib._array_api', 'numpy.f2py') if m in sys.modules], "
+             "'scipy.linalg._flapack' in sys.modules]))")
     out = _python("-c", probe, json.dumps(argvs))
-    assert json.loads(out.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], []]
+    assert json.loads(out.splitlines()[-1]) == [[EXIT_OK, EXIT_OK], [], True]
+
+
+def test_lapack_extension_that_does_not_load_alone_loads_after_the_scipy_init():
+    # where the extension needs scipy's init (its DLL directory on Windows),
+    # the first load fails and the second follows `import scipy`
+    probe = ("import importlib.machinery as machinery, json, sys\n"
+             "create, seen = machinery.ExtensionFileLoader.create_module, []\n"
+             "def failing_once(self, spec):\n"
+             "    if spec.name != 'scipy.linalg._flapack':\n"
+             "        return create(self, spec)\n"
+             "    seen.append('scipy' in sys.modules)\n"
+             "    if len(seen) == 1:\n"
+             "        raise ImportError('simulated: a DLL is missing')\n"
+             "    return create(self, spec)\n"
+             "machinery.ExtensionFileLoader.create_module = failing_once\n"
+             "from specsub.eigensolve import _lapack\n"
+             "lapack = _lapack()\n"
+             "print(json.dumps([seen, lapack.__name__, "
+             "sys.modules.get('scipy.linalg._flapack') is lapack]))")
+    assert json.loads(_python("-c", probe)) == [[False, True], "scipy.linalg._flapack",
+                                                True]
+
+
+def test_only_the_program_sets_the_openblas_thread_timeout():
+    # idle OpenBLAS workers sleep in a CLI process; a user's value wins, and
+    # the library sets nothing
+    show = ("import os, specsub\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+            "import specsub.cli\nprint(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))")
+    unset = "import os\nos.environ.pop('OPENBLAS_THREAD_TIMEOUT', None)\n"
+    assert _python("-c", unset + show) == "None\n4\n"
+    assert _python("-c", show, OPENBLAS_THREAD_TIMEOUT="8") == "8\n8\n"
 
 
 def test_lapack_extension_is_the_one_scipy_linalg_uses():
@@ -947,7 +1024,7 @@ def test_lapack_extension_is_the_one_scipy_linalg_uses():
              "ext = _lapack()\n"
              "import scipy.linalg, scipy.linalg.lapack as lapack\n"
              "print(all(getattr(ext, f) is getattr(lapack, f)\n"
-             "          for f in ('dpttrf', 'dpttrs', 'dsbev')))\n"
+             "          for f in ('dpttrf', 'dpttrs', 'dsbevx')))\n"
              "vals = scipy.linalg.eigh_tridiagonal(2.0 * np.ones(3), -np.ones(2),\n"
              "                                     eigvals_only=True)\n"
              "print(np.allclose(vals, [2 - 2 ** 0.5, 2, 2 + 2 ** 0.5]))")
@@ -955,9 +1032,11 @@ def test_lapack_extension_is_the_one_scipy_linalg_uses():
 
 
 def test_lapack_without_an_extension_file_is_scipy_linalg_lapack(tmp_path):
-    # _lapack looks for the extension beside scipy.__file__, the package
+    # _lapack looks for the extension beside the origin of scipy's spec, which
+    # find_spec takes from sys.modules once scipy is loaded; the package
     # import goes by scipy.__path__
-    probe = ("import sys, scipy\nscipy.__file__ = sys.argv[1]\n"
+    probe = ("import importlib.util, sys, scipy\n"
+             "scipy.__spec__ = importlib.util.spec_from_file_location('scipy', sys.argv[1])\n"
              "from specsub.eigensolve import _lapack\nprint(_lapack().__name__)")
     assert _python("-c", probe, str(tmp_path / "__init__.py")) == "scipy.linalg.lapack\n"
 
