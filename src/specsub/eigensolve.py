@@ -153,8 +153,9 @@ def _lapack():
 
     name = "scipy.linalg._flapack"
     if name not in sys.modules:        # scipy.linalg, once loaded, has it too
-        spec = machinery.FileFinder(
-            os.path.join(os.path.dirname(importlib.util.find_spec("scipy").origin), "linalg"),
+        package = importlib.util.find_spec("scipy")   # None without scipy: the import says so
+        spec = package and machinery.FileFinder(
+            os.path.join(os.path.dirname(package.origin), "linalg"),
             (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)).find_spec(name)
         if spec is None:
             from scipy.linalg import lapack

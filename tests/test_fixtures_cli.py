@@ -844,7 +844,7 @@ def test_main_help_lists_the_frozen_csv_columns(capsys, monkeypatch):
     assert capsys.readouterr().out == HELP
 
 
-def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
+def test_a_command_builds_only_its_own_subparser(monkeypatch):
     # --help and an unknown command list all six; a named command needs one
     built = []
     add_parser = argparse._SubParsersAction.add_parser
@@ -861,7 +861,6 @@ def test_a_command_builds_only_its_own_subparser(capsys, monkeypatch):
         with pytest.raises(SystemExit):
             main(argv)
         assert built == list(specsub.cli.COMMANDS), argv
-    capsys.readouterr()
 
 
 def test_an_error_past_the_command_prints_the_usage_of_all_six(capsys, monkeypatch):
