@@ -458,6 +458,8 @@ def _grid_function(psi: np.ndarray, f2d) -> np.ndarray:
     f2d = np.asarray(f2d, dtype=float)
     if f2d.ndim != 2 or f2d.shape[0] != psi.size:
         raise ValueError("first axis of f2d must match the base grid")
+    if f2d.shape[1] == 0:
+        raise ValueError("f2d has no fiber nodes: its second axis is empty")
     return f2d
 
 
@@ -468,56 +470,50 @@ def _rescaled(f2d: np.ndarray) -> Tuple[np.ndarray, int]:
     return times_pow2(f2d, -e), e
 
 
-def _fiber_sums(psi: np.ndarray, f2d: np.ndarray) -> Tuple[np.ndarray, float]:
-    """(sums of f2d^2 along the fiber, their sum weighted by psi).  einsum
-    overflows to inf without a warning, and so do Python floats."""
-    rows = np.einsum("ij,ij->i", f2d, f2d)
-    return rows, float(np.einsum("i,i->", psi, rows))
-
-
-def _pushdown(psi: np.ndarray, rows: np.ndarray, n_theta: int) -> np.ndarray:
-    return np.sqrt(rows * psi * (2.0 * np.pi / n_theta))
-
-
 def pushdown(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> np.ndarray:
     """h(x_i) = sqrt of the fiber integral of f^2 with the warped fiber
     measure, taken on f2d rescaled by a power of two: h scales with it."""
     psi = _sample(spec, grid_n)[1]
     f2d, e = _rescaled(_grid_function(psi, f2d))
-    return times_pow2(_pushdown(psi, _fiber_sums(psi, f2d)[0], f2d.shape[1]), e)
+    return times_pow2(np.sqrt(np.vecdot(f2d, f2d) * psi * (2.0 * np.pi / f2d.shape[1])), e)
 
 
 def _quotient_terms(grid: Grid, psi: np.ndarray, cond: np.ndarray,
                     f2d: np.ndarray) -> Tuple[float, float, np.ndarray]:
-    """(numerator, denominator) of the discrete Rayleigh quotient of f2d, and
-    the sums of f2d^2 along the fiber."""
+    """(numerator, denominator) of the discrete Rayleigh quotient of f2d,
+    both over the cell area h h_theta, which cancels, and the sums of f2d^2
+    along the fiber: the denominator is their sum weighted by psi."""
     n, m = f2d.shape
     h_theta = 2.0 * np.pi / m
     h = grid.h
-    # each term: row sums of squares (numpy has SIMD loops for a two-operand
-    # einsum, not for three), dotted with the edge or node weights.  One
-    # buffer takes the base-direction differences, on the same edges and
-    # conductances as L_m, and then the fiber-direction ones: at grid 256 x 64
-    # four temporaries of that size made the call's time depend on the heap
-    buf = np.empty((n + 1, m))
+    # each term: row sums of squared differences, dotted with the edge or
+    # node weights.  One buffer takes the base-direction differences, on the
+    # same edges and conductances as L_m, and below them the fiber-direction
+    # ones, so one vecdot sums the squares of both.  The weighted sums are
+    # O(n) against the O(n m) row work, so OpenBLAS threading a long ddot
+    # (see eigensolve._dot) costs nothing in proportion.  A sum that
+    # overflows is inf, and the caller rescales
+    buf = np.empty((2 * n + 1, m))
     with np.errstate(over="ignore", invalid="ignore"):
-        dx = grid.differences(f2d, buf)
-        num_x = float(np.einsum("e,e->", cond, np.einsum("ej,ej->e", dx, dx))) / (h * h)
-        dth = buf[:n]
+        k = grid.differences(f2d, buf).shape[0]
+        dth = buf[k:k + n]
         # one pass over the flattened rows; the differences across a row's
         # end land in column m - 1, which the wrap-around ones replace
         flat = f2d.ravel()
         np.subtract(flat[1:], flat[:-1], out=dth.reshape(-1)[:-1])
         np.subtract(f2d[:, 0], f2d[:, -1], out=dth[:, -1])
-    num_th = float(np.einsum("i,i->", 1.0 / psi, np.einsum("ij,ij->i", dth, dth))) \
-        / (h_theta * h_theta)
-    rows, total = _fiber_sums(psi, f2d)
-    return (num_x + num_th) * h * h_theta, total * h * h_theta, rows
+        sq = np.vecdot(buf[:k + n], buf[:k + n])
+        rows = np.vecdot(f2d, f2d)
+        num_x = float(cond @ sq[:k]) / (h * h)
+        num_th = float((1.0 / psi) @ sq[k:]) / (h_theta * h_theta)
+        total = float(psi @ rows)
+    return num_x + num_th, total, rows
 
 
 def _rayleigh_2d(grid: Grid, psi: np.ndarray, cond: np.ndarray,
-                 f2d: np.ndarray) -> Tuple[float, np.ndarray]:
-    """-> (R(f2d), the sums of f2d^2 along the fiber, up to a power of two).
+                 f2d: np.ndarray) -> Tuple[float, np.ndarray, float]:
+    """-> (R(f2d), the sums of f2d^2 along the fiber and their sum weighted
+    by psi, both up to a power of two).
 
     R is invariant under f -> t f.  When the sums of squares overflow or
     underflow, the quotient is taken again on f2d rescaled by a power of
@@ -529,7 +525,7 @@ def _rayleigh_2d(grid: Grid, psi: np.ndarray, cond: np.ndarray,
         num, den, rows = _quotient_terms(grid, psi, cond, _rescaled(f2d)[0])
     if not den > 0.0:
         raise ValueError("f2d has zero norm: it has no Rayleigh quotient")
-    return num / den, rows
+    return num / den, rows, den
 
 
 def rayleigh_2d(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> float:
@@ -545,18 +541,19 @@ def pushdown_slack(spec: WarpedProductSpec, f2d: np.ndarray, grid_n: int) -> flo
     """
     grid, psi, _, cond = _sample(spec, grid_n)
     f2d = _grid_function(psi, f2d)
-    r2, rows = _rayleigh_2d(grid, psi, cond, f2d)
-    h = _pushdown(psi, rows, f2d.shape[1])
-    S = build_schrodinger(spec, grid_n)
-    g = np.sqrt(S.weights) * h          # R_S(h) = g.M g / h.W h
-    slack = r2 - float(g @ S.matvec(g)) / float(h @ (S.weights * h))
+    r2, rows, total = _rayleigh_2d(grid, psi, cond, f2d)
+    # R_S and the mean below are invariant under h -> t h: h is the pushdown
+    # of f over its norm, so h.h is 1 up to round-off whatever the scale of
+    # f and the base, and S's weights, the grid spacing, cancel from R_S(h)
+    h2 = rows * psi / total
+    h = np.sqrt(h2)
+    slack = r2 - float(h @ build_schrodinger(spec, grid_n).matvec(h)) / float(h @ h)
     if not spec.fiber_lambda0:
         return slack
     # psi^-2 on psi * 2**-e, e from min(psi): the terms that dominate the
     # mean stay normal, and a square that overflows is a term that rounds to 0
     e = exponent(np.min(psi), "warp must be finite")
     p = times_pow2(psi, -e)
-    wh2 = S.weights * h * h
     with np.errstate(over="ignore"):
-        mean = float(np.sum(wh2 / (p * p)) / np.sum(wh2))
+        mean = float(np.sum(h2 / (p * p)) / np.sum(h2))
     return slack - spec.fiber_lambda0 * times_pow2(mean, -2 * e)

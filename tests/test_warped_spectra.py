@@ -536,6 +536,14 @@ def test_pushdown_near_the_largest_float():
         6.1e153 * np.sqrt(2.0 * np.pi), rel=1e-15)
 
 
+@pytest.mark.parametrize("base", [CircleBase(1e-3), IntervalBase(0.0, 1e-3, Boundary.NEUMANN)])
+def test_pushdown_slack_of_a_large_function_on_a_short_base(base):
+    # the sum of f^2 times the grid spacing fits in a double, the plain sum
+    # of squares of the pushdown does not: R_S(h) must not sum it
+    spec = WarpedProductSpec(base, WarpProfile("const", (1.0,)))
+    assert pushdown_slack(spec, np.full((64, 1), 1e153), 64) == 0.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("fn", [pushdown, rayleigh_2d, pushdown_slack])
 def test_pushdown_rejects_non_finite_entries(fn, bad):
@@ -550,6 +558,12 @@ def test_pushdown_rejects_non_finite_entries(fn, bad):
 def test_pushdown_rejects_a_function_off_the_grid(fn, shape):
     with pytest.raises(ValueError, match="first axis of f2d must match the base grid"):
         fn(warp_sinshift(1.0), np.ones(shape), 64)
+
+
+@pytest.mark.parametrize("fn", [pushdown, rayleigh_2d, pushdown_slack])
+def test_pushdown_rejects_a_function_without_fiber_nodes(fn):
+    with pytest.raises(ValueError, match="f2d has no fiber nodes"):
+        fn(warp_sinshift(1.0), np.ones((64, 0)), 64)
 
 
 def test_pushdown_of_a_subnormal_function_has_a_norm():
@@ -577,6 +591,63 @@ def test_rayleigh_2d_separates_for_const_warp():
     h_theta = 2 * np.pi / m
     expect = (2.0 - 2.0 * np.cos(h_theta)) / h_theta**2
     assert rayleigh_2d(spec, f2d, n) == pytest.approx(expect, rel=1e-12)
+
+
+def dense_2d_form(spec, n, m):
+    """(K, W) of the discrete Rayleigh quotient f.Kf / f.Wf on an n x m grid,
+    f flattened row by row, assembled from the base's edge-node incidence
+    matrix and the fiber's circulant difference, not from ``Grid``:
+    K = (Dx^T C Dx / h^2) (x) I + diag(1/psi) (x) (Dth^T Dth / h_th^2) and
+    W = diag(psi) (x) I, both times the cell area h h_th."""
+    base = spec.base
+    if isinstance(base, CircleBase):
+        h = base.length / n
+        x = h * np.arange(n)
+        Dx = np.roll(np.eye(n), 1, axis=1) - np.eye(n)         # edge k: k -> k + 1 mod n
+        x_pad = np.append(x, base.length)
+    elif base.boundary == Boundary.DIRICHLET:
+        h = (base.b - base.a) / (n + 1)
+        x = base.a + h * np.arange(1, n + 1)
+        Dx = np.eye(n + 1, n, -1) - np.eye(n + 1, n)          # edges to both ghosts
+        x_pad = np.concatenate(([base.a], x, [base.b]))
+    else:
+        h = (base.b - base.a) / n
+        x = base.a + h * (np.arange(n) + 0.5)
+        Dx = np.eye(n - 1, n, 1) - np.eye(n - 1, n)           # interior edges only
+        x_pad = x
+    psi_pad = spec.warp(x_pad)
+    C = np.diag(np.sqrt(psi_pad[:-1] * psi_pad[1:]))
+    psi = spec.warp(x)
+    Dth = np.roll(np.eye(m), 1, axis=1) - np.eye(m)
+    h_th = 2.0 * np.pi / m
+    K = (np.kron(Dx.T @ C @ Dx / h**2, np.eye(m))
+         + np.kron(np.diag(1.0 / psi), Dth.T @ Dth / h_th**2)) * (h * h_th)
+    W = np.kron(np.diag(psi), np.eye(m)) * (h * h_th)
+    return K, W
+
+
+@pytest.mark.parametrize("spec", [
+    warp_sinshift(0.7),
+    exp_interval(0.4, 8.0),
+    WarpedProductSpec(IntervalBase(0.3, 4.0, Boundary.NEUMANN), WarpProfile("sinshift", (0.5,))),
+], ids=["circle", "dirichlet", "neumann"])
+def test_rayleigh_2d_matches_the_dense_2d_form(spec):
+    n, m = 24, 8
+    K, W = dense_2d_form(spec, n, m)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        f2d = rng.standard_normal((n, m))
+        f = f2d.ravel()
+        assert rayleigh_2d(spec, f2d, n) == pytest.approx(f @ K @ f / (f @ W @ f), rel=1e-13)
+    # a fiber-constant f: the fiber term is a sum of differences that are
+    # exactly 0, so with the base term's conductances set to 0 the kernel's
+    # numerator is exactly 0.0
+    f2d = np.repeat(rng.uniform(0.5, 2.0, n)[:, None], m, axis=1)
+    f = f2d.ravel()
+    assert rayleigh_2d(spec, f2d, n) == pytest.approx(f @ K @ f / (f @ W @ f), rel=1e-13)
+    grid, psi, _, cond = _sample(spec, n)
+    num, den, _ = specsub.warped_spectra._quotient_terms(grid, psi, np.zeros_like(cond), f2d)
+    assert num == 0.0 and den > 0.0
 
 
 # -- tails ---------------------------------------------------------------------------
